@@ -37,14 +37,13 @@ def active_tape():
 class TapeRecord:
     """One recorded primitive application."""
 
-    __slots__ = ("kind", "input_ids", "output_id", "vjp", "saved")
+    __slots__ = ("kind", "input_ids", "output_id", "vjp")
 
-    def __init__(self, kind, input_ids, output_id, vjp, saved=None):
+    def __init__(self, kind, input_ids, output_id, vjp):
         self.kind = kind
         self.input_ids = input_ids
         self.output_id = output_id
         self.vjp = vjp  # out_grad -> tuple of per-input grads (or None)
-        self.saved = saved
 
 
 class Tape:
@@ -79,11 +78,11 @@ class Tape:
             tensor.node_id = nid
         return nid
 
-    def record(self, kind, inputs, output, vjp, saved=None) -> None:
+    def record(self, kind, inputs, output, vjp) -> None:
         input_ids = [self.node_id(t) for t in inputs]
         output_id = self.node_id(output)
         self._output_ids.add(output_id)
-        self.records.append(TapeRecord(kind, input_ids, output_id, vjp, saved))
+        self.records.append(TapeRecord(kind, input_ids, output_id, vjp))
 
     def leaves(self):
         """Registered tensors that are not the output of any record."""
@@ -160,13 +159,14 @@ def _as_tensor(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
 
 
-def _emit(kind, inputs, out_values, vjp_builder, saved=None) -> Tensor:
-    """Create the output tensor and record the op if anything needs grad."""
+def emit(kind, inputs, out_values, vjp_builder) -> Tensor:
+    """Create the output tensor and record the op if anything needs grad.
+    Also the entry point for fused primitives defined in other modules."""
     tape = active_tape()
     track = tape is not None and any(t.requires_grad for t in inputs)
     out = Tensor(out_values, requires_grad=track)
     if track:
-        tape.record(kind, inputs, out, vjp_builder, saved)
+        tape.record(kind, inputs, out, vjp_builder)
     return out
 
 
@@ -195,7 +195,7 @@ def _check_broadcast(kind, a, b):
 
 def add(a: Tensor, b: Tensor) -> Tensor:
     _check_broadcast("add", a, b)
-    return _emit(
+    return emit(
         "add",
         [a, b],
         a.values + b.values,
@@ -205,7 +205,7 @@ def add(a: Tensor, b: Tensor) -> Tensor:
 
 def sub(a: Tensor, b: Tensor) -> Tensor:
     _check_broadcast("sub", a, b)
-    return _emit(
+    return emit(
         "sub",
         [a, b],
         a.values - b.values,
@@ -216,7 +216,7 @@ def sub(a: Tensor, b: Tensor) -> Tensor:
 def mul(a: Tensor, b: Tensor) -> Tensor:
     _check_broadcast("mul", a, b)
     av, bv = a.values, b.values
-    return _emit(
+    return emit(
         "mul",
         [a, b],
         av * bv,
@@ -228,7 +228,7 @@ def div(a: Tensor, b: Tensor) -> Tensor:
     _check_broadcast("div", a, b)
     av, bv = a.values, b.values
     out = av / bv
-    return _emit(
+    return emit(
         "div",
         [a, b],
         out,
@@ -242,7 +242,7 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     if a.shape[1] != b.shape[0]:
         raise ShapeError(f"matmul: inner dims disagree, {a.shape} @ {b.shape}")
     av, bv = a.values, b.values
-    return _emit(
+    return emit(
         "matmul",
         [a, b],
         av @ bv,
@@ -253,7 +253,7 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 def transpose(a: Tensor) -> Tensor:
     if a.values.ndim != 2:
         raise ShapeError(f"transpose: expects 2-d operand, got {a.shape}")
-    return _emit("transpose", [a], a.values.T.copy(), lambda g: (g.T,))
+    return emit("transpose", [a], a.values.T.copy(), lambda g: (g.T,))
 
 
 def concat(tensors: list[Tensor], axis: int = 0) -> Tensor:
@@ -272,12 +272,12 @@ def concat(tensors: list[Tensor], axis: int = 0) -> Tensor:
             for i in range(len(tensors))
         )
 
-    return _emit("concat", list(tensors), out, vjp)
+    return emit("concat", list(tensors), out, vjp)
 
 
 def reshape(a: Tensor, shape) -> Tensor:
     old = a.shape
-    return _emit("reshape", [a], a.values.reshape(shape), lambda g: (g.reshape(old),))
+    return emit("reshape", [a], a.values.reshape(shape), lambda g: (g.reshape(old),))
 
 
 def slice_cols(a: Tensor, start: int, stop: int) -> Tensor:
@@ -289,7 +289,7 @@ def slice_cols(a: Tensor, start: int, stop: int) -> Tensor:
         full[:, start:stop] = g
         return (full,)
 
-    return _emit("slice_cols", [a], a.values[:, start:stop].copy(), vjp)
+    return emit("slice_cols", [a], a.values[:, start:stop].copy(), vjp)
 
 
 def take_rows(a: Tensor, indices) -> Tensor:
@@ -303,7 +303,7 @@ def take_rows(a: Tensor, indices) -> Tensor:
         np.add.at(full, idx, g)
         return (full,)
 
-    return _emit("take_rows", [a], a.values[idx].copy(), vjp, saved=idx)
+    return emit("take_rows", [a], a.values[idx].copy(), vjp)
 
 
 def tensor_sum(a: Tensor, axis: int | None = None, keepdims: bool = False) -> Tensor:
@@ -314,11 +314,11 @@ def tensor_sum(a: Tensor, axis: int | None = None, keepdims: bool = False) -> Te
             g = np.expand_dims(g, axis)
         return (np.broadcast_to(g, shape).copy(),)
 
-    return _emit("sum", [a], a.values.sum(axis=axis, keepdims=keepdims), vjp)
+    return emit("sum", [a], a.values.sum(axis=axis, keepdims=keepdims), vjp)
 
 
 def _elementwise(kind, a, out, dout):
-    return _emit(kind, [a], out, lambda g: (g * dout,))
+    return emit(kind, [a], out, lambda g: (g * dout,))
 
 
 def tanh(a: Tensor) -> Tensor:
@@ -374,7 +374,7 @@ def embedding_lookup(table: Tensor, indices) -> Tensor:
         np.add.at(full, idx, g)
         return (full,)
 
-    return _emit("embedding_lookup", [table], table.values[idx].copy(), vjp, saved=idx)
+    return emit("embedding_lookup", [table], table.values[idx].copy(), vjp)
 
 
 def dropout(a: Tensor, rate: float, rng=None, training: bool = False) -> Tensor:
@@ -391,7 +391,7 @@ def dropout(a: Tensor, rate: float, rng=None, training: bool = False) -> Tensor:
         raise AutodiffError("dropout: training mode requires an explicit rng")
     keep = 1.0 - rate
     mask = (rng.random(a.shape) >= rate).astype(np.float64) / keep
-    return _emit("dropout", [a], a.values * mask, lambda g: (g * mask,), saved=mask)
+    return emit("dropout", [a], a.values * mask, lambda g: (g * mask,))
 
 
 def log_sum_exp(a: Tensor, axis: int, keepdims: bool = False) -> Tensor:
@@ -409,7 +409,7 @@ def log_sum_exp(a: Tensor, axis: int, keepdims: bool = False) -> Tensor:
             g = np.expand_dims(g, axis)
         return (softmax * g,)
 
-    return _emit("log_sum_exp", [a], out if keepdims else out.squeeze(axis=axis), vjp)
+    return emit("log_sum_exp", [a], out if keepdims else out.squeeze(axis=axis), vjp)
 
 
 def log_softmax(a: Tensor, axis: int) -> Tensor:
@@ -424,7 +424,7 @@ def log_softmax(a: Tensor, axis: int) -> Tensor:
     def vjp(g):
         return (g - softmax * g.sum(axis=axis, keepdims=True),)
 
-    return _emit("log_softmax", [a], out, vjp)
+    return emit("log_softmax", [a], out, vjp)
 
 
 _PRIMITIVES = {

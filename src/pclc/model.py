@@ -17,7 +17,9 @@ from .data import SlotSchema, Utterance, Vocab
 from .errors import ShapeError
 from .evaluate import SpanPrediction
 from .layers import Linear, Mlp
-from .tagger import CrfLayer, EncodedBatch, Encoder, EncoderConfig, N_TAGS, extract_spans, viterbi_decode
+from .tagger import (
+    CrfLayer, EncodedBatch, Encoder, EncoderConfig, N_TAGS, extract_spans, viterbi_decode_batch
+)
 
 
 @dataclass
@@ -96,9 +98,11 @@ class PclcModel:
         return self.encoder.encode_batch(utterances, self.vocab, training, rng)
 
     def emissions(self, enc: EncodedBatch) -> tuple[Tensor, list[Tensor]]:
-        """All-position emission scores and the per-utterance (T_b, 3) views."""
+        """All-position emission scores, in the row layout of `enc.hidden`,
+        and each utterance's (T_b, 3) rows as untracked views."""
         all_scores = self.emission(enc.hidden)
-        per_utt = [ad.take_rows(all_scores, enc.utterance_rows(b)) for b in range(enc.batch_size)]
+        grid = all_scores.values.reshape(enc.t_max, enc.batch_size, N_TAGS)
+        per_utt = [Tensor(grid[:n, b]) for b, n in enumerate(enc.lengths)]
         return all_scores, per_utt
 
     def entity_representations(
@@ -135,12 +139,12 @@ class PclcModel:
         for lo in range(0, len(utterances), batch_size):
             chunk = utterances[lo : lo + batch_size]
             enc = self.encode(chunk, training=False)
-            _, per_utt = self.emissions(enc)
+            all_scores, _ = self.emissions(enc)
             chunk_spans: list[tuple[int, int, int]] = []
             span_home: list[tuple[int, int, int]] = []
             predictions: list[list[SpanPrediction]] = [[] for _ in chunk]
-            for b, emis in enumerate(per_utt):
-                tags = viterbi_decode(emis, self.crf)
+            paths = viterbi_decode_batch(all_scores, enc.lengths, self.crf)
+            for b, tags in enumerate(paths):
                 for span in extract_spans(tags):
                     chunk_spans.append((b, span.start, span.end))
                     span_home.append((b, span.start, span.end))

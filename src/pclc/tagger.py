@@ -210,68 +210,111 @@ class CrfLayer:
         ]
 
 
-def crf_nll(emissions: Tensor, gold_tags: list[int], crf: CrfLayer) -> Tensor:
-    """Negative log-likelihood: log Z - score(gold path).
+def _log_sum_exp(x: np.ndarray, axis: int) -> np.ndarray:
+    m = x.max(axis=axis, keepdims=True)
+    return (m + np.log(np.exp(x - m).sum(axis=axis, keepdims=True))).squeeze(axis)
 
-    The partition runs the forward algorithm in log space with
-    max-subtracted log-sum-exp; the result is >= 0.
+
+def _padded(emissions: np.ndarray, lengths: list[int], who: str):
+    """The (t_max, B, 3) view of row-layout emissions and the (t_max, B) live mask."""
+    if not lengths or min(lengths) < 1:
+        raise ShapeError(f"{who}: every length must be >= 1, got {lengths}")
+    t_max, batch = max(lengths), len(lengths)
+    if emissions.shape != (t_max * batch, N_TAGS):
+        raise ShapeError(f"{who}: emissions {emissions.shape} do not fit lengths {lengths}")
+    live = np.arange(t_max)[:, None] < np.asarray(lengths)
+    return emissions.reshape(t_max, batch, N_TAGS), live
+
+
+def crf_nll_batch(
+    emissions: Tensor, lengths: list[int], gold_tags: list[list[int]], crf: CrfLayer
+) -> Tensor:
+    """Summed negative log-likelihood, sum_b log Z_b - score_b(gold), as one tape record.
+
+    `emissions` is ((t_max * B), 3) in `EncodedBatch` row layout: row t*B + b
+    is utterance b at position t, and rows with t >= lengths[b] are padding.
+    The value comes from the masked log-space forward algorithm, the vjp
+    from forward-backward marginals: unary marginals minus gold one-hots
+    (exactly 0 on padding), summed pairwise marginals minus gold transition
+    counts, and the first and last unary terms for `start` and `end`.
     """
-    T = emissions.shape[0]
-    if emissions.shape != (T, N_TAGS):
-        raise ShapeError(f"crf_nll: emissions must be (T, {N_TAGS}), got {emissions.shape}")
-    if len(gold_tags) != T:
-        raise ShapeError(f"crf_nll: {len(gold_tags)} gold tags for {T} emissions")
-    if any(not 0 <= y < N_TAGS for y in gold_tags):
+    emis, live = _padded(emissions.values, lengths, "crf_nll")
+    t_max, batch = live.shape
+    if len(gold_tags) != batch or any(len(y) != n for y, n in zip(gold_tags, lengths)):
+        raise ShapeError(f"crf_nll: gold tag lists do not match lengths {lengths}")
+    if any(not 0 <= y < N_TAGS for tags in gold_tags for y in tags):
         raise ShapeError(f"crf_nll: gold tags out of range: {gold_tags}")
+    gold = np.zeros((t_max, batch, N_TAGS))
+    for b, tags in enumerate(gold_tags):
+        gold[np.arange(len(tags)), b, tags] = 1.0
+    trans_count = np.einsum("tbi,tbj->ij", gold[:-1], gold[1:])
+    last = (np.asarray(lengths) - 1, np.arange(batch))
+    trans, start, end = crf.transitions.values, crf.start.values, crf.end.values
 
-    emis_mask = np.zeros((T, N_TAGS))
-    emis_mask[np.arange(T), gold_tags] = 1.0
-    trans_count = np.zeros((N_TAGS, N_TAGS))
-    for prev, cur in zip(gold_tags, gold_tags[1:]):
-        trans_count[prev, cur] += 1.0
-    start_mask = np.zeros(N_TAGS)
-    start_mask[gold_tags[0]] = 1.0
-    end_mask = np.zeros(N_TAGS)
-    end_mask[gold_tags[-1]] = 1.0
+    alpha = np.empty((t_max, batch, N_TAGS))
+    alpha[0] = start + emis[0]
+    for t in range(1, t_max):
+        step = _log_sum_exp(alpha[t - 1][:, :, None] + trans + emis[t][:, None, :], axis=1)
+        alpha[t] = np.where(live[t][:, None], step, alpha[t - 1])
+    log_z = _log_sum_exp(alpha[-1] + end, axis=1)
+    gold_score = (emis * gold).sum() + (trans * trans_count).sum()
+    gold_score += start @ gold[0].sum(axis=0) + end @ gold[last].sum(axis=0)
 
-    gold_score = ad.tensor_sum(ad.mul(emissions, Tensor(emis_mask)))
-    gold_score = ad.add(gold_score, ad.tensor_sum(ad.mul(crf.transitions, Tensor(trans_count))))
-    gold_score = ad.add(gold_score, ad.tensor_sum(ad.mul(crf.start, Tensor(start_mask))))
-    gold_score = ad.add(gold_score, ad.tensor_sum(ad.mul(crf.end, Tensor(end_mask))))
-
-    alpha = ad.add(ad.reshape(crf.start, (1, N_TAGS)), ad.take_rows(emissions, [0]))
-    for t in range(1, T):
-        scores = ad.add(
-            ad.add(ad.reshape(alpha, (N_TAGS, 1)), crf.transitions),
-            ad.take_rows(emissions, [t]),
+    def vjp(g):
+        beta = np.empty_like(alpha)
+        beta[-1] = end
+        for t in range(t_max - 2, -1, -1):
+            step = _log_sum_exp(trans + (emis[t + 1] + beta[t + 1])[:, None, :], axis=2)
+            beta[t] = np.where(live[t + 1][:, None], step, end)
+        # exponent -inf on padding makes its marginals exactly 0
+        unary = np.exp(np.where(live[:, :, None], alpha + beta - log_z[:, None], -np.inf))
+        pair = alpha[:-1, :, :, None] + trans + (emis[1:] + beta[1:])[:, :, None, :]
+        pair = np.exp(np.where(live[1:, :, None, None], pair - log_z[:, None, None], -np.inf))
+        d_unary = unary - gold
+        return (
+            g * d_unary.reshape(emissions.shape),
+            g * (pair.sum(axis=(0, 1)) - trans_count),
+            g * d_unary[0].sum(axis=0),
+            g * d_unary[last].sum(axis=0),
         )
-        alpha = ad.reshape(ad.log_sum_exp(scores, axis=0), (1, N_TAGS))
-    final = ad.add(alpha, ad.reshape(crf.end, (1, N_TAGS)))
-    log_z = ad.reshape(ad.log_sum_exp(final, axis=1), ())
-    return ad.sub(log_z, gold_score)
+
+    inputs = [emissions, crf.transitions, crf.start, crf.end]
+    return ad.emit("crf_nll", inputs, np.asarray(log_z.sum() - gold_score), vjp)
+
+
+def crf_nll(emissions: Tensor, gold_tags: list[int], crf: CrfLayer) -> Tensor:
+    """Negative log-likelihood of one utterance's (T, 3) emissions (B=1 `crf_nll_batch`)."""
+    return crf_nll_batch(emissions, [emissions.shape[0]], [gold_tags], crf)
+
+
+def viterbi_decode_batch(emissions, lengths: list[int], crf: CrfLayer) -> list[list[int]]:
+    """Highest-scoring tag sequence per utterance of a padded batch.
+
+    `emissions` (a Tensor or array) has the row layout of `crf_nll_batch`.
+    A backward max-product pass scores the best rest of each utterance per
+    position and tag; tags are then picked forwards, so ties resolve to the
+    lowest tag index at the earliest position (the lexicographically first
+    best path).
+    """
+    values = emissions.values if isinstance(emissions, Tensor) else np.asarray(emissions)
+    emis, live = _padded(values, lengths, "viterbi_decode")
+    trans, end = crf.transitions.values, crf.end.values
+    suffix = np.empty_like(emis)  # [t, b, y]: best score of t..L_b-1 with tag y at t
+    suffix[-1] = emis[-1] + end
+    for t in range(len(emis) - 2, -1, -1):
+        rest = (trans + suffix[t + 1][:, None, :]).max(axis=2)
+        suffix[t] = emis[t] + np.where(live[t + 1][:, None], rest, end)
+    tags = np.empty(live.shape, dtype=np.intp)
+    tags[0] = (crf.start.values + suffix[0]).argmax(axis=1)  # argmax: lowest index on ties
+    for t in range(1, len(emis)):
+        tags[t] = (trans[tags[t - 1]] + suffix[t]).argmax(axis=1)
+    return [tags[:n, b].tolist() for b, n in enumerate(lengths)]
 
 
 def viterbi_decode(emissions, crf: CrfLayer) -> list[int]:
-    """Highest-scoring tag sequence; ties resolve to the lowest tag index."""
-    emis = emissions.values if isinstance(emissions, Tensor) else np.asarray(emissions)
-    if emis.ndim != 2 or emis.shape[1] != N_TAGS:
-        raise ShapeError(f"viterbi_decode: emissions must be (T, {N_TAGS}), got {emis.shape}")
-    T = emis.shape[0]
-    trans = crf.transitions.values
-    score = crf.start.values + emis[0]
-    back: list[np.ndarray] = []
-    for t in range(1, T):
-        total = score[:, None] + trans  # [prev, cur]
-        best_prev = total.argmax(axis=0)  # argmax picks the lowest index on ties
-        score = total[best_prev, np.arange(N_TAGS)] + emis[t]
-        back.append(best_prev)
-    score = score + crf.end.values
-    tag = int(score.argmax())
-    path = [tag]
-    for best_prev in reversed(back):
-        tag = int(best_prev[tag])
-        path.append(tag)
-    return path[::-1]
+    """Best tag sequence for one utterance's (T, 3) emissions (B=1 `viterbi_decode_batch`)."""
+    values = emissions.values if isinstance(emissions, Tensor) else np.asarray(emissions)
+    return viterbi_decode_batch(values, [values.shape[0]], crf)[0]
 
 
 def extract_spans(bio_sequence, utterance: Utterance | None = None) -> list[TaggedSpan]:

@@ -29,7 +29,7 @@ from .evaluate import SpanPrediction, span_f1
 from .model import ModelDims, PclcModel
 from .optim import Adam, clip_grad_norm
 from .rng import make_rng
-from .tagger import TAG_NAMES, crf_nll, gold_spans
+from .tagger import TAG_NAMES, crf_nll_batch, gold_spans
 
 
 @dataclass
@@ -57,6 +57,10 @@ class TrainConfig:
     layers: int = 2
     entity_hidden: int = 200
     proto_dim: int = 200
+
+    def __post_init__(self):
+        if self.batch_size < 1:
+            raise ConfigError(f"config key 'batch_size': must be >= 1, got {self.batch_size}")
 
     def resolved_max_epochs(self) -> int:
         if self.max_epochs is not None:
@@ -88,12 +92,15 @@ def _format_value(value) -> str:
 
 def _coerce(name: str, annotation: str, raw: str):
     raw = raw.strip()
-    if annotation in ("int | None", "typing.Optional[int]"):
-        return None if raw == "none" else int(raw)
-    if annotation == "int":
-        return int(raw)
-    if annotation == "float":
-        return float(raw)
+    try:
+        if annotation in ("int | None", "typing.Optional[int]"):
+            return None if raw == "none" else int(raw)
+        if annotation == "int":
+            return int(raw)
+        if annotation == "float":
+            return float(raw)
+    except ValueError:
+        raise ConfigError(f"config key {name!r}: expected {annotation}, got {raw!r}") from None
     if annotation == "bool":
         if raw not in ("true", "false"):
             raise ConfigError(f"config key {name!r}: expected true/false, got {raw!r}")
@@ -138,9 +145,10 @@ def loss_components(
         raise TrainingDiverged("total_loss: empty batch")
     PclcHyperparams(config.temperature, config.confusion_lambda, config.kl_weight)
     enc = model.encode(batch, training=True, rng=rng)
-    _, per_utt = model.emissions(enc)
-    crf_terms = [crf_nll(emis, _tag_indices(u), model.crf) for emis, u in zip(per_utt, batch)]
-    l_crf = ad.mul(_sum_scalars(crf_terms), Tensor(config.crf_weight / len(batch)))
+    all_scores, _ = model.emissions(enc)
+    gold_tags = [_tag_indices(u) for u in batch]
+    crf_sum = crf_nll_batch(all_scores, enc.lengths, gold_tags, model.crf)
+    l_crf = ad.mul(crf_sum, Tensor(config.crf_weight / len(batch)))
 
     spans: list[tuple[int, int, int]] = []
     gold_slot: list[str] = []
@@ -191,13 +199,6 @@ def total_loss(
     parts = {name: t.item() for name, t in terms.items()}
     _check_finite(parts)
     return terms["total"], parts
-
-
-def _sum_scalars(terms: list[Tensor]) -> Tensor:
-    acc = terms[0]
-    for t in terms[1:]:
-        acc = ad.add(acc, t)
-    return acc
 
 
 def _check_finite(parts: dict[str, float]) -> None:

@@ -2,7 +2,9 @@ import os
 import subprocess
 import sys
 
-from conftest import DATA_DIR
+import pytest
+
+from conftest import DATA_DIR, REPO_ROOT
 from pclc.cli import main
 from pclc.evaluate import read_prototype_export
 
@@ -193,6 +195,23 @@ def test_sweep_lambda_rejects_out_of_range(tmp_path, capsys):
     assert "lambda" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "flag, value, message",
+    [
+        ("--batch-size", "0", "config key 'batch_size': must be >= 1, got 0"),
+        ("--lr", "abc", "config key 'lr': expected float, got 'abc'"),
+    ],
+)
+def test_bad_config_value_is_config_error(tmp_path, capsys, flag, value, message):
+    rc = main(
+        ["train", "--data-dir", os.path.join(DATA_DIR, "overfit"), "--target", "kitchen",
+         "--output-dir", os.path.join(tmp_path, "x"), flag, value]
+    )
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err == f"error: {message}\n"
+
+
 def test_output_root_env_var(tmp_path, monkeypatch):
     monkeypatch.setenv("PCLC_OUTPUT_ROOT", str(tmp_path))
     rc = main(
@@ -214,11 +233,14 @@ def test_missing_output_dir_is_config_error(tmp_path, monkeypatch, capsys):
 
 def test_console_entry_point_subprocess(tmp_path):
     # exit status travels through the installed script path
+    src = os.path.join(REPO_ROOT, "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "pclc", "eval", os.path.join(tmp_path, "none"),
          "--data-dir", os.path.join(DATA_DIR, "overfit")],
         capture_output=True,
         text=True,
+        env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 1
     assert "checkpoint not found" in proc.stderr

@@ -1,24 +1,30 @@
 import math
+import os
 
 import numpy as np
 import pytest
 
 import oracles
+from conftest import DATA_DIR
 from pclc import autodiff as ad
 from pclc.autodiff import Tape, Tensor
-from pclc.data import Utterance, build_vocab, random_embeddings
+from pclc.data import Utterance, build_vocab, load_corpus, random_embeddings, split_leave_one_out
 from pclc.errors import ShapeError
+from pclc.model import PclcModel
 from pclc.rng import make_rng
 from pclc.tagger import (
     CrfLayer,
     Encoder,
     EncoderConfig,
     crf_nll,
+    crf_nll_batch,
     encode_utterance,
     extract_spans,
     gold_spans,
     viterbi_decode,
+    viterbi_decode_batch,
 )
+from pclc.trainer import TrainConfig, total_loss
 
 
 def _zero_crf():
@@ -119,6 +125,126 @@ def test_crf_gradients_match_finite_differences():
     analytics = [emis_t.grad, crf.transitions.grad, crf.start.grad, crf.end.grad]
     for analytic, numeric in zip(analytics, fd):
         assert oracles.relative_error(analytic, numeric) < 1e-6
+
+
+# ---------------------------------------------------------------------------
+# batched CRF
+
+
+def _ragged_batch(rng, low=-2.0, high=2.0):
+    """Per-utterance (T_b, 3) emissions, B in 1..5 and T_b in 1..6 (unequal
+    when B > 1, so padding is present), packed into the ((t_max*B), 3) row
+    layout (row t*B + b) with random values in the padding."""
+    while True:
+        batch = int(rng.integers(1, 6))
+        lengths = [int(n) for n in rng.integers(1, 7, batch)]
+        if min(lengths) < max(lengths) or batch == 1:
+            break
+    t_max = max(lengths)
+    packed = rng.uniform(low, high, (t_max * batch, 3))
+    per_utt = [packed[b::batch][:n].copy() for b, n in enumerate(lengths)]
+    return packed, lengths, per_utt
+
+
+def _crf_arrays(crf):
+    return crf.transitions.values, crf.start.values, crf.end.values
+
+
+def test_crf_nll_batch_matches_exhaustive_enumeration():
+    rng = make_rng(7)
+    for _ in range(30):
+        packed, lengths, per_utt = _ragged_batch(rng)
+        crf = _random_crf(rng)
+        gold = [[int(g) for g in rng.integers(0, 3, n)] for n in lengths]
+        nll = crf_nll_batch(Tensor(packed), lengths, gold, crf).item()
+        expected = sum(
+            oracles.brute_force_log_partition(emis, *_crf_arrays(crf))
+            - oracles.crf_path_score(emis, *_crf_arrays(crf), tags)
+            for emis, tags in zip(per_utt, gold)
+        )
+        assert nll == pytest.approx(expected, abs=1e-9)
+
+
+def test_crf_nll_batch_gradients_match_finite_differences():
+    rng = make_rng(8)
+    for _ in range(3):
+        packed, lengths, _ = _ragged_batch(rng, -1.0, 1.0)
+        crf = _random_crf(rng)
+        gold = [[int(g) for g in rng.integers(0, 3, n)] for n in lengths]
+        arrays = [packed, *_crf_arrays(crf)]
+
+        def loss_value():
+            return (crf_nll_batch(Tensor(packed), lengths, gold, crf).item(),)
+
+        fd = oracles.finite_difference_grads(loss_value, arrays)[0]
+        emis = Tensor(packed, requires_grad=True)
+        with Tape() as tape:
+            ad.backward(crf_nll_batch(emis, lengths, gold, crf), tape)
+        analytics = [emis.grad, crf.transitions.grad, crf.start.grad, crf.end.grad]
+        for analytic, numeric in zip(analytics, fd):
+            assert oracles.relative_error(analytic, numeric) < 1e-6
+
+
+def test_crf_nll_batch_padding_gets_exactly_zero_gradient():
+    rng = make_rng(9)
+    packed, lengths, _ = _ragged_batch(rng, -50.0, 50.0)
+    batch = len(lengths)
+    crf = _random_crf(rng)
+    gold = [[int(g) for g in rng.integers(0, 3, n)] for n in lengths]
+    emis = Tensor(packed, requires_grad=True)
+    with Tape() as tape:
+        ad.backward(crf_nll_batch(emis, lengths, gold, crf), tape)
+    padded = [t * batch + b for b, n in enumerate(lengths) for t in range(n, max(lengths))]
+    assert padded
+    assert np.all(emis.grad[padded] == 0.0)
+    assert np.all(np.isfinite(emis.grad))
+
+
+def test_crf_nll_batch_rejects_inconsistent_inputs():
+    crf = _zero_crf()
+    emis = Tensor(np.zeros((6, 3)))  # t_max 3, batch 2
+    with pytest.raises(ShapeError):
+        crf_nll_batch(emis, [3, 2], [[0, 0, 0]], crf)
+    with pytest.raises(ShapeError):
+        crf_nll_batch(emis, [3, 2], [[0, 0, 0], [0, 0, 0]], crf)
+    with pytest.raises(ShapeError):
+        crf_nll_batch(emis, [3, 3, 3], [[0] * 3] * 3, crf)
+    with pytest.raises(ShapeError):
+        crf_nll_batch(emis, [3, 0], [[0, 0, 0], []], crf)
+
+
+def test_viterbi_decode_batch_matches_brute_force_with_ties():
+    rng = make_rng(10)
+    for trial in range(30):
+        packed, lengths, per_utt = _ragged_batch(rng)
+        crf = _random_crf(rng)
+        if trial % 2:  # small integers make equal-scoring paths common
+            packed = np.round(packed)
+            per_utt = [np.round(e) for e in per_utt]
+            for p in (crf.transitions, crf.start, crf.end):
+                p.values = np.round(p.values)
+        got = viterbi_decode_batch(packed, lengths, crf)
+        want = [oracles.brute_force_best_path(e, *_crf_arrays(crf)) for e in per_utt]
+        assert got == want
+
+
+def test_batch_loss_tape_records_at_most_1200():
+    # one 64-utterance batch at the criterion-6 dims records one crf op,
+    # not a per-utterance chain; the count is deterministic
+    corpus, schema = load_corpus(os.path.join(DATA_DIR, "transfer"))
+    vocab = build_vocab(corpus, schema)
+    split = split_leave_one_out(corpus, schema, "bus", seed=1)
+    config = TrainConfig(
+        word_dim=24, char_dim=8, char_hidden=8, hidden=24, layers=1,
+        entity_hidden=24, proto_dim=24, dropout=0.1,
+    )
+    word_matrix = random_embeddings(vocab.n_words, config.word_dim, make_rng(1))
+    model = PclcModel(schema, "bus", vocab, word_matrix, config.model_dims(), make_rng(2))
+    with Tape() as tape:
+        total_loss(split.train[:64], model, config, make_rng(3))
+    kinds = [rec.kind for rec in tape.records]
+    assert kinds.count("crf_nll") == 1
+    assert len(kinds) <= 1200
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,7 @@
 """Zero-shot cross-domain slot filling via prototypical contrastive learning
 with dynamic label confusion, on a self-contained float64 autodiff core."""
 
-from .autodiff import Tape, Tensor, apply_primitive, backward
+from .autodiff import Tape, Tensor, backward
 from .classifier import (
     PclcHyperparams,
     PrototypeMatrix,

@@ -394,24 +394,6 @@ def dropout(a: Tensor, rate: float, rng=None, training: bool = False) -> Tensor:
     return emit("dropout", [a], a.values * mask, lambda g: (g * mask,))
 
 
-def log_sum_exp(a: Tensor, axis: int, keepdims: bool = False) -> Tensor:
-    """Numerically stable log-sum-exp via max subtraction."""
-    if a.shape[axis] == 0:
-        raise ShapeError(f"log_sum_exp: empty axis {axis} for shape {a.shape}")
-    m = a.values.max(axis=axis, keepdims=True)
-    shifted = np.exp(a.values - m)
-    total = shifted.sum(axis=axis, keepdims=True)
-    out = m + np.log(total)
-    softmax = shifted / total
-
-    def vjp(g):
-        if not keepdims:
-            g = np.expand_dims(g, axis)
-        return (softmax * g,)
-
-    return emit("log_sum_exp", [a], out if keepdims else out.squeeze(axis=axis), vjp)
-
-
 def log_softmax(a: Tensor, axis: int) -> Tensor:
     if a.shape[axis] == 0:
         raise ShapeError(f"log_softmax: empty axis {axis} for shape {a.shape}")
@@ -425,57 +407,6 @@ def log_softmax(a: Tensor, axis: int) -> Tensor:
         return (g - softmax * g.sum(axis=axis, keepdims=True),)
 
     return emit("log_softmax", [a], out, vjp)
-
-
-_PRIMITIVES = {
-    "matmul": lambda inputs, params: matmul(*inputs),
-    "add": lambda inputs, params: add(*inputs),
-    "mul": lambda inputs, params: mul(*inputs),
-    "concat": lambda inputs, params: concat(list(inputs), axis=params.get("axis", 0)),
-    "tanh": lambda inputs, params: tanh(*inputs),
-    "sigmoid": lambda inputs, params: sigmoid(*inputs),
-    "embedding_lookup": lambda inputs, params: embedding_lookup(
-        inputs[0], params["indices"]
-    ),
-    "dropout": lambda inputs, params: dropout(
-        inputs[0],
-        params["rate"],
-        rng=params.get("rng"),
-        training=params.get("training", False),
-    ),
-}
-
-
-def apply_primitive(kind: str, inputs: list[Tensor], **params) -> Tensor:
-    """Dispatch a named primitive; shape errors name the op and shapes."""
-    if kind not in _PRIMITIVES:
-        raise AutodiffError(f"unknown primitive kind {kind!r}")
-    return _PRIMITIVES[kind](inputs, params)
-
-
-# ---------------------------------------------------------------------------
-# composite vector ops
-
-
-def dot(a: Tensor, b: Tensor) -> Tensor:
-    if a.shape != b.shape or a.values.ndim != 1:
-        raise ShapeError(f"dot: expects equal-length vectors, got {a.shape}, {b.shape}")
-    return tensor_sum(mul(a, b))
-
-
-def cosine_similarity(a: Tensor, b: Tensor) -> Tensor:
-    """Cosine of the angle between two vectors; errors on zero norm."""
-    if a.values.ndim != 1 or b.values.ndim != 1 or a.shape != b.shape:
-        raise ShapeError(
-            f"cosine_similarity: expects equal-length vectors, got {a.shape}, {b.shape}"
-        )
-    na = float(np.linalg.norm(a.values))
-    nb = float(np.linalg.norm(b.values))
-    if na == 0.0 or nb == 0.0:
-        raise ShapeError("cosine_similarity: zero-norm input")
-    norm_a = sqrt(tensor_sum(mul(a, a)))
-    norm_b = sqrt(tensor_sum(mul(b, b)))
-    return div(dot(a, b), mul(norm_a, norm_b))
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,7 @@ from . import autodiff as ad
 from .autodiff import Tensor
 from .data import SlotSchema, Vocab
 from .errors import ShapeError
-from .layers import LstmCell, Linear, Mlp, run_lstm
+from .layers import LstmCell, Linear, Mlp, final_states, run_lstm
 
 
 @dataclass
@@ -131,25 +131,25 @@ class EntityEncoder:
     def parameters(self):
         return self.fwd.parameters() + self.bwd.parameters() + self.proj.parameters()
 
-    def encode_steps(
-        self,
-        steps_fwd: list[Tensor],
-        steps_bwd: list[Tensor],
-        masks: list[np.ndarray | None],
-    ) -> Tensor:
-        """`steps_bwd` must hold each row's sequence reversed in place (same
-        end padding as `steps_fwd`), so one mask list serves both runs."""
-        _, final_fwd = run_lstm(self.fwd, steps_fwd, masks)
-        _, final_bwd = run_lstm(self.bwd, steps_bwd, masks)
+    def encode_steps(self, x_fwd: Tensor, x_bwd: Tensor, lengths: list[int]) -> Tensor:
+        """Representations of a padded batch of spans, shape (N, out_dim).
+
+        `x_fwd` and `x_bwd` are ((s_max * N), in_dim) in `run_lstm` row
+        layout; `x_bwd` holds each span reversed in place (same end padding
+        as `x_fwd`), so one length list serves both runs."""
+        n = len(lengths)
+        final_fwd = final_states(run_lstm(self.fwd, x_fwd, lengths), n)
+        final_bwd = final_states(run_lstm(self.bwd, x_bwd, lengths), n)
         return self.proj(ad.concat([final_fwd, final_bwd], axis=1))
 
 
 def encode_entity(span_hidden: Tensor, encoder: EntityEncoder) -> Tensor:
     """Entity representation r for one span, shape (1, dim)."""
-    if span_hidden.shape[0] == 0:
+    n = span_hidden.shape[0]
+    if n == 0:
         raise ShapeError("encode_entity: empty span")
-    steps = [ad.take_rows(span_hidden, [t]) for t in range(span_hidden.shape[0])]
-    return encoder.encode_steps(steps, steps[::-1], [None] * len(steps))
+    reversed_rows = ad.take_rows(span_hidden, np.arange(n - 1, -1, -1))
+    return encoder.encode_steps(span_hidden, reversed_rows, [n])
 
 
 # ---------------------------------------------------------------------------

@@ -245,6 +245,17 @@ def _sweep_one(cfg_kv: list[str], lam: float, out_dir: str) -> tuple[float, floa
     return lam, report.f1
 
 
+def _parse_lambdas(raw: str) -> list[float]:
+    values = []
+    for v in raw.split(","):
+        if v.strip():
+            try:
+                values.append(float(v))
+            except ValueError:
+                raise ConfigError(f"--lambdas: expected a number, got {v.strip()!r}") from None
+    return values
+
+
 def cmd_sweep_lambda(cfg: RunConfig, lambdas: list[float], parallel: int) -> int:
     seen: list[float] = []
     for lam in lambdas:
@@ -325,8 +336,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "predict":
             return cmd_predict(cfg, args.checkpoint, args.input, args.output)
         if args.command == "sweep-lambda":
-            lambdas = [float(v) for v in args.lambdas.split(",") if v.strip()]
-            return cmd_sweep_lambda(cfg, lambdas, args.parallel)
+            return cmd_sweep_lambda(cfg, _parse_lambdas(args.lambdas), args.parallel)
         if args.command == "export-protos":
             return cmd_export_protos(cfg, args.checkpoint, args.output)
         raise ConfigError(f"unknown command {args.command!r}")

@@ -1,9 +1,10 @@
 """Parameterized layers built on the autodiff primitives.
 
-Sequences are processed as lists of per-timestep (batch, dim) matrices with
-optional (batch, 1) 0/1 masks. Masked rows keep their previous hidden state,
-so the state after the final step is the state at each row's last real
-timestep, and padded positions contribute exactly zero gradient.
+A batch of sequences is one ((t_max * B), dim) matrix with row t*B + b
+holding step t of sequence b (the `EncodedBatch` row layout) plus the
+per-sequence lengths. `run_lstm` is a fused primitive: the input projection
+for every step is one matmul, only the hidden-state product stays in the
+recurrence, and its vjp is masked backpropagation through time.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
+from .errors import ShapeError
 
 
 class Linear:
@@ -29,7 +31,8 @@ class Linear:
 
 
 class LstmCell:
-    """Single LSTM cell; gates come from one fused [x, h] matmul."""
+    """LSTM weights: `w` is ((in_dim + hidden), 4*hidden), input rows first,
+    then hidden rows; gate columns are ordered input, forget, cell, output."""
 
     def __init__(self, in_dim: int, hidden: int, rng, name: str):
         self.in_dim = in_dim
@@ -47,43 +50,90 @@ class LstmCell:
     def parameters(self):
         return [(f"{self.name}.w", self.w), (f"{self.name}.b", self.b)]
 
-    def step(self, x: Tensor, h: Tensor, c: Tensor) -> tuple[Tensor, Tensor]:
-        hid = self.hidden
-        gates = ad.add(ad.matmul(ad.concat([x, h], axis=1), self.w), self.b)
-        i = ad.sigmoid(ad.slice_cols(gates, 0, hid))
-        f = ad.sigmoid(ad.slice_cols(gates, hid, 2 * hid))
-        g = ad.tanh(ad.slice_cols(gates, 2 * hid, 3 * hid))
-        o = ad.sigmoid(ad.slice_cols(gates, 3 * hid, 4 * hid))
-        c_new = ad.add(ad.mul(f, c), ad.mul(i, g))
-        h_new = ad.mul(o, ad.tanh(c_new))
-        return h_new, c_new
+
+def _sigmoid_(z: np.ndarray) -> None:
+    """z <- 1 / (1 + exp(-z)) in place, rounding as `autodiff.sigmoid` does."""
+    np.negative(z, out=z)
+    np.exp(z, out=z)
+    z += 1.0
+    np.reciprocal(z, out=z)
 
 
-def run_lstm(
-    cell: LstmCell,
-    steps: list[Tensor],
-    masks: list[np.ndarray | None],
-) -> tuple[list[Tensor], Tensor]:
-    """Run `cell` over timestep inputs; returns per-step outputs and final h.
+def run_lstm(cell: LstmCell, x: Tensor, lengths: list[int]) -> Tensor:
+    """Run `cell` over a padded batch of sequences as one tape record.
 
-    `masks[t]` is a (batch, 1) float array of 0/1, or None when every row is
-    live at step t.
+    `x` is ((t_max * B), in_dim) with row t*B + b holding step t of sequence
+    b, and t_max = max(lengths). Returns the ((t_max * B), hidden) states in
+    the same layout. Past its length a row carries its last state forward,
+    so the final B rows are each sequence's final state, and padded input
+    rows get exactly zero gradient.
     """
-    batch = steps[0].shape[0]
-    h = Tensor(np.zeros((batch, cell.hidden)))
-    c = Tensor(np.zeros((batch, cell.hidden)))
-    outputs = []
-    for x, m in zip(steps, masks):
-        h_new, c_new = cell.step(x, h, c)
-        if m is not None:
-            live = Tensor(m)
-            dead = Tensor(1.0 - m)
-            h = ad.add(ad.mul(h_new, live), ad.mul(h, dead))
-            c = ad.add(ad.mul(c_new, live), ad.mul(c, dead))
-        else:
-            h, c = h_new, c_new
-        outputs.append(h)
-    return outputs, h
+    if not lengths or min(lengths) < 1:
+        raise ShapeError(f"run_lstm: every length must be >= 1, got {lengths}")
+    t_max, batch, n_in, hid = max(lengths), len(lengths), cell.in_dim, cell.hidden
+    if x.shape != (t_max * batch, n_in):
+        raise ShapeError(f"run_lstm: input {x.shape} does not fit lengths {lengths} x {n_in}")
+    w_x, w_h = cell.w.values[:n_in], cell.w.values[n_in:]
+    dead = [np.flatnonzero(np.asarray(lengths) <= t) for t in range(t_max)]
+    gates = (x.values @ w_x + cell.b.values).reshape(t_max, batch, 4 * hid)
+    i, f, g, o = (gates[:, :, k * hid : (k + 1) * hid] for k in range(4))
+    hs = np.zeros((t_max + 1, batch, hid))  # hs[t + 1]: carried state after step t
+    cs = np.zeros((t_max + 1, batch, hid))
+    tanh_c = np.empty((t_max, batch, hid))
+    for t in range(t_max):
+        gates[t] += hs[t] @ w_h
+        _sigmoid_(gates[t, :, : 2 * hid])  # i and f
+        np.tanh(g[t], out=g[t])
+        _sigmoid_(o[t])
+        c, h = cs[t + 1], hs[t + 1]
+        np.multiply(f[t], cs[t], out=c)
+        c += i[t] * g[t]
+        np.tanh(c, out=tanh_c[t])
+        np.multiply(o[t], tanh_c[t], out=h)
+        c[dead[t]], h[dead[t]] = cs[t][dead[t]], hs[t][dead[t]]
+
+    def vjp(d_out):
+        # dL/d(pre-activation) = upstream * partner * activation slope:
+        # i <- dc * g, f <- dc * c_prev, g <- dc * i, o <- dh * tanh(c)
+        fac = 1.0 - gates
+        fac *= gates
+        fac_g = fac[:, :, 2 * hid : 3 * hid]
+        np.multiply(g, g, out=fac_g)
+        np.subtract(1.0, fac_g, out=fac_g)
+        for k, partner in enumerate((g, cs[:-1], i, tanh_c)):
+            fac[:, :, k * hid : (k + 1) * hid] *= partner
+        dc_from_h = 1.0 - tanh_c * tanh_c
+        dc_from_h *= o
+        d_out = d_out.reshape(t_max, batch, hid)
+        dz = np.empty_like(gates)
+        dh_next = np.zeros((batch, hid))
+        dc_next = np.zeros((batch, hid))
+        for t in range(t_max - 1, -1, -1):
+            dh = d_out[t] + dh_next
+            dc = dh * dc_from_h[t]
+            dc += dc_next
+            d = dz[t]
+            d.reshape(batch, 4, hid)[:, :3] = dc[:, None]
+            d[:, 3 * hid :] = dh
+            d *= fac[t]
+            d[dead[t]] = 0.0
+            dh_prev = d @ w_h.T
+            dc_prev = dc * f[t]
+            dh_prev[dead[t]], dc_prev[dead[t]] = dh[dead[t]], dc_next[dead[t]]
+            dh_next, dc_next = dh_prev, dc_prev
+        dz = dz.reshape(t_max * batch, 4 * hid)
+        dw = np.empty_like(cell.w.values)
+        np.matmul(x.values.T, dz, out=dw[:n_in])
+        np.matmul(hs[:-1].reshape(t_max * batch, hid).T, dz, out=dw[n_in:])
+        return dz @ w_x.T, dw, dz.sum(axis=0)
+
+    return ad.emit("lstm", [x, cell.w, cell.b], hs[1:].reshape(t_max * batch, hid), vjp)
+
+
+def final_states(states: Tensor, batch: int) -> Tensor:
+    """The last `batch` rows of `run_lstm` output: each sequence's final state."""
+    n = states.shape[0]
+    return ad.take_rows(states, np.arange(n - batch, n))
 
 
 class Mlp:
@@ -98,11 +148,3 @@ class Mlp:
 
     def parameters(self):
         return self.hidden_layer.parameters() + self.output_layer.parameters()
-
-
-def stack_steps(steps: list[Tensor]) -> Tensor:
-    """Concatenate per-step (B, d) outputs into a ((T*B), d) matrix.
-
-    Row t*B + b holds the step-t vector of batch row b.
-    """
-    return ad.concat(steps, axis=0)

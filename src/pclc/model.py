@@ -111,7 +111,7 @@ class PclcModel:
         """Representations for (batch_row, start, end) spans, shape (N, proto_dim).
 
         Spans are batched with end padding; padded steps repeat an in-span
-        row and are masked out of the recurrence.
+        row, which the LSTM ignores past each span's length.
         """
         if not spans:
             raise ShapeError("entity_representations: no spans")
@@ -119,16 +119,12 @@ class PclcModel:
             if not 0 <= start <= end < enc.lengths[b]:
                 raise ShapeError(f"span ({start}, {end}) outside utterance of length {enc.lengths[b]}")
         lengths = [end - start + 1 for _, start, end in spans]
-        s_max = max(lengths)
-        steps_fwd, steps_bwd, masks = [], [], []
-        for s in range(s_max):
-            fwd_rows = [enc.flat(b, min(start + s, end)) for b, start, end in spans]
-            bwd_rows = [enc.flat(b, max(end - s, start)) for b, start, end in spans]
-            steps_fwd.append(ad.take_rows(enc.hidden, fwd_rows))
-            steps_bwd.append(ad.take_rows(enc.hidden, bwd_rows))
-            col = np.array([[1.0] if s < n else [0.0] for n in lengths])
-            masks.append(None if col.all() else col)
-        return self.entity_encoder.encode_steps(steps_fwd, steps_bwd, masks)
+        steps = range(max(lengths))
+        fwd_rows = [enc.flat(b, min(start + s, end)) for s in steps for b, start, end in spans]
+        bwd_rows = [enc.flat(b, max(end - s, start)) for s in steps for b, start, end in spans]
+        return self.entity_encoder.encode_steps(
+            ad.take_rows(enc.hidden, fwd_rows), ad.take_rows(enc.hidden, bwd_rows), lengths
+        )
 
     def predict(
         self, utterances: list[Utterance], batch_size: int = 64

@@ -1,7 +1,7 @@
 """Coarse BIO entity tagging: word+char BiLSTM encoder and a 3-tag CRF.
 
 Tag indices are fixed: O=0, B=1, I=2. The encoder runs over a padded batch
-with per-step masks; `EncodedBatch.hidden` stacks all per-position states
+given by its lengths; `EncodedBatch.hidden` stacks all per-position states
 into one matrix so downstream consumers gather rows by (utterance, position)
 flat index.
 """
@@ -16,7 +16,7 @@ from . import autodiff as ad
 from .autodiff import Tensor
 from .data import PAD_INDEX, Utterance, Vocab
 from .errors import ShapeError
-from .layers import LstmCell, run_lstm, stack_steps
+from .layers import LstmCell, final_states, run_lstm
 
 N_TAGS = 3
 O_IDX, B_IDX, I_IDX = 0, 1, 2
@@ -53,9 +53,6 @@ class EncodedBatch:
 
     def flat(self, b: int, t: int) -> int:
         return t * self.batch_size + b
-
-    def utterance_rows(self, b: int) -> list[int]:
-        return [self.flat(b, t) for t in range(self.lengths[b])]
 
 
 class Encoder:
@@ -104,23 +101,19 @@ class Encoder:
                 tokens.append(token)
             row_of.append(rows)
         n_tok = len(tokens)
-        c_max = max(len(t) for t in tokens)
+        char_lengths = [len(t) for t in tokens]
+        c_max = max(char_lengths)
         char_ids = np.full((c_max, n_tok), PAD_INDEX, dtype=np.intp)
         char_ids_rev = np.full((c_max, n_tok), PAD_INDEX, dtype=np.intp)
-        masks = np.zeros((c_max, n_tok, 1))
         for j, token in enumerate(tokens):
             ids = [vocab.char_id(c) for c in token]
-            n = len(ids)
-            char_ids[:n, j] = ids
-            char_ids_rev[:n, j] = ids[::-1]
-            masks[:n, j, 0] = 1.0
-        out_parts = []
+            char_ids[: len(ids), j] = ids
+            char_ids_rev[: len(ids), j] = ids[::-1]
+        finals = []
         for cell, ids in ((self.char_fwd, char_ids), (self.char_bwd, char_ids_rev)):
-            steps = [ad.embedding_lookup(self.char_table, ids[t]) for t in range(c_max)]
-            step_masks = [None if masks[t].all() else masks[t] for t in range(c_max)]
-            _, final = run_lstm(cell, steps, step_masks)
-            out_parts.append(final)
-        char_final = ad.concat(out_parts, axis=1)
+            x = ad.embedding_lookup(self.char_table, ids.reshape(-1))
+            finals.append(final_states(run_lstm(cell, x, char_lengths), n_tok))
+        char_final = ad.concat(finals, axis=1)
         zero_row = Tensor(np.zeros((1, 2 * self.config.char_hidden)))
         return ad.concat([char_final, zero_row], axis=0), row_of
 
@@ -139,50 +132,27 @@ class Encoder:
 
         word_ids = np.full((t_max, batch), PAD_INDEX, dtype=np.intp)
         char_row_ids = np.full((t_max, batch), pad_char_row, dtype=np.intp)
-        masks = np.zeros((t_max, batch, 1))
-        # rev_map[t] gathers row (b, L_b-1-t) from a stacked ((t_max*batch), d)
-        # matrix; applying it twice restores the original order.
-        rev_map = np.zeros((t_max, batch), dtype=np.intp)
         for b, utt in enumerate(utterances):
-            n = lengths[b]
             for t, token in enumerate(utt.tokens):
                 word_ids[t, b] = vocab.word_id(token)
                 char_row_ids[t, b] = char_rows[b][t]
-            masks[:n, b, 0] = 1.0
-            for t in range(t_max):
-                src = n - 1 - t if t < n else 0
-                rev_map[t, b] = src * batch + b
-        step_masks = [None if masks[t].all() else masks[t] for t in range(t_max)]
+        # rev_map[t*batch + b] is the row of (b, L_b-1-t), or of (b, 0) on
+        # padding; gathering by it twice restores every live row.
+        steps, n = np.arange(t_max)[:, None], np.asarray(lengths)
+        rev_map = (np.where(steps < n, n - 1 - steps, 0) * batch + np.arange(batch)).reshape(-1)
 
-        xs = []
-        for t in range(t_max):
-            word_x = ad.embedding_lookup(self.word_table, word_ids[t])
-            char_x = ad.take_rows(char_mat, char_row_ids[t])
-            x = ad.concat([word_x, char_x], axis=1)
-            xs.append(ad.dropout(x, cfg.dropout, rng=rng, training=training))
+        word_x = ad.embedding_lookup(self.word_table, word_ids.reshape(-1))
+        char_x = ad.take_rows(char_mat, char_row_ids.reshape(-1))
+        x = ad.dropout(ad.concat([word_x, char_x], axis=1), cfg.dropout, rng=rng, training=training)
 
         for layer_idx, (fwd, bwd) in enumerate(self.layers):
-            fwd_out, _ = run_lstm(fwd, xs, step_masks)
-            xs_stacked = stack_steps(xs)
-            xs_rev = [ad.take_rows(xs_stacked, rev_map[t]) for t in range(t_max)]
-            bwd_out_rev, _ = run_lstm(bwd, xs_rev, step_masks)
-            bwd_stacked = stack_steps(bwd_out_rev)
-            xs = [
-                ad.concat([fwd_out[t], ad.take_rows(bwd_stacked, rev_map[t])], axis=1)
-                for t in range(t_max)
-            ]
+            fwd_out = run_lstm(fwd, x, lengths)
+            bwd_out_rev = run_lstm(bwd, ad.take_rows(x, rev_map), lengths)
+            x = ad.concat([fwd_out, ad.take_rows(bwd_out_rev, rev_map)], axis=1)
             if layer_idx + 1 < len(self.layers):
-                xs = [ad.dropout(x, cfg.dropout, rng=rng, training=training) for x in xs]
+                x = ad.dropout(x, cfg.dropout, rng=rng, training=training)
 
-        return EncodedBatch(stack_steps(xs), lengths, batch, t_max)
-
-
-def encode_utterance(
-    encoder: Encoder, utterance: Utterance, vocab: Vocab, training: bool = False, rng=None
-) -> Tensor:
-    """Per-token hidden states for one utterance, shape (T, 2*hidden)."""
-    enc = encoder.encode_batch([utterance], vocab, training, rng)
-    return ad.take_rows(enc.hidden, enc.utterance_rows(0))
+        return EncodedBatch(x, lengths, batch, t_max)
 
 
 # ---------------------------------------------------------------------------

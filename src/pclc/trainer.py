@@ -61,6 +61,8 @@ class TrainConfig:
     def __post_init__(self):
         if self.batch_size < 1:
             raise ConfigError(f"config key 'batch_size': must be >= 1, got {self.batch_size}")
+        if not 0.0 <= self.dropout < 1.0:
+            raise ConfigError(f"config key 'dropout': must be in [0, 1), got {self.dropout}")
 
     def resolved_max_epochs(self) -> int:
         if self.max_epochs is not None:

@@ -2,8 +2,8 @@
 
 Everything here is deliberately written without touching the package's
 computation paths: extended-precision arithmetic via mpmath, exhaustive
-enumeration for the CRF, a counter-based span scorer, and plain central
-finite differences.
+enumeration for the CRF, a step-by-step LSTM, a counter-based span scorer,
+and plain central finite differences.
 """
 
 from __future__ import annotations
@@ -81,6 +81,35 @@ def brute_force_best_path(emissions, transitions, start, end) -> list[int]:
         if s > best_score:
             best_score, best_path = s, path
     return list(best_path)
+
+
+# ---------------------------------------------------------------------------
+# LSTM
+
+
+def lstm_reference(x, lengths, w, b) -> np.ndarray:
+    """Step-by-step LSTM over the ((t_max*B), in) row layout (row t*B + b).
+
+    Gates come from [x_t, h] @ w + b in the order input, forget, cell,
+    output; a row past its length keeps its previous h and c through 0/1
+    masks. Returns every step's h in the same row layout.
+    """
+    t_max, batch = max(lengths), len(lengths)
+    hid = w.shape[1] // 4
+    h = np.zeros((batch, hid))
+    c = np.zeros((batch, hid))
+    out = []
+    for t in range(t_max):
+        z = np.concatenate([x[t * batch : (t + 1) * batch], h], axis=1) @ w + b
+        i, f, o = (1.0 / (1.0 + np.exp(-z[:, k * hid : (k + 1) * hid])) for k in (0, 1, 3))
+        g = np.tanh(z[:, 2 * hid : 3 * hid])
+        c_new = f * c + i * g
+        h_new = o * np.tanh(c_new)
+        m = np.array([[1.0] if t < n else [0.0] for n in lengths])
+        h = m * h_new + (1.0 - m) * h
+        c = m * c_new + (1.0 - m) * c
+        out.append(h)
+    return np.concatenate(out, axis=0)
 
 
 # ---------------------------------------------------------------------------

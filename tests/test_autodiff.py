@@ -10,22 +10,23 @@ from pclc import autodiff as ad
 from pclc.autodiff import Tape, Tensor
 from pclc.errors import AutodiffError, ShapeError
 from pclc.rng import make_rng
+from pclc.tagger import _log_sum_exp
 
 
-def test_apply_primitive_matmul_identity():
+def test_matmul_identity():
     a = np.array([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0], [7.0, 8.0, 9.0]])
-    out = ad.apply_primitive("matmul", [Tensor(np.eye(3)), Tensor(a)])
+    out = ad.matmul(Tensor(np.eye(3)), Tensor(a))
     assert np.array_equal(out.values, a)
 
 
-def test_apply_primitive_tanh_at_origin():
-    out = ad.apply_primitive("tanh", [Tensor([0.0])])
+def test_tanh_at_origin():
+    out = ad.tanh(Tensor([0.0]))
     assert out.values[0] == 0.0
 
 
-def test_apply_primitive_dropout_eval_is_identity():
+def test_dropout_eval_is_identity():
     x = Tensor([[1.0, -2.0, 3.0]])
-    out = ad.apply_primitive("dropout", [x], rate=0.3, training=False)
+    out = ad.dropout(x, 0.3, training=False)
     assert out is x
 
 
@@ -51,36 +52,31 @@ def test_matmul_shape_error_names_op_and_shapes():
 
 
 # ---------------------------------------------------------------------------
-# log_sum_exp / log_softmax / cosine
+# log_sum_exp (the CRF's numpy helper) / log_softmax
 
 
 def test_log_sum_exp_two_zeros():
-    out = ad.log_sum_exp(Tensor([0.0, 0.0]), axis=0)
-    assert out.item() == pytest.approx(math.log(2.0), abs=1e-15)
+    out = _log_sum_exp(np.array([0.0, 0.0]), axis=0)
+    assert float(out) == pytest.approx(math.log(2.0), abs=1e-15)
 
 
 def test_log_sum_exp_no_overflow_at_1e3():
-    out = ad.log_sum_exp(Tensor([1000.0, 1000.0]), axis=0)
-    assert out.item() == pytest.approx(1000.0 + math.log(2.0), abs=1e-12)
+    out = _log_sum_exp(np.array([1000.0, 1000.0]), axis=0)
+    assert float(out) == pytest.approx(1000.0 + math.log(2.0), abs=1e-12)
 
 
 def test_log_sum_exp_matches_extended_precision():
     rng = make_rng(1)
     for _ in range(20):
         x = rng.uniform(-5, 5, size=5)
-        got = ad.log_sum_exp(Tensor(x), axis=0).item()
+        got = float(_log_sum_exp(x, axis=0))
         assert got == pytest.approx(oracles.mp_log_sum_exp(x), abs=1e-12)
-
-
-def test_log_sum_exp_empty_axis_errors():
-    with pytest.raises(ShapeError):
-        ad.log_sum_exp(Tensor(np.zeros((0,))), axis=0)
 
 
 @settings(max_examples=200, deadline=None)
 @given(st.lists(st.floats(-100, 100), min_size=1, max_size=8))
 def test_log_sum_exp_bounds(xs):
-    out = ad.log_sum_exp(Tensor(xs), axis=0).item()
+    out = float(_log_sum_exp(np.array(xs), axis=0))
     assert out >= max(xs) - 1e-12
     assert out <= max(xs) + math.log(len(xs)) + 1e-12
 
@@ -108,25 +104,6 @@ def test_log_softmax_exponentials_sum_to_one(xs):
     out = ad.log_softmax(Tensor(xs), axis=0)
     assert np.exp(out.values).sum() == pytest.approx(1.0, abs=1e-12)
     assert (out.values <= 1e-15).all()
-
-
-def test_cosine_self_similarity_is_one():
-    v = Tensor([0.3, -1.2, 4.0])
-    assert ad.cosine_similarity(v, v).item() == pytest.approx(1.0, abs=1e-12)
-
-
-def test_cosine_orthogonal_is_zero():
-    assert ad.cosine_similarity(Tensor([1.0, 0.0]), Tensor([0.0, 1.0])).item() == 0.0
-
-
-def test_cosine_analytic_four_fifths():
-    got = ad.cosine_similarity(Tensor([1.0, 2.0]), Tensor([2.0, 1.0])).item()
-    assert got == pytest.approx(0.8, abs=1e-12)
-
-
-def test_cosine_zero_norm_errors():
-    with pytest.raises(ShapeError):
-        ad.cosine_similarity(Tensor([0.0, 0.0]), Tensor([1.0, 1.0]))
 
 
 # ---------------------------------------------------------------------------
@@ -184,7 +161,7 @@ def test_backward_shared_input_fanout():
 
 def test_full_composite_loss_gradient_vs_finite_differences():
     # 10-parameter toy: 2x2 entity map, 2 prototypes of dim 2, temperature mix,
-    # exercising matmul / log_softmax / log_sum_exp / xlogx / sqrt / div
+    # exercising matmul / log_softmax / xlogx / sqrt / div
     rng = make_rng(7)
     w = rng.uniform(-1, 1, (2, 2))
     protos = rng.uniform(-1, 1, (2, 2))
@@ -200,9 +177,9 @@ def test_full_composite_loss_gradient_vs_finite_differences():
             scores = ad.matmul(r, ad.transpose(pt))
             lp = ad.log_softmax(scores, axis=1)
             pick = ad.tensor_sum(ad.mul(lp, Tensor(np.array([[1.0, 0.0]]))))
-            lse = ad.log_sum_exp(ad.mul(scores, Tensor(2.0)), axis=1)
+            lp2 = ad.log_softmax(ad.mul(scores, Tensor(2.0)), axis=1)
             reg = ad.tensor_sum(ad.xlogx(ad.sqrt(ad.add(ad.mul(pt, pt), Tensor(0.1)))))
-            loss = ad.add(ad.add(ad.mul(pick, Tensor(-1.0)), ad.tensor_sum(lse)), reg)
+            loss = ad.add(ad.add(ad.mul(pick, Tensor(-1.0)), ad.tensor_sum(lp2)), reg)
             return (loss.item(),)
 
     fd = oracles.finite_difference_grads(loss_value, arrays)[0]
@@ -215,9 +192,9 @@ def test_full_composite_loss_gradient_vs_finite_differences():
         scores = ad.matmul(r, ad.transpose(pt))
         lp = ad.log_softmax(scores, axis=1)
         pick = ad.tensor_sum(ad.mul(lp, Tensor(np.array([[1.0, 0.0]]))))
-        lse = ad.log_sum_exp(ad.mul(scores, Tensor(2.0)), axis=1)
+        lp2 = ad.log_softmax(ad.mul(scores, Tensor(2.0)), axis=1)
         reg = ad.tensor_sum(ad.xlogx(ad.sqrt(ad.add(ad.mul(pt, pt), Tensor(0.1)))))
-        loss = ad.add(ad.add(ad.mul(pick, Tensor(-1.0)), ad.tensor_sum(lse)), reg)
+        loss = ad.add(ad.add(ad.mul(pick, Tensor(-1.0)), ad.tensor_sum(lp2)), reg)
         ad.backward(loss, tape)
 
     for analytic, numeric in zip([wt.grad, pt.grad, bt.grad], fd):
@@ -241,7 +218,6 @@ PRIMITIVE_CASES = [
     ("log", lambda t: ad.tensor_sum(ad.log(ad.add(ad.mul(t[0], t[0]), Tensor(0.5)))), 1, (3, 2)),
     ("sqrt", lambda t: ad.tensor_sum(ad.sqrt(ad.add(ad.mul(t[0], t[0]), Tensor(0.5)))), 1, (3, 2)),
     ("xlogx", lambda t: ad.tensor_sum(ad.xlogx(ad.add(ad.mul(t[0], t[0]), Tensor(0.2)))), 1, (3, 2)),
-    ("log_sum_exp", lambda t: ad.tensor_sum(ad.log_sum_exp(t[0], axis=1)), 1, (3, 2)),
     ("log_softmax", lambda t: ad.tensor_sum(ad.mul(ad.log_softmax(t[0], axis=1), Tensor(np.arange(6.0).reshape(3, 2)))), 1, (3, 2)),
     ("embedding", lambda t: ad.tensor_sum(ad.embedding_lookup(t[0], [0, 1, 1, 2])), 1, (3, 2)),
 ]

@@ -195,11 +195,22 @@ def test_sweep_lambda_rejects_out_of_range(tmp_path, capsys):
     assert "lambda" in capsys.readouterr().err
 
 
+def test_sweep_lambda_rejects_non_numeric_value(tmp_path, capsys):
+    rc = main(
+        ["sweep-lambda", "--lambdas", "0.1,x",
+         "--data-dir", os.path.join(DATA_DIR, "overfit"),
+         "--target", "kitchen", "--output-dir", os.path.join(tmp_path, "sweep")]
+    )
+    assert rc == 1
+    assert capsys.readouterr().err == "error: --lambdas: expected a number, got 'x'\n"
+
+
 @pytest.mark.parametrize(
     "flag, value, message",
     [
         ("--batch-size", "0", "config key 'batch_size': must be >= 1, got 0"),
         ("--lr", "abc", "config key 'lr': expected float, got 'abc'"),
+        ("--dropout", "1.5", "config key 'dropout': must be in [0, 1), got 1.5"),
     ],
 )
 def test_bad_config_value_is_config_error(tmp_path, capsys, flag, value, message):

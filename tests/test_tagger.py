@@ -18,7 +18,6 @@ from pclc.tagger import (
     EncoderConfig,
     crf_nll,
     crf_nll_batch,
-    encode_utterance,
     extract_spans,
     gold_spans,
     viterbi_decode,
@@ -345,11 +344,16 @@ def _encoder_inputs(overfit_corpus, config):
     return corpus, vocab, encoder
 
 
+def _encode_one(encoder, utt, vocab, training=False):
+    """One utterance's (T, 2*hidden) states: with B=1 every row is live."""
+    return encoder.encode_batch([utt], vocab, training).hidden
+
+
 def test_encode_utterance_default_dims_give_400(overfit_corpus):
     config = EncoderConfig()  # stock defaults: hidden 200 per direction
     corpus, vocab, encoder = _encoder_inputs(overfit_corpus, config)
     utt = next(u for u in corpus if len(u.tokens) == 5)
-    hidden = encode_utterance(encoder, utt, vocab)
+    hidden = _encode_one(encoder, utt, vocab)
     assert hidden.shape == (5, 400)
 
 
@@ -357,8 +361,8 @@ def test_encode_utterance_eval_mode_deterministic(overfit_corpus):
     config = EncoderConfig(word_dim=8, char_dim=3, char_hidden=3, hidden=6, layers=2, dropout=0.5)
     corpus, vocab, encoder = _encoder_inputs(overfit_corpus, config)
     utt = corpus[0]
-    h1 = encode_utterance(encoder, utt, vocab, training=False)
-    h2 = encode_utterance(encoder, utt, vocab, training=False)
+    h1 = _encode_one(encoder, utt, vocab, training=False)
+    h2 = _encode_one(encoder, utt, vocab, training=False)
     assert np.array_equal(h1.values, h2.values)
 
 
@@ -366,7 +370,7 @@ def test_encode_single_token_utterance(overfit_corpus):
     config = EncoderConfig(word_dim=8, char_dim=3, char_hidden=3, hidden=6, layers=1)
     corpus, vocab, encoder = _encoder_inputs(overfit_corpus, config)
     utt = Utterance(["play"], ["O"], [None], "music", "music:x")
-    hidden = encode_utterance(encoder, utt, vocab)
+    hidden = _encode_one(encoder, utt, vocab)
     assert hidden.shape == (1, 12)
     assert np.isfinite(hidden.values).all()
 
@@ -379,9 +383,9 @@ def test_encode_batch_matches_single_utterance_eval(overfit_corpus):
     assert len({len(u.tokens) for u in batch}) > 1
     enc = encoder.encode_batch(batch, vocab, training=False)
     for b, utt in enumerate(batch):
-        single = encode_utterance(encoder, utt, vocab)
-        rows = ad.take_rows(enc.hidden, enc.utterance_rows(b))
-        assert np.allclose(rows.values, single.values, atol=1e-12)
+        single = _encode_one(encoder, utt, vocab)
+        rows = [enc.flat(b, t) for t in range(enc.lengths[b])]
+        assert np.allclose(enc.hidden.values[rows], single.values, atol=1e-12)
 
 
 def test_encode_empty_batch_errors(overfit_corpus):

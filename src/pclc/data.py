@@ -61,14 +61,6 @@ class SlotSchema:
                 descriptions.setdefault(s, slot_description_tokens(s))
         return SlotSchema(domains=domains, slots_of=slots_of, description_tokens=descriptions)
 
-    def all_slots(self) -> list[str]:
-        seen: list[str] = []
-        for d in self.domains:
-            for s in self.slots_of[d]:
-                if s not in seen:
-                    seen.append(s)
-        return seen
-
 
 def slot_description_tokens(slot_label: str) -> list[str]:
     """Split a slot label on underscores into lowercase description words."""
@@ -218,7 +210,6 @@ def build_vocab(utterances: list[Utterance], schema: SlotSchema) -> Vocab:
 class EmbeddingTable:
     matrix: np.ndarray  # |vocab| x dim
     dim: int
-    trainable: bool = True
 
 
 def random_embeddings(vocab_size: int, dim: int, rng) -> np.ndarray:

@@ -2,9 +2,12 @@
 
 A batch of sequences is one ((t_max * B), dim) matrix with row t*B + b
 holding step t of sequence b (the `EncodedBatch` row layout) plus the
-per-sequence lengths. `run_lstm` is a fused primitive: the input projection
-for every step is one matmul, only the hidden-state product stays in the
-recurrence, and its vjp is masked backpropagation through time.
+per-sequence lengths. `run_lstm` is a fused primitive that computes live
+rows only: it sorts the sequences by length and packs their live rows
+step-major (as `pack_padded_sequence` does), so the input projection is one
+matmul over sum(lengths) rows, each step of the recurrence is one
+contiguous block, and its vjp is backpropagation through time over the
+same packed rows.
 """
 
 from __future__ import annotations
@@ -64,9 +67,14 @@ def run_lstm(cell: LstmCell, x: Tensor, lengths: list[int]) -> Tensor:
 
     `x` is ((t_max * B), in_dim) with row t*B + b holding step t of sequence
     b, and t_max = max(lengths). Returns the ((t_max * B), hidden) states in
-    the same layout. Past its length a row carries its last state forward,
-    so the final B rows are each sequence's final state, and padded input
-    rows get exactly zero gradient.
+    the same layout. Past its length a row repeats its last state, so the
+    final B rows are each sequence's final state, and padded input rows get
+    exactly zero gradient.
+
+    Only live rows are computed. Sequences are sorted by length (descending,
+    stable) and their live rows packed step-major: step t owns rows
+    starts[t]:starts[t+1], one per sequence longer than t, and its previous
+    state is the first rows of step t-1's block.
     """
     if not lengths or min(lengths) < 1:
         raise ShapeError(f"run_lstm: every length must be >= 1, got {lengths}")
@@ -74,60 +82,84 @@ def run_lstm(cell: LstmCell, x: Tensor, lengths: list[int]) -> Tensor:
     if x.shape != (t_max * batch, n_in):
         raise ShapeError(f"run_lstm: input {x.shape} does not fit lengths {lengths} x {n_in}")
     w_x, w_h = cell.w.values[:n_in], cell.w.values[n_in:]
-    dead = [np.flatnonzero(np.asarray(lengths) <= t) for t in range(t_max)]
-    gates = (x.values @ w_x + cell.b.values).reshape(t_max, batch, 4 * hid)
-    i, f, g, o = (gates[:, :, k * hid : (k + 1) * hid] for k in range(4))
-    hs = np.zeros((t_max + 1, batch, hid))  # hs[t + 1]: carried state after step t
-    cs = np.zeros((t_max + 1, batch, hid))
-    tanh_c = np.empty((t_max, batch, hid))
-    for t in range(t_max):
-        gates[t] += hs[t] @ w_h
-        _sigmoid_(gates[t, :, : 2 * hid])  # i and f
-        np.tanh(g[t], out=g[t])
-        _sigmoid_(o[t])
-        c, h = cs[t + 1], hs[t + 1]
-        np.multiply(f[t], cs[t], out=c)
-        c += i[t] * g[t]
-        np.tanh(c, out=tanh_c[t])
-        np.multiply(o[t], tanh_c[t], out=h)
-        c[dead[t]], h[dead[t]] = cs[t][dead[t]], hs[t][dead[t]]
+    lens, steps = np.asarray(lengths), np.arange(t_max)[:, None]
+    order = np.argsort(-lens, kind="stable")
+    live = lens[order] > steps  # live[t, j]: the j-th longest sequence has step t
+    starts = np.concatenate(([0], np.cumsum(live.sum(axis=1))))
+    src = (steps * batch + order)[live]  # padded row of each packed row
+    x_packed = x.values[src]
+    gates = x_packed @ w_x
+    gates += cell.b.values
+    i, f, g, o = (gates[:, k * hid : (k + 1) * hid] for k in range(4))
+    hs = np.empty((src.size, hid))
+    cs = np.empty((src.size, hid))
+    tanh_c = np.empty((src.size, hid))
+    bounds = list(zip(starts[:-1].tolist(), starts[1:].tolist()))
+    for t, (lo, hi) in enumerate(bounds):
+        z, c = gates[lo:hi], cs[lo:hi]
+        if t:  # the previous state: the first hi - lo rows of step t-1
+            prev = slice(bounds[t - 1][0], bounds[t - 1][0] + hi - lo)
+            z += hs[prev] @ w_h
+        _sigmoid_(z[:, : 2 * hid])  # i and f
+        np.tanh(g[lo:hi], out=g[lo:hi])
+        _sigmoid_(o[lo:hi])
+        np.multiply(i[lo:hi], g[lo:hi], out=c)
+        if t:
+            c += f[lo:hi] * cs[prev]
+        np.tanh(c, out=tanh_c[lo:hi])
+        np.multiply(o[lo:hi], tanh_c[lo:hi], out=hs[lo:hi])
+    rank = np.argsort(order)  # sequence b is the rank[b]-th longest
+    out_rows = (starts[np.minimum(steps, lens - 1)] + rank).reshape(-1)
 
     def vjp(d_out):
+        # packed row of step t-1 that feeds each row of steps 1..t_max-1
+        prev_rows = (starts[:-1, None] + np.arange(batch))[:-1][live[1:]]
+        n0 = bounds[0][1]
         # dL/d(pre-activation) = upstream * partner * activation slope:
         # i <- dc * g, f <- dc * c_prev, g <- dc * i, o <- dh * tanh(c)
         fac = 1.0 - gates
         fac *= gates
-        fac_g = fac[:, :, 2 * hid : 3 * hid]
+        fac_g = fac[:, 2 * hid : 3 * hid]
         np.multiply(g, g, out=fac_g)
         np.subtract(1.0, fac_g, out=fac_g)
-        for k, partner in enumerate((g, cs[:-1], i, tanh_c)):
-            fac[:, :, k * hid : (k + 1) * hid] *= partner
+        fac[:, :hid] *= g
+        fac[:n0, hid : 2 * hid] = 0.0
+        fac[n0:, hid : 2 * hid] *= cs[prev_rows]
+        fac[:, 2 * hid : 3 * hid] *= i
+        fac[:, 3 * hid :] *= tanh_c
         dc_from_h = 1.0 - tanh_c * tanh_c
         dc_from_h *= o
-        d_out = d_out.reshape(t_max, batch, hid)
+        # d_sorted[t, j]: gradient of padded row (t, j-th longest sequence);
+        # padded rows repeat the last live state, so their gradient is
+        # summed into `tail` and added at that sequence's last live step
+        d_sorted = d_out.reshape(t_max, batch, hid)[:, order]
+        tail = np.zeros((batch, hid))
         dz = np.empty_like(gates)
-        dh_next = np.zeros((batch, hid))
-        dc_next = np.zeros((batch, hid))
+        dh_next = dc_next = np.zeros((0, hid))
         for t in range(t_max - 1, -1, -1):
-            dh = d_out[t] + dh_next
-            dc = dh * dc_from_h[t]
-            dc += dc_next
-            d = dz[t]
-            d.reshape(batch, 4, hid)[:, :3] = dc[:, None]
+            lo, hi = bounds[t]
+            n, n_next = hi - lo, len(dh_next)
+            tail[n:] += d_sorted[t, n:]
+            dh = d_sorted[t, :n].copy()
+            dh[:n_next] += dh_next
+            dh[n_next:] += tail[n_next:n]
+            dc = dh * dc_from_h[lo:hi]
+            dc[:n_next] += dc_next
+            d = dz[lo:hi]
+            d.reshape(n, 4, hid)[:, :3] = dc[:, None]
             d[:, 3 * hid :] = dh
-            d *= fac[t]
-            d[dead[t]] = 0.0
-            dh_prev = d @ w_h.T
-            dc_prev = dc * f[t]
-            dh_prev[dead[t]], dc_prev[dead[t]] = dh[dead[t]], dc_next[dead[t]]
-            dh_next, dc_next = dh_prev, dc_prev
-        dz = dz.reshape(t_max * batch, 4 * hid)
+            d *= fac[lo:hi]
+            if t:
+                dh_next = d @ w_h.T
+                dc_next = dc * f[lo:hi]
         dw = np.empty_like(cell.w.values)
-        np.matmul(x.values.T, dz, out=dw[:n_in])
-        np.matmul(hs[:-1].reshape(t_max * batch, hid).T, dz, out=dw[n_in:])
-        return dz @ w_x.T, dw, dz.sum(axis=0)
+        np.matmul(x_packed.T, dz, out=dw[:n_in])
+        np.matmul(hs[prev_rows].T, dz[n0:], out=dw[n_in:])
+        dx = np.zeros_like(x.values)
+        dx[src] = dz @ w_x.T
+        return dx, dw, dz.sum(axis=0)
 
-    return ad.emit("lstm", [x, cell.w, cell.b], hs[1:].reshape(t_max * batch, hid), vjp)
+    return ad.emit("lstm", [x, cell.w, cell.b], hs[out_rows], vjp)
 
 
 def final_states(states: Tensor, batch: int) -> Tensor:

@@ -12,7 +12,8 @@ class Adam:
     """Standard Adam over a named, ordered parameter collection.
 
     Moment buffers match parameter shapes; the step counter strictly
-    increases. `step` consumes and clears the gradients.
+    increases. `step` consumes and clears the gradients, using each
+    gradient buffer as working memory.
     """
 
     def __init__(
@@ -38,17 +39,30 @@ class Adam:
                 raise OptimError(f"adam: parameter {name!r} has no gradient")
         self.t += 1
         b1, b2 = self.beta1, self.beta2
+        bc1, bc2 = 1.0 - b1**self.t, 1.0 - b2**self.t
+        # one buffer for the whole step, freed before the next backward pass
+        scratch = np.empty(max((p.values.size for p in self.params.values()), default=0))
         for name, p in self.params.items():
             g = p.grad
             m = self.m[name]
             v = self.v[name]
+            s = scratch[: g.size].reshape(g.shape)
             m *= b1
-            m += (1.0 - b1) * g
+            np.multiply(1.0 - b1, g, out=s)
+            m += s
             v *= b2
-            v += (1.0 - b2) * g * g
-            m_hat = m / (1.0 - b1**self.t)
-            v_hat = v / (1.0 - b2**self.t)
-            p.values -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+            np.multiply(1.0 - b2, g, out=s)
+            s *= g
+            v += s
+            # p -= lr * (m / bc1) / (sqrt(v / bc2) + eps) in that order, the
+            # numerator in the consumed gradient and the denominator in s
+            np.divide(m, bc1, out=g)
+            g *= self.lr
+            np.divide(v, bc2, out=s)
+            np.sqrt(s, out=s)
+            s += self.eps
+            g /= s
+            p.values -= g
             p.grad = None
 
     def state_arrays(self) -> dict[str, np.ndarray]:

@@ -12,7 +12,3 @@ import numpy as np
 
 def make_rng(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(seed))
-
-
-def uniform_init(rng: np.random.Generator, shape, scale: float) -> np.ndarray:
-    return rng.uniform(-scale, scale, size=shape)

@@ -10,6 +10,7 @@ the `pc` column of the log).
 from __future__ import annotations
 
 import dataclasses
+import math
 import os
 from dataclasses import dataclass
 
@@ -479,33 +480,63 @@ def load_checkpoint(directory: str) -> Checkpoint:
         raise CheckpointError(
             f"{manifest_path}: format version {version} unsupported (expected {FORMAT_VERSION})"
         )
-    sections: dict[str, list[str]] = {}
-    current: list[str] | None = None
-    for line in lines[1:]:
+    sections: dict[str, list[tuple[int, str]]] = {}  # (1-based line number, text)
+    current: list[tuple[int, str]] | None = None
+    for lineno, line in enumerate(lines[1:], start=2):
         if line.startswith("[") and line.endswith("]"):
             current = sections.setdefault(line[1:-1], [])
         elif current is not None:
-            current.append(line)
-    meta = dict(line.split("=", 1) for line in sections.get("meta", []) if "=" in line)
-    config_kv = sections.get("config", [])
-    word_vocab = sections.get("word_vocab", [])
-    char_vocab = sections.get("char_vocab", [])
-    proto_rows = [tuple(line.split("\t", 1)) for line in sections.get("proto_rows", [])]
+            current.append((lineno, line))
+
+    def text(section: str) -> list[str]:
+        return [line for _, line in sections.get(section, [])]
+
+    def bad(lineno: int, message: str) -> CheckpointError:
+        return CheckpointError(f"{manifest_path}:{lineno}: {message}")
+
+    meta: dict[str, tuple[int, str]] = {}  # key -> (line number, value)
+    for lineno, line in sections.get("meta", []):
+        if "=" in line:
+            key, value = line.split("=", 1)
+            meta[key] = (lineno, value)
+
+    def meta_number(key: str, kind):
+        lineno, value = meta.get(key, (0, "0"))
+        try:
+            return kind(value)
+        except ValueError:
+            wanted = "an integer" if kind is int else "a number"
+            raise bad(lineno, f"{key}={value!r} is not {wanted}") from None
+
+    proto_rows = [tuple(line.split("\t", 1)) for line in text("proto_rows")]
     payload = np.fromfile(payload_path, dtype="<f8")
     params: dict[str, np.ndarray] = {}
     adam_m: dict[str, np.ndarray] = {}
     adam_v: dict[str, np.ndarray] = {}
     expected = 0
-    for line in sections.get("tensors", []):
-        name, shape_s, offset_s, count_s = line.split("\t")
-        offset, count = int(offset_s), int(count_s)
+    for lineno, line in sections.get("tensors", []):
+        fields = line.split("\t")
+        if len(fields) != 4:
+            raise bad(lineno, f"tensor entry needs 4 tab-separated fields, got {len(fields)}")
+        name, shape_s, offset_s, count_s = fields
+        try:
+            shape = () if shape_s == "scalar" else tuple(int(s) for s in shape_s.split(","))
+            offset, count = int(offset_s), int(count_s)
+        except ValueError:
+            raise bad(
+                lineno, f"tensor {name!r}: shape {shape_s!r}, offset {offset_s!r} and "
+                f"count {count_s!r} must be integers"
+            ) from None
+        if offset < 0 or any(n < 0 for n in shape):
+            raise bad(lineno, f"tensor {name!r}: negative offset or dimension")
+        if count != math.prod(shape):
+            raise bad(lineno, f"tensor {name!r}: count {count} is not the size of shape {shape_s}")
         expected = max(expected, offset + count)
         if offset + count > payload.size:
             raise CheckpointError(
                 f"{payload_path}: truncated payload, need {offset + count} floats, "
                 f"have {payload.size}"
             )
-        shape = () if shape_s == "scalar" else tuple(int(s) for s in shape_s.split(","))
         arr = payload[offset : offset + count].reshape(shape).copy()
         if name.startswith("param."):
             params[name[len("param.") :]] = arr
@@ -514,7 +545,7 @@ def load_checkpoint(directory: str) -> Checkpoint:
         elif name.startswith("adam.v."):
             adam_v[name[len("adam.v.") :]] = arr
         else:
-            raise CheckpointError(f"{manifest_path}: unknown tensor entry {name!r}")
+            raise bad(lineno, f"unknown tensor entry {name!r}")
     if payload.size != expected:
         raise CheckpointError(
             f"{payload_path}: payload holds {payload.size} floats, manifest expects {expected}"
@@ -523,13 +554,13 @@ def load_checkpoint(directory: str) -> Checkpoint:
         params=params,
         adam_m=adam_m,
         adam_v=adam_v,
-        adam_t=int(meta.get("adam_t", "0")),
-        epoch=int(meta.get("epoch", "0")),
-        best_val_f1=float(meta.get("best_val_f1", "0")),
-        config_kv=config_kv,
-        target_domain=meta.get("target_domain", ""),
-        word_vocab=word_vocab,
-        char_vocab=char_vocab,
+        adam_t=meta_number("adam_t", int),
+        epoch=meta_number("epoch", int),
+        best_val_f1=meta_number("best_val_f1", float),
+        config_kv=text("config"),
+        target_domain=meta.get("target_domain", (0, ""))[1],
+        word_vocab=text("word_vocab"),
+        char_vocab=text("char_vocab"),
         proto_rows=[(b, l) for b, l in proto_rows],
     )
 

@@ -1,11 +1,13 @@
 import os
 
+import numpy as np
 import pytest
 
 from pclc.data import SlotSchema, build_vocab, random_embeddings, split_leave_one_out
 from pclc.model import ModelDims, PclcModel
 from pclc.rng import make_rng
 from pclc.synthetic import overfit_utterances, transfer_utterances
+from pclc.trainer import Checkpoint, save_checkpoint
 
 REPO_ROOT = os.path.abspath(os.path.join(os.path.dirname(__file__), ".."))
 DATA_DIR = os.path.join(REPO_ROOT, "data")
@@ -55,3 +57,22 @@ def toy_model(overfit_corpus):
 def overfit_split(overfit_corpus):
     corpus, schema = overfit_corpus
     return split_leave_one_out(corpus, schema, "kitchen", seed=3)
+
+
+def damaged_manifest(directory, old, new):
+    """Save a one-tensor checkpoint, replace manifest line `old` with `new`
+    and return the 1-based number of that line."""
+    ckpt = Checkpoint(
+        params={"w": np.arange(6.0).reshape(2, 3)}, adam_m={}, adam_v={}, adam_t=4,
+        epoch=2, best_val_f1=0.5, config_kv=[], target_domain="kitchen",
+        word_vocab=[], char_vocab=[], proto_rows=[],
+    )
+    save_checkpoint(ckpt, directory)
+    path = os.path.join(directory, "manifest.txt")
+    with open(path, encoding="utf-8") as fh:
+        lines = fh.read().splitlines()
+    lineno = lines.index(old)
+    lines[lineno] = new
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("\n".join(lines) + "\n")
+    return lineno + 1

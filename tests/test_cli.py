@@ -4,7 +4,7 @@ import sys
 
 import pytest
 
-from conftest import DATA_DIR, REPO_ROOT
+from conftest import DATA_DIR, REPO_ROOT, damaged_manifest
 from pclc.cli import main
 from pclc.evaluate import read_prototype_export
 
@@ -148,6 +148,18 @@ def test_export_protos_round_trip(tmp_path):
     assert "dish_name" in labels
     assert matrix.shape[1] == 8
     assert set(blocks) == {"source", "target"}
+
+
+def test_malformed_checkpoint_manifest_is_error_not_traceback(tmp_path, capsys):
+    directory = os.path.join(tmp_path, "ckpt")
+    lineno = damaged_manifest(directory, "adam_t=4", "adam_t=x")
+    rc = main(
+        ["export-protos", directory, os.path.join(tmp_path, "protos.tsv"),
+         "--data-dir", os.path.join(DATA_DIR, "overfit")]
+    )
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and f"manifest.txt:{lineno}: adam_t='x'" in err
 
 
 def test_sweep_lambda_writes_tsv_and_dedupes(tmp_path, capsys):

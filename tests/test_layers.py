@@ -15,15 +15,22 @@ from pclc.rng import make_rng
 from pclc.trainer import TrainConfig, total_loss
 
 
-def _ragged_lstm(rng, in_dim=3, hidden=2):
-    """A cell with random weights and a ragged ((t_max*B), in_dim) batch:
-    B in 1..5, lengths in 1..6, unequal when B > 1 so padding is present,
-    with random values in the padded rows."""
-    while True:
-        batch = int(rng.integers(1, 6))
+KINDS = ("ragged", "equal", "one_long")
+
+
+def _ragged_lstm(rng, kind, in_dim=3, hidden=2):
+    """A cell with random weights and a padded ((t_max*B), in_dim) batch of
+    B in 1..9 sequences with random values in the padded rows. Lengths are
+    random in 1..6 with ties ("ragged"), all equal so nothing is padded
+    ("equal"), or all 1 but one of 2..6 ("one_long")."""
+    batch = int(rng.integers(1, 10))
+    if kind == "ragged":
         lengths = [int(n) for n in rng.integers(1, 7, batch)]
-        if min(lengths) < max(lengths) or batch == 1:
-            break
+    elif kind == "equal":
+        lengths = [int(rng.integers(1, 7))] * batch
+    else:
+        lengths = [1] * batch
+        lengths[int(rng.integers(batch))] = int(rng.integers(2, 7))
     cell = LstmCell(in_dim, hidden, rng, "test")
     cell.b.values = rng.uniform(-1, 1, cell.b.shape)
     x = rng.uniform(-2, 2, (max(lengths) * batch, in_dim))
@@ -37,8 +44,8 @@ def _padded_rows(lengths):
 
 def test_run_lstm_matches_step_by_step_reference():
     rng = make_rng(20)
-    for _ in range(30):
-        cell, x, lengths = _ragged_lstm(rng)
+    for kind in KINDS * 10:
+        cell, x, lengths = _ragged_lstm(rng, kind)
         out = run_lstm(cell, Tensor(x), lengths).values
         want = oracles.lstm_reference(x, lengths, cell.w.values, cell.b.values)
         assert np.abs(out - want).max() < 1e-12
@@ -50,8 +57,8 @@ def test_run_lstm_matches_step_by_step_reference():
 
 def test_run_lstm_gradients_match_finite_differences():
     rng = make_rng(21)
-    for _ in range(3):
-        cell, x, lengths = _ragged_lstm(rng)
+    for kind in KINDS:
+        cell, x, lengths = _ragged_lstm(rng, kind)
         weights = rng.uniform(-1, 1, (x.shape[0], cell.hidden))
         arrays = [x, cell.w.values, cell.b.values]
 
@@ -69,17 +76,41 @@ def test_run_lstm_gradients_match_finite_differences():
 
 def test_run_lstm_padding_gets_exactly_zero_gradient():
     rng = make_rng(22)
-    cell, x, lengths = _ragged_lstm(rng)
-    while len(lengths) == 1:
-        cell, x, lengths = _ragged_lstm(rng)
-    xt = Tensor(x, requires_grad=True)
-    with Tape() as tape:
-        ad.backward(ad.tensor_sum(run_lstm(cell, xt, lengths)), tape)
-    padded = _padded_rows(lengths)
-    assert padded
-    assert np.all(xt.grad[padded] == 0.0)
-    live = np.setdiff1d(np.arange(x.shape[0]), padded)
-    assert np.all(np.abs(xt.grad[live]).sum(axis=1) > 0.0)
+    for kind in ("ragged", "one_long"):
+        cell, x, lengths = _ragged_lstm(rng, kind)
+        while min(lengths) == max(lengths):
+            cell, x, lengths = _ragged_lstm(rng, kind)
+        xt = Tensor(x, requires_grad=True)
+        with Tape() as tape:
+            ad.backward(ad.tensor_sum(run_lstm(cell, xt, lengths)), tape)
+        padded = _padded_rows(lengths)
+        assert padded
+        assert np.all(xt.grad[padded] == 0.0)
+        live = np.setdiff1d(np.arange(x.shape[0]), padded)
+        assert np.all(np.abs(xt.grad[live]).sum(axis=1) > 0.0)
+
+
+def test_run_lstm_permuting_sequences_permutes_output_and_gradient():
+    # the packed order depends on the length sort; the result must not
+    rng = make_rng(23)
+    for kind in KINDS * 3:
+        cell, x, lengths = _ragged_lstm(rng, kind)
+        batch = len(lengths)
+        weights = rng.uniform(-1, 1, (x.shape[0], cell.hidden))
+        perm = rng.permutation(batch)
+        rows = (np.arange(max(lengths))[:, None] * batch + perm).reshape(-1)
+        shuffled = (x[rows], weights[rows], [lengths[b] for b in perm])
+        results = []
+        for xs, ws, ls in ((x, weights, lengths), shuffled):
+            xt = Tensor(xs, requires_grad=True)
+            with Tape() as tape:
+                out = run_lstm(cell, xt, ls)
+                ad.backward(ad.tensor_sum(ad.mul(out, Tensor(ws))), tape)
+            results.append((out.values, xt.grad))
+            cell.w.grad = cell.b.grad = None
+        (out, dx), (out_p, dx_p) = results
+        assert np.abs(out_p - out[rows]).max() < 1e-12
+        assert np.abs(dx_p - dx[rows]).max() < 1e-12
 
 
 def test_run_lstm_rejects_inconsistent_inputs():

@@ -59,6 +59,34 @@ def test_hundred_steps_on_quadratic_approaches_minimum():
     assert p.values[0] == pytest.approx(expected, abs=1e-12)
 
 
+def test_step_is_bit_equal_to_textbook_expression():
+    # mixed shapes, the largest parameter not first, so scratch views of
+    # every size are used; parameters start at 0 so that a last-bit change
+    # in the update is not absorbed by the subtraction
+    rng = np.random.default_rng(5)
+    shapes = {"a": (3,), "b": (4, 5), "c": (), "d": (2, 3, 2)}
+    params = {k: Tensor(np.zeros(s), requires_grad=True) for k, s in shapes.items()}
+    want = {k: p.values.copy() for k, p in params.items()}
+    m = {k: np.zeros(s) for k, s in shapes.items()}
+    v = {k: np.zeros(s) for k, s in shapes.items()}
+    lr, b1, b2, eps = 0.01, 0.9, 0.999, 1e-8
+    adam = Adam(params, lr=lr, beta1=b1, beta2=b2, eps=eps)
+    for t in range(1, 8):
+        for k, s in shapes.items():
+            g = np.array(rng.normal(size=s) * 10.0 ** rng.integers(-3, 3))
+            params[k].grad = g
+            m[k] = b1 * m[k] + (1 - b1) * g
+            v[k] = b2 * v[k] + (1 - b2) * g * g
+            m_hat = m[k] / (1 - b1**t)
+            v_hat = v[k] / (1 - b2**t)
+            want[k] = want[k] - lr * m_hat / (np.sqrt(v_hat) + eps)
+        adam.step()
+        for k in shapes:
+            assert np.array_equal(params[k].values, want[k])
+            assert np.array_equal(adam.m[k], m[k])
+            assert np.array_equal(adam.v[k], v[k])
+
+
 def test_clip_grad_norm_scales_to_bound():
     a = Tensor(np.zeros(3), requires_grad=True)
     b = Tensor(np.zeros(4), requires_grad=True)

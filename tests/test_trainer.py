@@ -4,7 +4,7 @@ import os
 import numpy as np
 import pytest
 
-from conftest import TOY_DIMS, build_toy_model
+from conftest import TOY_DIMS, build_toy_model, damaged_manifest
 from pclc import autodiff as ad
 from pclc.autodiff import Tape
 from pclc.data import build_vocab, random_embeddings
@@ -359,6 +359,29 @@ def test_checkpoint_truncated_payload_reports_counts(tmp_path, overfit_corpus, o
     with pytest.raises(CheckpointError) as err:
         load_checkpoint(directory)
     assert "payload" in str(err.value)
+
+
+@pytest.mark.parametrize(
+    "old, new, message",
+    [
+        ("param.w\t2,3\t0\t6", "param.w\t2,3\t0", "4 tab-separated fields, got 3"),
+        ("param.w\t2,3\t0\t6", "param.w\t2,x\t0\t6", "must be integers"),
+        ("param.w\t2,3\t0\t6", "param.w\t2,3\t0.5\t6", "must be integers"),
+        ("param.w\t2,3\t0\t6", "param.w\t2,3\t0\tsix", "must be integers"),
+        ("param.w\t2,3\t0\t6", "param.w\t2,3\t-1\t6", "negative offset"),
+        ("param.w\t2,3\t0\t6", "param.w\t2,3\t0\t5", "count 5 is not the size of shape"),
+        ("adam_t=4", "adam_t=x", "adam_t='x' is not an integer"),
+        ("epoch=2", "epoch=2.5", "epoch='2.5' is not an integer"),
+        ("best_val_f1=0.5", "best_val_f1=high", "best_val_f1='high' is not a number"),
+    ],
+)
+def test_checkpoint_malformed_manifest_names_line(tmp_path, old, new, message):
+    directory = os.path.join(tmp_path, "ckpt")
+    lineno = damaged_manifest(directory, old, new)
+    with pytest.raises(CheckpointError) as err:
+        load_checkpoint(directory)
+    assert f"{os.path.join(directory, 'manifest.txt')}:{lineno}: " in str(err.value)
+    assert message in str(err.value)
 
 
 def test_checkpoint_missing_directory_errors(tmp_path):

@@ -1,0 +1,121 @@
+"""Compare the benchmark on a parent commit and on the working tree, in pairs.
+
+    python3 scripts/bench_pairs.py --workload train-paper --pairs 10 --parent HEAD
+
+Extracts the parent ref with `git archive` into a temporary directory, then
+runs `perfbench/run.py` once on the parent and once on the working tree for
+each pair, alternating which of the two goes first, with seeds `--seed`,
+`--seed`+1, ... (both runs of a pair use the same seed). Prints, for every
+end-to-end metric in BENCHMARK.json, the median [lower quartile, upper
+quartile] of each side, the number of pairs the working tree won, and the
+gap between the medians over the parent's interquartile range. `--out`
+also writes every run's result line as JSON. Uses the standard library
+only.
+"""
+
+from __future__ import annotations
+
+import argparse
+import io
+import json
+import os
+import statistics
+import subprocess
+import sys
+import tarfile
+import tempfile
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+
+def parse_args(argv):
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--workload", required=True)
+    parser.add_argument("--pairs", type=int, default=10)
+    parser.add_argument("--parent", default="HEAD", help="git ref to compare against")
+    parser.add_argument("--seconds", type=float, default=30.0)
+    parser.add_argument("--seed", type=int, default=1, help="seed of the first pair")
+    parser.add_argument("--out", help="write every run's result to this JSON file")
+    return parser.parse_args(argv)
+
+
+def extract(ref: str, directory: str) -> None:
+    tar = subprocess.run(
+        ["git", "archive", "--format=tar", ref], cwd=ROOT, capture_output=True, check=True
+    ).stdout
+    with tarfile.open(fileobj=io.BytesIO(tar)) as archive:
+        archive.extractall(directory, filter="data")
+
+
+def run_once(tree: str, workload: str, seed: int, seconds: float) -> dict:
+    cmd = [
+        sys.executable, os.path.join("perfbench", "run.py"), "--workload", workload,
+        "--seed", str(seed), "--seconds", str(seconds), "--trace", "0",
+    ]
+    proc = subprocess.run(cmd, cwd=tree, capture_output=True, text=True, timeout=10 * seconds + 300)
+    lines = proc.stdout.strip().splitlines()
+    if not lines:
+        return {"correct": False, "metrics": {}, "stderr": proc.stderr[-2000:]}
+    result = json.loads(lines[-1])
+    result["metrics"] = {k: v["value"] for k, v in result["metrics"].items()}
+    return result
+
+
+def quartiles(values: list[float]) -> tuple[float, float, float]:
+    if len(values) < 2:
+        return values[0], values[0], values[0]
+    q1, med, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return med, q1, q3
+
+
+def summary(runs: dict[str, list[dict]], better: dict[str, str]) -> list[str]:
+    parent, change = runs["parent"], runs["change"]
+    out = [f"correct runs: parent {sum(r['correct'] for r in parent)}/{len(parent)}, "
+           f"change {sum(r['correct'] for r in change)}/{len(change)}"]
+    out.append(f"{'metric':<14} {'parent median [q1, q3]':>30} {'change median [q1, q3]':>30}"
+               f" {'ratio':>7} {'wins':>6} {'gap/IQR':>8}")
+    for name, direction in better.items():
+        pairs = [(p["metrics"][name], c["metrics"][name]) for p, c in zip(parent, change)
+                 if name in p["metrics"] and name in c["metrics"]]
+        if not pairs:
+            continue
+        pv, cv = [p for p, _ in pairs], [c for _, c in pairs]
+        (pm, p1, p3), (cm, c1, c3) = quartiles(pv), quartiles(cv)
+        sign = 1.0 if direction == "higher" else -1.0
+        wins = sum(sign * (c - p) > 0 for p, c in pairs)
+        iqr = p3 - p1
+        gap = f"{sign * (cm - pm) / iqr:8.2f}" if iqr > 0 else f"{'-':>8}"
+        ratio = f"{cm / pm:7.3f}" if pm else f"{'-':>7}"
+        out.append(f"{name:<14} {f'{pm:.6g} [{p1:.6g}, {p3:.6g}]':>30} "
+                   f"{f'{cm:.6g} [{c1:.6g}, {c3:.6g}]':>30} {ratio} "
+                   f"{f'{wins}/{len(pairs)}':>6} {gap}")
+    return out
+
+
+def main(argv=None) -> int:
+    args = parse_args(argv)
+    with open(os.path.join(ROOT, "BENCHMARK.json"), encoding="utf-8") as fh:
+        better = {m["name"]: m["better"] for m in json.load(fh)["end_to_end"]}
+    runs: dict[str, list[dict]] = {"parent": [], "change": []}
+    with tempfile.TemporaryDirectory(prefix="bench-pairs-") as parent_tree:
+        extract(args.parent, parent_tree)
+        trees = {"parent": parent_tree, "change": ROOT}
+        for i in range(args.pairs):
+            seed = args.seed + i
+            order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
+            for side in order:
+                res = run_once(trees[side], args.workload, seed, args.seconds)
+                res["seed"] = seed
+                runs[side].append(res)
+                shown = {k: round(v, 4) for k, v in res["metrics"].items()}
+                print(f"pair {i + 1}/{args.pairs} seed {seed} {side}: "
+                      f"correct={res['correct']} {shown}", flush=True)
+    if args.out:
+        with open(args.out, "w", encoding="utf-8") as fh:
+            json.dump({"args": vars(args), "runs": runs}, fh, indent=1)
+    print("\n".join(summary(runs, better)))
+    return 0 if all(r["correct"] for side in runs.values() for r in side) else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -3,7 +3,6 @@ with dynamic label confusion, on a self-contained float64 autodiff core."""
 
 from .autodiff import Tape, Tensor, backward
 from .classifier import (
-    PclcHyperparams,
     PrototypeMatrix,
     build_prototypes,
     confusion_target,

@@ -292,18 +292,26 @@ def slice_cols(a: Tensor, start: int, stop: int) -> Tensor:
     return emit("slice_cols", [a], a.values[:, start:stop].copy(), vjp)
 
 
+def _scatter_rows(shape, idx, g) -> np.ndarray:
+    """Zeros of `shape` (rows, cols) with each row `g[i]` added into row
+    `idx[i]`, in index order. `np.add.at` runs on the flattened array with
+    one element index per added value, which takes numpy's fast 1-d path;
+    every destination element receives its additions in the same order as a
+    row-wise `np.add.at`, so the result is bit-identical to it."""
+    cols = shape[1]
+    flat = np.zeros(shape[0] * cols)
+    elems = idx.reshape(-1, 1) * cols + np.arange(cols)
+    np.add.at(flat, elems.reshape(-1), g.reshape(-1))
+    return flat.reshape(shape)
+
+
 def take_rows(a: Tensor, indices) -> Tensor:
     """Row gather; gradient scatter-adds back into the source rows."""
     idx = np.asarray(indices, dtype=np.intp)
     if a.values.ndim != 2:
         raise ShapeError(f"take_rows: expects 2-d operand, got {a.shape}")
 
-    def vjp(g):
-        full = np.zeros_like(a.values)
-        np.add.at(full, idx, g)
-        return (full,)
-
-    return emit("take_rows", [a], a.values[idx].copy(), vjp)
+    return emit("take_rows", [a], a.values[idx], lambda g: (_scatter_rows(a.shape, idx, g),))
 
 
 def tensor_sum(a: Tensor, axis: int | None = None, keepdims: bool = False) -> Tensor:
@@ -369,12 +377,12 @@ def embedding_lookup(table: Tensor, indices) -> Tensor:
             f"embedding_lookup: index out of range for table with {table.shape[0]} rows"
         )
 
-    def vjp(g):
-        full = np.zeros_like(table.values)
-        np.add.at(full, idx, g)
-        return (full,)
-
-    return emit("embedding_lookup", [table], table.values[idx].copy(), vjp)
+    return emit(
+        "embedding_lookup",
+        [table],
+        table.values[idx],
+        lambda g: (_scatter_rows(table.shape, idx, g),),
+    )
 
 
 def dropout(a: Tensor, rate: float, rng=None, training: bool = False) -> Tensor:
@@ -443,13 +451,20 @@ def backward(loss: Tensor, tape: Tape | None = None) -> None:
             acc = grads.get(nid)
             # non-inplace accumulation: vjps may hand back aliased arrays
             grads[nid] = gi if acc is None else acc + gi
+    held: set[int] = set()  # ids of arrays a leaf took as its own .grad
     for nid, t in tape.leaves():
         if not t.requires_grad:
             continue
         g = grads.get(nid)
         if g is None:
             continue
-        if t.grad is None:
-            t.grad = g.copy()
-        else:
+        if t.grad is not None:
             t.grad += g
+        elif g.base is None and g.flags.c_contiguous and id(g) not in held:
+            # an array that owns its memory and no other leaf holds; the
+            # optimizer uses each gradient as working memory, so leaves
+            # never share a buffer
+            t.grad = g
+            held.add(id(g))
+        else:
+            t.grad = g.copy()

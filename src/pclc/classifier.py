@@ -21,21 +21,6 @@ from .layers import LstmCell, Linear, Mlp, final_states, run_lstm
 
 
 @dataclass
-class PclcHyperparams:
-    temperature: float = 1.0
-    confusion_lambda: float = 0.6
-    kl_weight: float = 1.0
-
-    def __post_init__(self):
-        if self.temperature <= 0:
-            raise ShapeError(f"temperature must be > 0, got {self.temperature}")
-        if not 0.0 <= self.confusion_lambda <= 1.0:
-            raise ShapeError(f"confusion factor must be in [0, 1], got {self.confusion_lambda}")
-        if self.kl_weight < 0:
-            raise ShapeError(f"kl weight must be >= 0, got {self.kl_weight}")
-
-
-@dataclass
 class PrototypeMatrix:
     matrix: Tensor  # (n_source + n_target, dim)
     source_labels: list[str]

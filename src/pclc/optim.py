@@ -7,13 +7,18 @@ import numpy as np
 from .autodiff import Tensor
 from .errors import OptimError
 
+# elements per block of `Adam.step`: g, m, v, the parameter and the scratch
+# block together take 1.25 MiB of float64
+BLOCK = 1 << 15
+
 
 class Adam:
     """Standard Adam over a named, ordered parameter collection.
 
     Moment buffers match parameter shapes; the step counter strictly
     increases. `step` consumes and clears the gradients, using each
-    gradient buffer as working memory.
+    gradient buffer as working memory, and updates the parameter values in
+    place, so they must be C-contiguous (as every model parameter is).
     """
 
     def __init__(
@@ -30,39 +35,45 @@ class Adam:
         self.beta2 = beta2
         self.eps = eps
         self.t = 0
-        self.m = {name: np.zeros_like(p.values) for name, p in self.params.items()}
-        self.v = {name: np.zeros_like(p.values) for name, p in self.params.items()}
+        self.m = {name: np.zeros(p.values.shape) for name, p in self.params.items()}
+        self.v = {name: np.zeros(p.values.shape) for name, p in self.params.items()}
 
     def step(self) -> None:
         for name, p in self.params.items():
             if p.grad is None:
                 raise OptimError(f"adam: parameter {name!r} has no gradient")
+            if not p.values.flags.c_contiguous:
+                raise OptimError(f"adam: parameter {name!r} values are not C-contiguous")
         self.t += 1
         b1, b2 = self.beta1, self.beta2
         bc1, bc2 = 1.0 - b1**self.t, 1.0 - b2**self.t
-        # one buffer for the whole step, freed before the next backward pass
-        scratch = np.empty(max((p.values.size for p in self.params.values()), default=0))
+        # one block-sized buffer for the whole step; each block's g, m, v and
+        # parameter values stay in cache through the whole sequence below
+        size = max((p.values.size for p in self.params.values()), default=0)
+        scratch = np.empty(min(size, BLOCK))
         for name, p in self.params.items():
-            g = p.grad
-            m = self.m[name]
-            v = self.v[name]
-            s = scratch[: g.size].reshape(g.shape)
-            m *= b1
-            np.multiply(1.0 - b1, g, out=s)
-            m += s
-            v *= b2
-            np.multiply(1.0 - b2, g, out=s)
-            s *= g
-            v += s
-            # p -= lr * (m / bc1) / (sqrt(v / bc2) + eps) in that order, the
-            # numerator in the consumed gradient and the denominator in s
-            np.divide(m, bc1, out=g)
-            g *= self.lr
-            np.divide(v, bc2, out=s)
-            np.sqrt(s, out=s)
-            s += self.eps
-            g /= s
-            p.values -= g
+            # flat views; a gradient that is not C-contiguous is flattened
+            # into a copy, which is fine because it is only working memory
+            flat = [a.reshape(-1) for a in (p.grad, self.m[name], self.v[name], p.values)]
+            for lo in range(0, flat[0].size, BLOCK):
+                g, m, v, x = (a[lo : lo + BLOCK] for a in flat)
+                s = scratch[: g.size]
+                m *= b1
+                np.multiply(1.0 - b1, g, out=s)
+                m += s
+                v *= b2
+                np.multiply(1.0 - b2, g, out=s)
+                s *= g
+                v += s
+                # x -= lr * (m / bc1) / (sqrt(v / bc2) + eps) in that order,
+                # the numerator in the consumed gradient and the denominator in s
+                np.divide(m, bc1, out=g)
+                g *= self.lr
+                np.divide(v, bc2, out=s)
+                np.sqrt(s, out=s)
+                s += self.eps
+                g /= s
+                x -= g
             p.grad = None
 
     def state_arrays(self) -> dict[str, np.ndarray]:
@@ -75,8 +86,8 @@ class Adam:
 
     def load_state_arrays(self, arrays: dict[str, np.ndarray], t: int) -> None:
         for name in self.params:
-            self.m[name] = np.array(arrays[f"adam.m.{name}"], dtype=np.float64)
-            self.v[name] = np.array(arrays[f"adam.v.{name}"], dtype=np.float64)
+            self.m[name] = np.array(arrays[f"adam.m.{name}"], dtype=np.float64, order="C")
+            self.v[name] = np.array(arrays[f"adam.v.{name}"], dtype=np.float64, order="C")
         self.t = t
 
 

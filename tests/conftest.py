@@ -64,8 +64,8 @@ def damaged_manifest(directory, old, new):
     and return the 1-based number of that line."""
     ckpt = Checkpoint(
         params={"w": np.arange(6.0).reshape(2, 3)}, adam_m={}, adam_v={}, adam_t=4,
-        epoch=2, best_val_f1=0.5, config_kv=[], target_domain="kitchen",
-        word_vocab=[], char_vocab=[], proto_rows=[],
+        epoch=2, best_val_f1=0.5, config_kv=["seed=1"], target_domain="kitchen",
+        word_vocab=[], char_vocab=[], proto_rows=[("source", "city")],
     )
     save_checkpoint(ckpt, directory)
     path = os.path.join(directory, "manifest.txt")

@@ -159,6 +159,59 @@ def test_backward_shared_input_fanout():
     assert x.grad[0] == pytest.approx(7.0)
 
 
+@pytest.mark.parametrize("gather", [ad.take_rows, ad.embedding_lookup])
+def test_row_gather_gradient_equals_add_at_reference(gather):
+    # heavy duplicates: 400 indices over 5 of 50 rows, in random order
+    rng = np.random.default_rng(3)
+    table = Tensor(rng.normal(size=(50, 7)), requires_grad=True)
+    idx = rng.integers(10, 15, size=400)
+    weights = rng.normal(size=(400, 7)) * 10.0 ** rng.integers(-8, 8, size=(400, 1))
+    with Tape() as tape:
+        loss = ad.tensor_sum(ad.mul(gather(table, idx), Tensor(weights)))
+        ad.backward(loss, tape)
+    want = np.zeros((50, 7))
+    np.add.at(want, idx, weights)
+    assert np.array_equal(table.grad, want)
+
+
+def _assert_own_buffers(grads):
+    # mutating any one gradient leaves every other one unchanged
+    for i, gi in enumerate(grads):
+        before = [g.copy() for g in grads]
+        gi += 1.0
+        for j, gj in enumerate(grads):
+            if j != i:
+                assert np.array_equal(gj, before[j])
+
+
+def test_backward_leaves_joined_by_add_own_their_gradients():
+    # add hands the same gradient object to both of its inputs
+    a = Tensor(np.ones((2, 3)), requires_grad=True)
+    b = Tensor(np.ones((2, 3)), requires_grad=True)
+    w = np.arange(6.0).reshape(2, 3)
+    with Tape() as tape:
+        loss = ad.tensor_sum(ad.mul(ad.add(a, b), Tensor(w)))
+        ad.backward(loss, tape)
+    assert np.array_equal(a.grad, w) and np.array_equal(b.grad, w)
+    _assert_own_buffers([a.grad, b.grad])
+
+
+def test_backward_reshaped_leaf_owns_its_gradient():
+    # c takes the gradient of the outer add; reshape's vjp hands a view of
+    # that same array down to a and b
+    a = Tensor(np.ones((2, 3)), requires_grad=True)
+    b = Tensor(np.ones((2, 3)), requires_grad=True)
+    c = Tensor(np.ones(6), requires_grad=True)
+    w = np.arange(6.0)
+    with Tape() as tape:
+        r = ad.add(ad.reshape(ad.add(a, b), (6,)), c)
+        loss = ad.tensor_sum(ad.mul(r, Tensor(w)))
+        ad.backward(loss, tape)
+    assert np.array_equal(c.grad, w)
+    assert np.array_equal(a.grad, w.reshape(2, 3)) and np.array_equal(b.grad, w.reshape(2, 3))
+    _assert_own_buffers([a.grad, b.grad, c.grad])
+
+
 def test_full_composite_loss_gradient_vs_finite_differences():
     # 10-parameter toy: 2x2 entity map, 2 prototypes of dim 2, temperature mix,
     # exercising matmul / log_softmax / xlogx / sqrt / div

@@ -10,7 +10,6 @@ from pclc import autodiff as ad
 from pclc.autodiff import Tape, Tensor
 from pclc.classifier import (
     EntityEncoder,
-    PclcHyperparams,
     PrototypeMatrix,
     build_prototypes,
     confusion_target,
@@ -35,16 +34,6 @@ def _protos_from_matrix(matrix, n_source, n_target, target_domain="tgt"):
         target_domain=target_domain,
         slots_of={"src": [f"s{i}" for i in range(n_source)], target_domain: [f"t{i}" for i in range(n_target)]},
     )
-
-
-def test_hyperparams_validation():
-    PclcHyperparams()
-    with pytest.raises(ShapeError):
-        PclcHyperparams(temperature=0.0)
-    with pytest.raises(ShapeError):
-        PclcHyperparams(confusion_lambda=1.5)
-    with pytest.raises(ShapeError):
-        PclcHyperparams(kl_weight=-0.1)
 
 
 # ---------------------------------------------------------------------------

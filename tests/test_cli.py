@@ -223,6 +223,7 @@ def test_sweep_lambda_rejects_non_numeric_value(tmp_path, capsys):
         ("--batch-size", "0", "config key 'batch_size': must be >= 1, got 0"),
         ("--lr", "abc", "config key 'lr': expected float, got 'abc'"),
         ("--dropout", "1.5", "config key 'dropout': must be in [0, 1), got 1.5"),
+        ("--contrast-block", "sourc", "config key 'contrast_block': must be both or source, got 'sourc'"),
     ],
 )
 def test_bad_config_value_is_config_error(tmp_path, capsys, flag, value, message):

@@ -5,7 +5,7 @@ import oracles
 from pclc import autodiff as ad
 from pclc.autodiff import Tape, Tensor
 from pclc.errors import OptimError
-from pclc.optim import Adam, clip_grad_norm
+from pclc.optim import BLOCK, Adam, clip_grad_norm
 
 
 def test_first_step_moves_against_gradient_sign_by_lr():
@@ -32,6 +32,15 @@ def test_missing_grad_raises():
     with pytest.raises(OptimError) as err:
         adam.step()
     assert "p" in str(err.value)
+
+
+def test_non_contiguous_parameter_raises():
+    # the step updates flat views of the values in place
+    p = Tensor(np.zeros((3, 2)).T, requires_grad=True)
+    p.grad = np.ones((2, 3))
+    with pytest.raises(OptimError) as err:
+        Adam({"p": p}).step()
+    assert "C-contiguous" in str(err.value)
 
 
 def test_step_clears_gradients_and_increments_counter():
@@ -61,10 +70,11 @@ def test_hundred_steps_on_quadratic_approaches_minimum():
 
 def test_step_is_bit_equal_to_textbook_expression():
     # mixed shapes, the largest parameter not first, so scratch views of
-    # every size are used; parameters start at 0 so that a last-bit change
-    # in the update is not absorbed by the subtraction
+    # every size are used; "e" spans two whole blocks and a partial third;
+    # parameters start at 0 so that a last-bit change in the update is not
+    # absorbed by the subtraction
     rng = np.random.default_rng(5)
-    shapes = {"a": (3,), "b": (4, 5), "c": (), "d": (2, 3, 2)}
+    shapes = {"a": (3,), "b": (4, 5), "e": (3, BLOCK // 2 + 5), "c": (), "d": (2, 3, 2)}
     params = {k: Tensor(np.zeros(s), requires_grad=True) for k, s in shapes.items()}
     want = {k: p.values.copy() for k, p in params.items()}
     m = {k: np.zeros(s) for k, s in shapes.items()}

@@ -1,5 +1,7 @@
 import dataclasses
 import os
+import platform
+import resource
 
 import numpy as np
 import pytest
@@ -57,6 +59,21 @@ def test_config_kv_round_trip():
 def test_config_rejects_unknown_key():
     with pytest.raises(ConfigError):
         config_from_kv(TrainConfig, {"learning_rate_typo": "0.1"})
+
+
+def test_hyperparams_validation():
+    TrainConfig()
+    bad = {
+        "temperature": (0.0, "must be > 0, got 0.0"),
+        "confusion_lambda": (1.5, "must be in [0, 1], got 1.5"),
+        "kl_weight": (-0.1, "must be >= 0, got -0.1"),
+        "kl_direction": ("forward", "must be smooth_to_pred or pred_to_smooth, got 'forward'"),
+        "contrast_block": ("sourc", "must be both or source, got 'sourc'"),
+    }
+    for key, (value, message) in bad.items():
+        with pytest.raises(ConfigError) as err:
+            TrainConfig(**{key: value})
+        assert str(err.value) == f"config key {key!r}: {message}"
 
 
 def test_max_epochs_defaults_by_setting():
@@ -373,6 +390,8 @@ def test_checkpoint_truncated_payload_reports_counts(tmp_path, overfit_corpus, o
         ("adam_t=4", "adam_t=x", "adam_t='x' is not an integer"),
         ("epoch=2", "epoch=2.5", "epoch='2.5' is not an integer"),
         ("best_val_f1=0.5", "best_val_f1=high", "best_val_f1='high' is not a number"),
+        ("seed=1", "seed 1", "config entry needs key=value, got 'seed 1'"),
+        ("source\tcity", "source city", "prototype row needs block<TAB>label, got 'source city'"),
     ],
 )
 def test_checkpoint_malformed_manifest_names_line(tmp_path, old, new, message):
@@ -408,3 +427,19 @@ def test_checkpoint_vocab_mismatch_refused(tmp_path, overfit_corpus, overfit_spl
     other_vocab = build_vocab(other_corpus, other_schema)
     with pytest.raises(CheckpointError):
         model_from_checkpoint(load_checkpoint(directory), schema, other_vocab)
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="glibc malloc settings")
+def test_train_run_keeps_freed_heap_resident(overfit_corpus, overfit_split):
+    # after a train_run, memory freed by one round of large arrays is reused
+    # by the next instead of going back to the OS and faulting in again
+    _trained_checkpoint(overfit_corpus, overfit_split)
+    n_arrays, nbytes = 32, 2 << 20
+    pages = n_arrays * nbytes // resource.getpagesize()
+    faults = []
+    for _ in range(3):
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        arrays = [np.ones(nbytes // 8) for _ in range(n_arrays)]
+        del arrays
+        faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+    assert max(faults[1:]) < pages // 100, faults

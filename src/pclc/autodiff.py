@@ -280,18 +280,6 @@ def reshape(a: Tensor, shape) -> Tensor:
     return emit("reshape", [a], a.values.reshape(shape), lambda g: (g.reshape(old),))
 
 
-def slice_cols(a: Tensor, start: int, stop: int) -> Tensor:
-    if a.values.ndim != 2:
-        raise ShapeError(f"slice_cols: expects 2-d operand, got {a.shape}")
-
-    def vjp(g):
-        full = np.zeros_like(a.values)
-        full[:, start:stop] = g
-        return (full,)
-
-    return emit("slice_cols", [a], a.values[:, start:stop].copy(), vjp)
-
-
 def _scatter_rows(shape, idx, g) -> np.ndarray:
     """Zeros of `shape` (rows, cols) with each row `g[i]` added into row
     `idx[i]`, in index order. `np.add.at` runs on the flattened array with
@@ -332,11 +320,6 @@ def _elementwise(kind, a, out, dout):
 def tanh(a: Tensor) -> Tensor:
     out = np.tanh(a.values)
     return _elementwise("tanh", a, out, 1.0 - out * out)
-
-
-def sigmoid(a: Tensor) -> Tensor:
-    out = 1.0 / (1.0 + np.exp(-a.values))
-    return _elementwise("sigmoid", a, out, out * (1.0 - out))
 
 
 def relu(a: Tensor) -> Tensor:

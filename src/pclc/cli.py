@@ -33,6 +33,7 @@ from .trainer import (
     config_to_kv,
     load_checkpoint,
     model_from_checkpoint,
+    parse_kv,
     save_checkpoint,
     train_run,
 )
@@ -161,7 +162,7 @@ def _load_model_for(cfg: RunConfig, checkpoint_path: str):
 
 def cmd_eval(cfg: RunConfig, checkpoint_path: str) -> int:
     corpus, schema, vocab, ckpt, model = _load_model_for(cfg, checkpoint_path)
-    snapshot = config_from_kv(RunConfig, dict(kv.split("=", 1) for kv in ckpt.config_kv))
+    snapshot = config_from_kv(RunConfig, parse_kv(ckpt.config_kv))
     if cfg.target and cfg.target != ckpt.target_domain:
         raise CheckpointError(
             f"checkpoint was trained for target {ckpt.target_domain!r}, not {cfg.target!r}"
@@ -234,7 +235,7 @@ def cmd_predict(cfg: RunConfig, checkpoint_path: str, input_path: str, output_pa
 
 
 def _sweep_one(cfg_kv: list[str], lam: float, out_dir: str) -> tuple[float, float]:
-    cfg = config_from_kv(RunConfig, dict(kv.split("=", 1) for kv in cfg_kv))
+    cfg = config_from_kv(RunConfig, parse_kv(cfg_kv))
     cfg = dataclasses.replace(cfg, confusion_lambda=lam, output_dir=out_dir)
     cmd_train(cfg)
     _, schema, split, vocab, _ = _prepare(cfg)

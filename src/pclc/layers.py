@@ -55,9 +55,12 @@ class LstmCell:
 
 
 def _sigmoid_(z: np.ndarray) -> None:
-    """z <- 1 / (1 + exp(-z)) in place, rounding as `autodiff.sigmoid` does."""
+    """z <- 1 / (1 + exp(-z)) in place. Below about -709 the exp overflows to
+    inf and the result is 0, off by less than 1e-307, so the overflow
+    warning is silenced."""
     np.negative(z, out=z)
-    np.exp(z, out=z)
+    with np.errstate(over="ignore"):
+        np.exp(z, out=z)
     z += 1.0
     np.reciprocal(z, out=z)
 

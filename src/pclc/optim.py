@@ -76,20 +76,6 @@ class Adam:
                 x -= g
             p.grad = None
 
-    def state_arrays(self) -> dict[str, np.ndarray]:
-        """Moment buffers keyed by stable names, for checkpointing."""
-        out = {}
-        for name in self.params:
-            out[f"adam.m.{name}"] = self.m[name]
-            out[f"adam.v.{name}"] = self.v[name]
-        return out
-
-    def load_state_arrays(self, arrays: dict[str, np.ndarray], t: int) -> None:
-        for name in self.params:
-            self.m[name] = np.array(arrays[f"adam.m.{name}"], dtype=np.float64, order="C")
-            self.v[name] = np.array(arrays[f"adam.v.{name}"], dtype=np.float64, order="C")
-        self.t = t
-
 
 def clip_grad_norm(params: dict[str, Tensor], max_norm: float) -> float:
     """Scale all gradients in place so their global L2 norm is <= max_norm."""

@@ -135,6 +135,11 @@ def config_to_kv(cfg) -> list[str]:
     ]
 
 
+def parse_kv(lines: list[str]) -> dict[str, str]:
+    """`key=value` lines, as `config_to_kv` writes them, as a dict."""
+    return dict(kv.split("=", 1) for kv in lines)
+
+
 def config_from_kv(cls, pairs: dict[str, str]):
     fields = {f.name: f for f in dataclasses.fields(cls)}
     kwargs = {}
@@ -319,9 +324,6 @@ def early_stop_check(history: list[float], patience: int) -> bool:
 @dataclass
 class Checkpoint:
     params: dict[str, np.ndarray]
-    adam_m: dict[str, np.ndarray]
-    adam_v: dict[str, np.ndarray]
-    adam_t: int
     epoch: int
     best_val_f1: float
     config_kv: list[str]
@@ -359,16 +361,13 @@ def _ensure_grads(params: dict[str, Tensor]) -> None:
             p.grad = np.zeros_like(p.values)
 
 
-def _snapshot(model: PclcModel, adam: Adam, epoch: int, best_f1: float, config: TrainConfig) -> Checkpoint:
+def _snapshot(model: PclcModel, epoch: int, best_f1: float, config: TrainConfig) -> Checkpoint:
     protos = model.prototypes()
     proto_rows = [("source", s) for s in protos.source_labels] + [
         ("target", s) for s in protos.target_labels
     ]
     return Checkpoint(
         params={k: p.values.copy() for k, p in model.named_parameters().items()},
-        adam_m={k: v.copy() for k, v in adam.m.items()},
-        adam_v={k: v.copy() for k, v in adam.v.items()},
-        adam_t=adam.t,
         epoch=epoch,
         best_val_f1=best_f1,
         config_kv=config_to_kv(config),
@@ -458,33 +457,30 @@ def train_run(
         )
         if val > best_f1:
             best_f1 = val
-            best_ckpt = _snapshot(model, adam, epoch, best_f1, config)
+            best_ckpt = _snapshot(model, epoch, best_f1, config)
         if early_stop_check(history, config.patience):
             break
     if best_ckpt is None:
-        best_ckpt = _snapshot(model, adam, 0, 0.0, config)
+        best_ckpt = _snapshot(model, 0, 0.0, config)
     return TrainResult(best_ckpt, log_lines, history)
 
 
 # ---------------------------------------------------------------------------
-# checkpoint container: text manifest plus raw little-endian float64 payload
+# checkpoint container: text manifest plus raw little-endian float64 payload.
+# It holds what inference reads: parameters, vocabularies, prototype rows and
+# config.
 
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 MANIFEST_NAME = "manifest.txt"
 PAYLOAD_NAME = "params.bin"
 
 
 def save_checkpoint(ckpt: Checkpoint, directory: str) -> None:
     os.makedirs(directory, exist_ok=True)
-    arrays: list[tuple[str, np.ndarray]] = []
-    arrays += [(f"param.{k}", v) for k, v in ckpt.params.items()]
-    arrays += [(f"adam.m.{k}", v) for k, v in ckpt.adam_m.items()]
-    arrays += [(f"adam.v.{k}", v) for k, v in ckpt.adam_v.items()]
     lines = [f"pclc-checkpoint {FORMAT_VERSION}"]
     lines.append("[meta]")
     lines.append(f"epoch={ckpt.epoch}")
     lines.append(f"best_val_f1={ckpt.best_val_f1!r}")
-    lines.append(f"adam_t={ckpt.adam_t}")
     lines.append(f"target_domain={ckpt.target_domain}")
     lines.append("[config]")
     lines.extend(ckpt.config_kv)
@@ -497,11 +493,11 @@ def save_checkpoint(ckpt: Checkpoint, directory: str) -> None:
     lines.append("[tensors]")
     offset = 0
     payload = bytearray()
-    for name, arr in arrays:
+    for name, arr in ckpt.params.items():
         flat = np.ascontiguousarray(arr, dtype="<f8")
         count = flat.size
         shape = ",".join(str(s) for s in arr.shape) or "scalar"
-        lines.append(f"{name}\t{shape}\t{offset}\t{count}")
+        lines.append(f"param.{name}\t{shape}\t{offset}\t{count}")
         payload.extend(flat.tobytes())
         offset += count
     with open(os.path.join(directory, MANIFEST_NAME), "w", encoding="utf-8") as fh:
@@ -563,14 +559,14 @@ def load_checkpoint(directory: str) -> Checkpoint:
         proto_rows.append((block, label))
     payload = np.fromfile(payload_path, dtype="<f8")
     params: dict[str, np.ndarray] = {}
-    adam_m: dict[str, np.ndarray] = {}
-    adam_v: dict[str, np.ndarray] = {}
     expected = 0
     for lineno, line in sections.get("tensors", []):
         fields = line.split("\t")
         if len(fields) != 4:
             raise bad(lineno, f"tensor entry needs 4 tab-separated fields, got {len(fields)}")
         name, shape_s, offset_s, count_s = fields
+        if not name.startswith("param."):
+            raise bad(lineno, f"unknown tensor entry {name!r}")
         try:
             shape = () if shape_s == "scalar" else tuple(int(s) for s in shape_s.split(","))
             offset, count = int(offset_s), int(count_s)
@@ -589,24 +585,13 @@ def load_checkpoint(directory: str) -> Checkpoint:
                 f"{payload_path}: truncated payload, need {offset + count} floats, "
                 f"have {payload.size}"
             )
-        arr = payload[offset : offset + count].reshape(shape).copy()
-        if name.startswith("param."):
-            params[name[len("param.") :]] = arr
-        elif name.startswith("adam.m."):
-            adam_m[name[len("adam.m.") :]] = arr
-        elif name.startswith("adam.v."):
-            adam_v[name[len("adam.v.") :]] = arr
-        else:
-            raise bad(lineno, f"unknown tensor entry {name!r}")
+        params[name[len("param.") :]] = payload[offset : offset + count].reshape(shape).copy()
     if payload.size != expected:
         raise CheckpointError(
             f"{payload_path}: payload holds {payload.size} floats, manifest expects {expected}"
         )
     return Checkpoint(
         params=params,
-        adam_m=adam_m,
-        adam_v=adam_v,
-        adam_t=meta_number("adam_t", int),
         epoch=meta_number("epoch", int),
         best_val_f1=meta_number("best_val_f1", float),
         config_kv=text("config"),
@@ -622,7 +607,7 @@ def model_from_checkpoint(
 ) -> tuple[PclcModel, TrainConfig]:
     """Rebuild the model for a checkpoint; refuses on any vocabulary or
     prototype-row-order mismatch with the current experiment."""
-    pairs = dict(kv.split("=", 1) for kv in ckpt.config_kv)
+    pairs = parse_kv(ckpt.config_kv)
     # snapshots may come from an extended config (CLI run settings); only
     # the training fields matter for rebuilding the model
     names = {f.name for f in dataclasses.fields(TrainConfig)}

@@ -63,7 +63,7 @@ def damaged_manifest(directory, old, new):
     """Save a one-tensor checkpoint, replace manifest line `old` with `new`
     and return the 1-based number of that line."""
     ckpt = Checkpoint(
-        params={"w": np.arange(6.0).reshape(2, 3)}, adam_m={}, adam_v={}, adam_t=4,
+        params={"w": np.arange(6.0).reshape(2, 3)},
         epoch=2, best_val_f1=0.5, config_kv=["seed=1"], target_domain="kitchen",
         word_vocab=[], char_vocab=[], proto_rows=[("source", "city")],
     )

@@ -152,14 +152,23 @@ def test_export_protos_round_trip(tmp_path):
 
 def test_malformed_checkpoint_manifest_is_error_not_traceback(tmp_path, capsys):
     directory = os.path.join(tmp_path, "ckpt")
-    lineno = damaged_manifest(directory, "adam_t=4", "adam_t=x")
+    lineno = damaged_manifest(directory, "epoch=2", "epoch=x")
     rc = main(
         ["export-protos", directory, os.path.join(tmp_path, "protos.tsv"),
          "--data-dir", os.path.join(DATA_DIR, "overfit")]
     )
     assert rc == 1
     err = capsys.readouterr().err
-    assert err.startswith("error: ") and f"manifest.txt:{lineno}: adam_t='x'" in err
+    assert err.startswith("error: ") and f"manifest.txt:{lineno}: epoch='x'" in err
+
+
+def test_older_checkpoint_format_is_error_not_traceback(tmp_path, capsys):
+    directory = os.path.join(tmp_path, "ckpt")
+    damaged_manifest(directory, "pclc-checkpoint 2", "pclc-checkpoint 1")
+    rc = main(["eval", directory, "--data-dir", os.path.join(DATA_DIR, "overfit")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "format version 1 unsupported (expected 2)" in err
 
 
 def test_sweep_lambda_writes_tsv_and_dedupes(tmp_path, capsys):

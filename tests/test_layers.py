@@ -90,6 +90,23 @@ def test_run_lstm_padding_gets_exactly_zero_gradient():
         assert np.all(np.abs(xt.grad[live]).sum(axis=1) > 0.0)
 
 
+def test_run_lstm_saturated_gates_stay_finite_and_silent():
+    # pre-activations far below -709 overflow exp inside the sigmoid; the
+    # gate is then exactly 0, with no RuntimeWarning (an error in this suite)
+    rng = make_rng(24)
+    for kind in KINDS:
+        cell, x, lengths = _ragged_lstm(rng, kind)
+        x = 1e4 * np.sign(x)
+        assert (x @ cell.w.values[: cell.in_dim]).min() < -709
+        xt = Tensor(x, requires_grad=True)
+        with Tape() as tape:
+            out = run_lstm(cell, xt, lengths)
+            ad.backward(ad.tensor_sum(out), tape)
+        assert np.all(np.abs(out.values) <= 1.0)
+        for grad in (xt.grad, cell.w.grad, cell.b.grad):
+            assert np.all(np.isfinite(grad))
+
+
 def test_run_lstm_permuting_sequences_permutes_output_and_gradient():
     # the packed order depends on the length sort; the result must not
     rng = make_rng(23)

@@ -114,16 +114,3 @@ def test_clip_grad_norm_leaves_small_gradients_alone():
     a.grad = np.array([0.1, 0.2])
     clip_grad_norm({"a": a}, 5.0)
     assert np.allclose(a.grad, [0.1, 0.2])
-
-
-def test_state_arrays_round_trip():
-    p = Tensor([1.0, 2.0], requires_grad=True)
-    adam = Adam({"p": p}, lr=0.05)
-    p.grad = np.array([0.3, -0.4])
-    adam.step()
-    state = {k: v.copy() for k, v in adam.state_arrays().items()}
-    fresh = Adam({"p": p}, lr=0.05)
-    fresh.load_state_arrays(state, adam.t)
-    assert np.array_equal(fresh.m["p"], adam.m["p"])
-    assert np.array_equal(fresh.v["p"], adam.v["p"])
-    assert fresh.t == adam.t

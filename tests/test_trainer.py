@@ -345,13 +345,30 @@ def test_checkpoint_save_load_bit_identical(tmp_path, overfit_corpus, overfit_sp
     assert set(again.params) == set(ckpt.params)
     for name in ckpt.params:
         assert np.array_equal(again.params[name], ckpt.params[name])
-        assert np.array_equal(again.adam_m[name], ckpt.adam_m[name])
-        assert np.array_equal(again.adam_v[name], ckpt.adam_v[name])
     assert again.epoch == ckpt.epoch
     assert again.best_val_f1 == ckpt.best_val_f1
     assert again.config_kv == ckpt.config_kv
     assert again.proto_rows == ckpt.proto_rows
     assert again.word_vocab == ckpt.word_vocab
+
+
+def test_checkpoint_payload_holds_only_the_parameters(tmp_path, overfit_corpus, overfit_split):
+    ckpt, schema, vocab = _trained_checkpoint(overfit_corpus, overfit_split)
+    directory = os.path.join(tmp_path, "ckpt")
+    save_checkpoint(ckpt, directory)
+    model, _ = model_from_checkpoint(load_checkpoint(directory), schema, vocab)
+    n_params = sum(p.values.size for p in model.named_parameters().values())
+    assert os.path.getsize(os.path.join(directory, "params.bin")) == 8 * n_params
+
+
+def test_checkpoint_older_format_version_refused(tmp_path):
+    directory = os.path.join(tmp_path, "ckpt")
+    damaged_manifest(directory, "pclc-checkpoint 2", "pclc-checkpoint 1")
+    with pytest.raises(CheckpointError) as err:
+        load_checkpoint(directory)
+    message = str(err.value)
+    assert os.path.join(directory, "manifest.txt") in message
+    assert "format version 1 unsupported (expected 2)" in message
 
 
 def test_checkpoint_restored_model_predicts_identically(tmp_path, overfit_corpus, overfit_split):
@@ -387,7 +404,7 @@ def test_checkpoint_truncated_payload_reports_counts(tmp_path, overfit_corpus, o
         ("param.w\t2,3\t0\t6", "param.w\t2,3\t0\tsix", "must be integers"),
         ("param.w\t2,3\t0\t6", "param.w\t2,3\t-1\t6", "negative offset"),
         ("param.w\t2,3\t0\t6", "param.w\t2,3\t0\t5", "count 5 is not the size of shape"),
-        ("adam_t=4", "adam_t=x", "adam_t='x' is not an integer"),
+        ("param.w\t2,3\t0\t6", "adam.m.w\t2,3\t0\t6", "unknown tensor entry 'adam.m.w'"),
         ("epoch=2", "epoch=2.5", "epoch='2.5' is not an integer"),
         ("best_val_f1=0.5", "best_val_f1=high", "best_val_f1='high' is not a number"),
         ("seed=1", "seed 1", "config entry needs key=value, got 'seed 1'"),

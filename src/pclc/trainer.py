@@ -21,6 +21,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tape, Tensor
 from .classifier import confusion_target, kl_divergence_reverse, smooth_distribution
+from .classifier import source_block_order
 from .data import ExperimentSplit, SlotSchema, Utterance, Vocab
 from .errors import CheckpointError, ConfigError, TrainingDiverged
 from .evaluate import SpanPrediction, span_f1
@@ -361,11 +362,14 @@ def _ensure_grads(params: dict[str, Tensor]) -> None:
             p.grad = np.zeros_like(p.values)
 
 
+def _proto_rows(model: PclcModel) -> list[tuple[str, str]]:
+    """(block, slot label) of each prototype row, in `build_prototypes`' order."""
+    sources = source_block_order(model.schema, model.source_domains)
+    targets = model.schema.slots_of[model.target_domain]
+    return [("source", s) for s in sources] + [("target", s) for s in targets]
+
+
 def _snapshot(model: PclcModel, epoch: int, best_f1: float, config: TrainConfig) -> Checkpoint:
-    protos = model.prototypes()
-    proto_rows = [("source", s) for s in protos.source_labels] + [
-        ("target", s) for s in protos.target_labels
-    ]
     return Checkpoint(
         params={k: p.values.copy() for k, p in model.named_parameters().items()},
         epoch=epoch,
@@ -374,7 +378,7 @@ def _snapshot(model: PclcModel, epoch: int, best_f1: float, config: TrainConfig)
         target_domain=model.target_domain,
         word_vocab=_vocab_list(model.vocab.word_index),
         char_vocab=_vocab_list(model.vocab.char_index),
-        proto_rows=proto_rows,
+        proto_rows=_proto_rows(model),
     )
 
 
@@ -492,21 +496,20 @@ def save_checkpoint(ckpt: Checkpoint, directory: str) -> None:
     lines.extend(f"{block}\t{label}" for block, label in ckpt.proto_rows)
     lines.append("[tensors]")
     offset = 0
-    payload = bytearray()
     for name, arr in ckpt.params.items():
-        flat = np.ascontiguousarray(arr, dtype="<f8")
-        count = flat.size
         shape = ",".join(str(s) for s in arr.shape) or "scalar"
-        lines.append(f"param.{name}\t{shape}\t{offset}\t{count}")
-        payload.extend(flat.tobytes())
-        offset += count
+        lines.append(f"param.{name}\t{shape}\t{offset}\t{arr.size}")
+        offset += arr.size
     with open(os.path.join(directory, MANIFEST_NAME), "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
     with open(os.path.join(directory, PAYLOAD_NAME), "wb") as fh:
-        fh.write(bytes(payload))
+        for arr in ckpt.params.values():
+            # a float64 array already in C order is written as it is, uncopied
+            fh.write(np.ascontiguousarray(arr, dtype="<f8"))
 
 
 def load_checkpoint(directory: str) -> Checkpoint:
+    """Read a checkpoint; each parameter is a view into one read of `params.bin`."""
     manifest_path = os.path.join(directory, MANIFEST_NAME)
     payload_path = os.path.join(directory, PAYLOAD_NAME)
     if not os.path.exists(manifest_path) or not os.path.exists(payload_path):
@@ -579,13 +582,15 @@ def load_checkpoint(directory: str) -> Checkpoint:
             raise bad(lineno, f"tensor {name!r}: negative offset or dimension")
         if count != math.prod(shape):
             raise bad(lineno, f"tensor {name!r}: count {count} is not the size of shape {shape_s}")
-        expected = max(expected, offset + count)
-        if offset + count > payload.size:
+        if offset != expected:  # tensors tile the payload, so no two views overlap
+            raise bad(lineno, f"tensor {name!r}: offset {offset}, previous one ends at {expected}")
+        expected = offset + count
+        if expected > payload.size:
             raise CheckpointError(
-                f"{payload_path}: truncated payload, need {offset + count} floats, "
+                f"{payload_path}: truncated payload, need {expected} floats, "
                 f"have {payload.size}"
             )
-        params[name[len("param.") :]] = payload[offset : offset + count].reshape(shape).copy()
+        params[name[len("param.") :]] = payload[offset:expected].reshape(shape)
     if payload.size != expected:
         raise CheckpointError(
             f"{payload_path}: payload holds {payload.size} floats, manifest expects {expected}"
@@ -602,11 +607,19 @@ def load_checkpoint(directory: str) -> Checkpoint:
     )
 
 
+class _NoInit:
+    """The init rng's stand-in: layers only call `uniform`; loading overwrites it all."""
+
+    def uniform(self, low, high, size):
+        return np.empty(size)
+
+
 def model_from_checkpoint(
     ckpt: Checkpoint, schema: SlotSchema, vocab: Vocab
 ) -> tuple[PclcModel, TrainConfig]:
     """Rebuild the model for a checkpoint; refuses on any vocabulary or
-    prototype-row-order mismatch with the current experiment."""
+    prototype-row-order mismatch with the current experiment. The model takes
+    `ckpt.params`' arrays as its own, uncopied: writing to one writes to both."""
     pairs = parse_kv(ckpt.config_kv)
     # snapshots may come from an extended config (CLI run settings); only
     # the training fields matter for rebuilding the model
@@ -616,19 +629,13 @@ def model_from_checkpoint(
         raise CheckpointError("checkpoint word vocabulary does not match the corpus")
     if _vocab_list(vocab.char_index) != ckpt.char_vocab:
         raise CheckpointError("checkpoint char vocabulary does not match the corpus")
+    if ckpt.target_domain not in schema.slots_of:
+        raise CheckpointError(f"checkpoint target domain {ckpt.target_domain!r} not in the corpus")
+    word_matrix = np.empty((vocab.n_words, config.word_dim))
     model = PclcModel(
-        schema,
-        ckpt.target_domain,
-        vocab,
-        np.zeros((vocab.n_words, config.word_dim)),
-        config.model_dims(),
-        make_rng(0),
+        schema, ckpt.target_domain, vocab, word_matrix, config.model_dims(), _NoInit()
     )
-    protos = model.prototypes()
-    rows = [("source", s) for s in protos.source_labels] + [
-        ("target", s) for s in protos.target_labels
-    ]
-    if rows != ckpt.proto_rows:
+    if _proto_rows(model) != ckpt.proto_rows:
         raise CheckpointError(
             "checkpoint prototype row order does not match this experiment"
         )
@@ -642,5 +649,5 @@ def model_from_checkpoint(
                 f"checkpoint tensor {name!r} has shape {arr.shape}, "
                 f"model expects {tensor.values.shape}"
             )
-        tensor.values = arr.copy()
+        tensor.values = arr
     return model, config

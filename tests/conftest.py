@@ -60,10 +60,11 @@ def overfit_split(overfit_corpus):
 
 
 def damaged_manifest(directory, old, new):
-    """Save a one-tensor checkpoint, replace manifest line `old` with `new`
-    and return the 1-based number of that line."""
+    """Save a two-tensor checkpoint (manifest lines "param.w\t2,3\t0\t6" and
+    "param.v\t2\t6\t2"), replace manifest line `old` with `new` and return
+    the 1-based number of that line."""
     ckpt = Checkpoint(
-        params={"w": np.arange(6.0).reshape(2, 3)},
+        params={"w": np.arange(6.0).reshape(2, 3), "v": np.array([6.0, 7.0])},
         epoch=2, best_val_f1=0.5, config_kv=["seed=1"], target_domain="kitchen",
         word_vocab=[], char_vocab=[], proto_rows=[("source", "city")],
     )

@@ -9,7 +9,7 @@ from pclc import autodiff as ad
 from pclc.autodiff import Tape, Tensor
 from pclc.data import build_vocab, load_corpus, random_embeddings, split_leave_one_out
 from pclc.errors import ShapeError
-from pclc.layers import LstmCell, run_lstm
+from pclc.layers import LstmCell, _sigmoid_, run_lstm
 from pclc.model import PclcModel
 from pclc.rng import make_rng
 from pclc.trainer import TrainConfig, total_loss
@@ -105,6 +105,24 @@ def test_run_lstm_saturated_gates_stay_finite_and_silent():
         assert np.all(np.abs(out.values) <= 1.0)
         for grad in (xt.grad, cell.w.grad, cell.b.grad):
             assert np.all(np.isfinite(grad))
+
+
+def test_gate_sigmoid_on_a_gathered_block_equals_it_on_strided_slices():
+    # run_lstm gathers the i, f and o columns of its gate rows into one
+    # contiguous block before the sigmoid; that keeps every loss and
+    # prediction bit-identical only while both layouts give the same bits
+    rng = make_rng(25)
+    for hid in (2, 25, 200):
+        for n in (1, 7, 64):
+            z = rng.normal(scale=8.0, size=(n, 4 * hid))
+            z[0, :2] = (800.0, -800.0)
+            strided = z.copy()
+            _sigmoid_(strided[:, : 2 * hid])
+            _sigmoid_(strided[:, 3 * hid :])
+            block = np.concatenate([z[:, : 2 * hid], z[:, 3 * hid :]], axis=1)
+            _sigmoid_(block)
+            want = np.concatenate([strided[:, : 2 * hid], strided[:, 3 * hid :]], axis=1)
+            assert np.array_equal(block.view(np.int64), want.view(np.int64))
 
 
 def test_run_lstm_permuting_sequences_permutes_output_and_gradient():

@@ -2,6 +2,7 @@ import dataclasses
 import os
 import platform
 import resource
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,8 +12,10 @@ from pclc import autodiff as ad
 from pclc.autodiff import Tape
 from pclc.data import build_vocab, random_embeddings
 from pclc.errors import CheckpointError, ConfigError, TrainingDiverged
+from pclc.model import PclcModel
 from pclc.rng import make_rng
 from pclc.trainer import (
+    Checkpoint,
     TrainConfig,
     config_from_kv,
     config_to_kv,
@@ -382,6 +385,94 @@ def test_checkpoint_restored_model_predicts_identically(tmp_path, overfit_corpus
     assert p1 == p2
 
 
+def test_loaded_model_parameters_are_views_of_one_payload(
+    tmp_path, overfit_corpus, overfit_split
+):
+    ckpt, schema, vocab = _trained_checkpoint(overfit_corpus, overfit_split)
+    directory = os.path.join(tmp_path, "ckpt")
+    save_checkpoint(ckpt, directory)
+    model, _ = model_from_checkpoint(load_checkpoint(directory), schema, vocab)
+    params = model.named_parameters()
+    payload = next(iter(params.values())).values.base
+    assert payload.size == sum(p.values.size for p in params.values())
+    for name, p in params.items():
+        assert np.shares_memory(p.values, payload)
+        assert np.array_equal(p.values, ckpt.params[name])
+
+
+def test_model_from_checkpoint_draws_no_init(
+    tmp_path, monkeypatch, overfit_corpus, overfit_split
+):
+    ckpt, schema, vocab = _trained_checkpoint(overfit_corpus, overfit_split)
+    directory = os.path.join(tmp_path, "ckpt")
+    save_checkpoint(ckpt, directory)
+
+    def no_rng(seed):
+        raise AssertionError("model_from_checkpoint drew a random init")
+
+    monkeypatch.setattr("pclc.trainer.make_rng", no_rng)
+    model, _ = model_from_checkpoint(load_checkpoint(directory), schema, vocab)
+    assert set(model.named_parameters()) == set(ckpt.params)
+
+
+def test_loaded_model_predicts_as_an_initialised_model_given_its_values(
+    tmp_path, overfit_corpus, overfit_split
+):
+    ckpt, schema, vocab = _trained_checkpoint(overfit_corpus, overfit_split)
+    directory = os.path.join(tmp_path, "ckpt")
+    save_checkpoint(ckpt, directory)
+    loaded, config = model_from_checkpoint(load_checkpoint(directory), schema, vocab)
+    word_matrix = random_embeddings(vocab.n_words, config.word_dim, make_rng(0))
+    reference = PclcModel(
+        schema, ckpt.target_domain, vocab, word_matrix, config.model_dims(), make_rng(0)
+    )
+    for name, p in reference.named_parameters().items():
+        p.values = ckpt.params[name].copy()
+    # the labels-only row order that loading checks is the computed one
+    protos = reference.prototypes()
+    assert ckpt.proto_rows == [("source", s) for s in protos.source_labels] + [
+        ("target", s) for s in protos.target_labels
+    ]
+    assert loaded.predict(overfit_split.test) == reference.predict(overfit_split.test)
+
+
+def test_checkpoint_unknown_target_domain_refused(tmp_path, overfit_corpus, overfit_split):
+    ckpt, schema, vocab = _trained_checkpoint(overfit_corpus, overfit_split)
+    directory = os.path.join(tmp_path, "ckpt")
+    save_checkpoint(dataclasses.replace(ckpt, target_domain="garden"), directory)
+    with pytest.raises(CheckpointError) as err:
+        model_from_checkpoint(load_checkpoint(directory), schema, vocab)
+    assert "target domain 'garden' not in the corpus" in str(err.value)
+
+
+def test_save_checkpoint_streams_the_payload(tmp_path):
+    # 1.2 M floats in C order, plus a transposed and a 0-d array
+    params = {
+        "big": np.arange(1_000_000.0).reshape(1000, 1000),
+        "t": np.arange(6.0).reshape(2, 3).T,
+        "s": np.array(2.5),
+        "row": np.linspace(0.0, 1.0, 200_000),
+    }
+    ckpt = Checkpoint(
+        params=params, epoch=1, best_val_f1=0.5, config_kv=["seed=1"],
+        target_domain="kitchen", word_vocab=[], char_vocab=[], proto_rows=[],
+    )
+    directory = os.path.join(tmp_path, "ckpt")
+    tracemalloc.start()
+    try:
+        save_checkpoint(ckpt, directory)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    with open(os.path.join(directory, "params.bin"), "rb") as fh:
+        written = fh.read()
+    assert written == b"".join(a.astype("<f8").tobytes() for a in params.values())
+    assert peak < 0.1 * len(written)
+    again = load_checkpoint(directory)
+    for name, arr in params.items():
+        assert np.array_equal(again.params[name], arr)
+
+
 def test_checkpoint_truncated_payload_reports_counts(tmp_path, overfit_corpus, overfit_split):
     ckpt, schema, vocab = _trained_checkpoint(overfit_corpus, overfit_split)
     directory = os.path.join(tmp_path, "ckpt")
@@ -409,6 +500,9 @@ def test_checkpoint_truncated_payload_reports_counts(tmp_path, overfit_corpus, o
         ("best_val_f1=0.5", "best_val_f1=high", "best_val_f1='high' is not a number"),
         ("seed=1", "seed 1", "config entry needs key=value, got 'seed 1'"),
         ("source\tcity", "source city", "prototype row needs block<TAB>label, got 'source city'"),
+        # ranges that end at the payload's end but do not tile it
+        ("param.v\t2\t6\t2", "param.v\t4\t4\t4", "offset 4, previous one ends at 6"),
+        ("param.v\t2\t6\t2", "param.v\t1\t7\t1", "offset 7, previous one ends at 6"),
     ],
 )
 def test_checkpoint_malformed_manifest_names_line(tmp_path, old, new, message):

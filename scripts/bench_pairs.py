@@ -9,8 +9,10 @@ each pair, alternating which of the two goes first, with seeds `--seed`,
 end-to-end metric in BENCHMARK.json, the median [lower quartile, upper
 quartile] of each side, the number of pairs the working tree won, and the
 gap between the medians over the parent's interquartile range. `--out`
-also writes every run's result line as JSON. Uses the standard library
-only.
+also writes every run's result line as JSON. A run that times out or ends
+without a JSON result line counts as incorrect, with its stderr tail; the
+remaining pairs still run, and the exit status is 1. Uses the standard
+library only.
 """
 
 from __future__ import annotations
@@ -52,13 +54,28 @@ def run_once(tree: str, workload: str, seed: int, seconds: float) -> dict:
         sys.executable, os.path.join("perfbench", "run.py"), "--workload", workload,
         "--seed", str(seed), "--seconds", str(seconds), "--trace", "0",
     ]
-    proc = subprocess.run(cmd, cwd=tree, capture_output=True, text=True, timeout=10 * seconds + 300)
+    try:
+        proc = subprocess.run(
+            cmd, cwd=tree, capture_output=True, text=True, timeout=10 * seconds + 300
+        )
+    except subprocess.TimeoutExpired as err:
+        return failed(f"timed out after {err.timeout:g} s", err.stderr)
     lines = proc.stdout.strip().splitlines()
     if not lines:
-        return {"correct": False, "metrics": {}, "stderr": proc.stderr[-2000:]}
-    result = json.loads(lines[-1])
-    result["metrics"] = {k: v["value"] for k, v in result["metrics"].items()}
+        return failed("printed no result line", proc.stderr)
+    try:
+        result = json.loads(lines[-1])
+        result["metrics"] = {k: v["value"] for k, v in result["metrics"].items()}
+    except (ValueError, KeyError, TypeError, AttributeError) as err:
+        return failed(f"unreadable result line ({err!r}): {lines[-1][:200]}", proc.stderr)
     return result
+
+
+def failed(reason: str, stderr) -> dict:
+    """A run that gave no result: incorrect, with why and its stderr tail."""
+    if isinstance(stderr, bytes):  # TimeoutExpired keeps undecoded output
+        stderr = stderr.decode("utf-8", "replace")
+    return {"correct": False, "metrics": {}, "error": reason, "stderr": (stderr or "")[-2000:]}
 
 
 def quartiles(values: list[float]) -> tuple[float, float, float]:
@@ -109,7 +126,7 @@ def main(argv=None) -> int:
                 runs[side].append(res)
                 shown = {k: round(v, 4) for k, v in res["metrics"].items()}
                 print(f"pair {i + 1}/{args.pairs} seed {seed} {side}: "
-                      f"correct={res['correct']} {shown}", flush=True)
+                      f"correct={res['correct']} {res.get('error', shown)}", flush=True)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             json.dump({"args": vars(args), "runs": runs}, fh, indent=1)

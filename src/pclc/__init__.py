@@ -5,11 +5,10 @@ from .autodiff import Tape, Tensor, backward
 from .classifier import (
     PrototypeMatrix,
     build_prototypes,
+    confusion_loss,
     confusion_target,
-    encode_entity,
-    kl_confusion_loss,
+    contrastive_loss,
     predict_slot_type,
-    proto_contrastive_loss,
     smooth_distribution,
 )
 from .data import (

@@ -128,33 +128,9 @@ class EntityEncoder:
         return self.proj(ad.concat([final_fwd, final_bwd], axis=1))
 
 
-def encode_entity(span_hidden: Tensor, encoder: EntityEncoder) -> Tensor:
-    """Entity representation r for one span, shape (1, dim)."""
-    n = span_hidden.shape[0]
-    if n == 0:
-        raise ShapeError("encode_entity: empty span")
-    reversed_rows = ad.take_rows(span_hidden, np.arange(n - 1, -1, -1))
-    return encoder.encode_steps(span_hidden, reversed_rows, [n])
-
-
 # ---------------------------------------------------------------------------
-# losses
-
-
-def proto_contrastive_loss(
-    r: Tensor, y: int, protos: PrototypeMatrix, temperature: float = 1.0
-) -> Tensor:
-    """Temperature-scaled softmax loss over dot products with every prototype."""
-    if temperature <= 0:
-        raise ShapeError(f"temperature must be > 0, got {temperature}")
-    row = r if r.values.ndim == 2 else ad.reshape(r, (1, r.shape[0]))
-    scores = ad.mul(ad.matmul(row, ad.transpose(protos.matrix)), Tensor(1.0 / temperature))
-    if not 0 <= y < protos.n_rows:
-        raise ShapeError(f"gold row {y} out of range for {protos.n_rows} prototypes")
-    log_probs = ad.log_softmax(scores, axis=1)
-    pick = np.zeros((1, protos.n_rows))
-    pick[0, y] = 1.0
-    return ad.reshape(ad.mul(ad.tensor_sum(ad.mul(log_probs, Tensor(pick))), Tensor(-1.0)), ())
+# losses; `scores` is the (N, n_rows) matrix of N entity representations
+# dotted with every prototype row
 
 
 def confusion_target(z_y: Tensor, target_block: Tensor) -> Tensor:
@@ -202,7 +178,7 @@ def kl_divergence_from_log(pred_log: Tensor, target: Tensor) -> Tensor:
         raise ShapeError(f"kl: shapes {pred_log.shape} vs {target.shape} disagree")
     entropy_part = ad.tensor_sum(ad.xlogx(target))
     cross_part = ad.tensor_sum(ad.mul(target, pred_log))
-    return ad.reshape(ad.sub(entropy_part, cross_part), ())
+    return ad.sub(entropy_part, cross_part)
 
 
 def kl_divergence_reverse(pred_log: Tensor, target: Tensor) -> Tensor:
@@ -215,21 +191,82 @@ def kl_divergence_reverse(pred_log: Tensor, target: Tensor) -> Tensor:
     safe_target = ad.add(ad.mul(target, Tensor(support)), Tensor(1.0 - support))
     pred = ad.exp(pred_log)
     log_ratio = ad.sub(pred_log, ad.log(safe_target))
-    return ad.reshape(ad.tensor_sum(ad.mul(ad.mul(pred, log_ratio), Tensor(support))), ())
+    return ad.tensor_sum(ad.mul(ad.mul(pred, log_ratio), Tensor(support)))
 
 
-def kl_confusion_loss(r: Tensor, protos: PrototypeMatrix, d_smooth: Tensor) -> Tensor:
-    """KL between the smoothed label distribution and the model's
-    log-softmax over prototype dot products."""
-    if d_smooth.size != protos.n_rows:
-        raise ShapeError(
-            f"kl_confusion_loss: distribution length {d_smooth.size} != {protos.n_rows} rows"
-        )
-    row = r if r.values.ndim == 2 else ad.reshape(r, (1, r.shape[0]))
-    scores = ad.matmul(row, ad.transpose(protos.matrix))
-    pred_log = ad.reshape(ad.log_softmax(scores, axis=1), (protos.n_rows,))
-    target = d_smooth if d_smooth.values.ndim == 1 else ad.reshape(d_smooth, (d_smooth.size,))
-    return kl_divergence_from_log(pred_log, target)
+def contrastive_loss(
+    scores: Tensor,
+    rows: list[int],
+    from_target: list[bool],
+    protos: PrototypeMatrix,
+    tau: float,
+    contrast_block: str,
+) -> Tensor:
+    """Mean over entities of -log softmax(score/tau)[gold row].
+
+    With `contrast_block == "source"`, source-domain entities contrast only
+    against the source block; target-domain (few-shot) entities always use
+    every row so their gold stays in the candidate set.
+    """
+    n, n_rows = scores.shape
+    groups: list[tuple[list[int], list[int]]] = []  # (entity idx, candidate cols)
+    if contrast_block == "source":
+        src_cols = list(range(protos.block_boundary))
+        all_cols = list(range(n_rows))
+        src_entities = [i for i in range(n) if not from_target[i]]
+        tgt_entities = [i for i in range(n) if from_target[i]]
+        if src_entities:
+            groups.append((src_entities, src_cols))
+        if tgt_entities:
+            groups.append((tgt_entities, all_cols))
+    else:
+        groups.append((list(range(n)), list(range(n_rows))))
+
+    acc = None
+    for entities, cols in groups:
+        sub = ad.take_rows(ad.transpose(ad.take_rows(ad.transpose(scores), cols)), entities)
+        lp = ad.log_softmax(ad.mul(sub, Tensor(1.0 / tau)), axis=1)
+        pick = np.zeros((len(entities), len(cols)))
+        col_of = {c: j for j, c in enumerate(cols)}
+        for out_i, i in enumerate(entities):
+            pick[out_i, col_of[rows[i]]] = 1.0
+        part = ad.mul(ad.tensor_sum(ad.mul(lp, Tensor(pick))), Tensor(-1.0))
+        acc = part if acc is None else ad.add(acc, part)
+    return ad.mul(acc, Tensor(1.0 / n))
+
+
+def confusion_loss(
+    scores: Tensor,
+    rows: list[int],
+    source_entities: list[int],
+    protos: PrototypeMatrix,
+    lam: float,
+    kl_direction: str,
+) -> Tensor:
+    """Mean KL between smoothed label targets and prototype predictions,
+    over source-domain entities (confusion maps a source gold label onto
+    the target block, so target-domain entities carry no such term).
+
+    `kl_direction` is "smooth_to_pred" (KL(smoothed || predicted)) or
+    "pred_to_smooth" (`kl_divergence_reverse`)."""
+    target_block = protos.target_block()
+    n_source = protos.block_boundary
+    distinct = sorted({rows[i] for i in source_entities})
+    smooth_rows = []
+    for y in distinct:
+        z_y = ad.reshape(ad.take_rows(protos.matrix, [y]), (protos.matrix.shape[1],))
+        d_tgt = confusion_target(z_y, target_block)
+        d_smooth = smooth_distribution(y, d_tgt, lam, n_source)
+        smooth_rows.append(ad.reshape(d_smooth, (1, protos.n_rows)))
+    smooth_matrix = ad.concat(smooth_rows, axis=0)
+    index_of = {y: i for i, y in enumerate(distinct)}
+    targets = ad.take_rows(smooth_matrix, [index_of[rows[i]] for i in source_entities])
+    pred_log = ad.log_softmax(ad.take_rows(scores, source_entities), axis=1)
+    if kl_direction == "smooth_to_pred":
+        kl_sum = kl_divergence_from_log(pred_log, targets)
+    else:
+        kl_sum = kl_divergence_reverse(pred_log, targets)
+    return ad.mul(kl_sum, Tensor(1.0 / len(source_entities)))
 
 
 def predict_slot_type(r: Tensor, protos: PrototypeMatrix, domain: str) -> str:

@@ -23,6 +23,7 @@ from .data import (
     load_corpus,
     load_embeddings,
     split_leave_one_out,
+    text_lines,
     write_split_manifest,
 )
 from .errors import CheckpointError, ConfigError, PclcError
@@ -37,7 +38,7 @@ from .trainer import (
     save_checkpoint,
     train_run,
 )
-from .trainer import _gold_prediction_sets
+from .trainer import _RULES, _gold_prediction_sets
 
 OUTPUT_ROOT_ENV = "PCLC_OUTPUT_ROOT"
 
@@ -51,6 +52,8 @@ class RunConfig(TrainConfig):
     require_pretrained: bool = False
     validation_size: int = 500
 
+    _rules = _RULES + ((("validation_size",), lambda v: v >= 0, "must be >= 0"),)
+
 
 _ALIASES = {"lambda": "confusion_lambda", "tau": "temperature", "alpha": "kl_weight"}
 
@@ -59,15 +62,14 @@ def _read_config_file(path: str) -> dict[str, str]:
     if not os.path.exists(path):
         raise ConfigError(f"config file not found: {path}")
     pairs: dict[str, str] = {}
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise ConfigError(f"{path}:{lineno}: expected key=value, got {line!r}")
-            key, value = line.split("=", 1)
-            pairs[key.strip()] = value.strip()
+    for lineno, line in enumerate(text_lines(path, ConfigError), start=1):
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        if "=" not in line:
+            raise ConfigError(f"{path}:{lineno}: expected key=value, got {line!r}")
+        key, value = line.split("=", 1)
+        pairs[key.strip()] = value.strip()
     return pairs
 
 
@@ -198,15 +200,14 @@ def _read_prediction_input(path: str) -> list[list[str]]:
         raise DataFormatError(f"input file not found: {path}")
     sentences: list[list[str]] = []
     current: list[str] = []
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            line = line.rstrip("\n")
-            if not line.strip():
-                if current:
-                    sentences.append(current)
-                    current = []
-                continue
-            current.append(line.split("\t")[0])
+    for line in text_lines(path):
+        line = line.rstrip("\n")
+        if not line.strip():
+            if current:
+                sentences.append(current)
+                current = []
+            continue
+        current.append(line.split("\t")[0])
     if current:
         sentences.append(current)
     return sentences

@@ -12,7 +12,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import DataFormatError
+from .errors import DataFormatError, PclcError
 from .rng import make_rng
 
 PAD_TOKEN = "<pad>"
@@ -70,6 +70,24 @@ def slot_description_tokens(slot_label: str) -> list[str]:
     return tokens
 
 
+def text_lines(path: str, error_type: type[PclcError] = DataFormatError):
+    """The lines of a UTF-8 text file, as iterating the open file yields them.
+    A byte that is not UTF-8 raises `error_type`, naming its offset."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            yield from fh
+        return
+    except UnicodeDecodeError:
+        pass  # its offset counts from a buffered chunk; find the file offset
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    try:
+        raw.decode("utf-8")
+    except UnicodeDecodeError as err:
+        at = err.start
+        raise error_type(f"{path}: byte 0x{raw[at]:02x} at offset {at} is not UTF-8") from None
+
+
 # ---------------------------------------------------------------------------
 # CoNLL parsing
 
@@ -106,27 +124,26 @@ def parse_conll(path: str, domain: str | None = None) -> list[Utterance]:
         utterances.append(Utterance(tokens, bio, types, domain, uid))
         current.clear()
 
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if lineno == 1 and line.startswith("# domain:"):
-                domain = line[len("# domain:") :].strip()
-                continue
-            if not line.strip():
-                flush()
-                continue
-            parts = line.split("\t")
-            if len(parts) != 2 or not parts[0]:
-                raise DataFormatError(f"{path}:{lineno}: expected 'token<TAB>tag', got {line!r}")
-            token, tag = parts
-            if tag == "O":
-                current.append((token, "O", None))
-            elif tag.startswith("B-") and len(tag) > 2:
-                current.append((token, "B", tag[2:]))
-            elif tag.startswith("I-") and len(tag) > 2:
-                current.append((token, "I", tag[2:]))
-            else:
-                raise DataFormatError(f"{path}:{lineno}: unknown tag prefix in {tag!r}")
+    for lineno, line in enumerate(text_lines(path), start=1):
+        line = line.rstrip("\n")
+        if lineno == 1 and line.startswith("# domain:"):
+            domain = line[len("# domain:") :].strip()
+            continue
+        if not line.strip():
+            flush()
+            continue
+        parts = line.split("\t")
+        if len(parts) != 2 or not parts[0]:
+            raise DataFormatError(f"{path}:{lineno}: expected 'token<TAB>tag', got {line!r}")
+        token, tag = parts
+        if tag == "O":
+            current.append((token, "O", None))
+        elif tag.startswith("B-") and len(tag) > 2:
+            current.append((token, "B", tag[2:]))
+        elif tag.startswith("I-") and len(tag) > 2:
+            current.append((token, "I", tag[2:]))
+        else:
+            raise DataFormatError(f"{path}:{lineno}: unknown tag prefix in {tag!r}")
     flush()
     return utterances
 
@@ -237,19 +254,16 @@ def load_embeddings(
         if require_pretrained:
             raise DataFormatError(f"pretrained embeddings required but not found: {path}")
         return EmbeddingTable(matrix, dim)
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            parts = line.rstrip("\n").split(" ")
-            if len(parts) < 2:
-                continue
-            word, values = parts[0], parts[1:]
-            if len(values) != dim:
-                raise DataFormatError(
-                    f"{path}:{lineno}: expected {dim} values, got {len(values)}"
-                )
-            idx = vocab.word_index.get(word)
-            if idx is not None and idx != PAD_INDEX:
-                matrix[idx] = [float(v) for v in values]
+    for lineno, line in enumerate(text_lines(path), start=1):
+        parts = line.rstrip("\n").split(" ")
+        if len(parts) < 2:
+            continue
+        word, values = parts[0], parts[1:]
+        if len(values) != dim:
+            raise DataFormatError(f"{path}:{lineno}: expected {dim} values, got {len(values)}")
+        idx = vocab.word_index.get(word)
+        if idx is not None and idx != PAD_INDEX:
+            matrix[idx] = [float(v) for v in values]
     matrix[PAD_INDEX] = 0.0
     return EmbeddingTable(matrix, dim)
 

@@ -137,16 +137,14 @@ class PclcModel:
             enc = self.encode(chunk, training=False)
             all_scores, _ = self.emissions(enc)
             chunk_spans: list[tuple[int, int, int]] = []
-            span_home: list[tuple[int, int, int]] = []
             predictions: list[list[SpanPrediction]] = [[] for _ in chunk]
             paths = viterbi_decode_batch(all_scores, enc.lengths, self.crf)
             for b, tags in enumerate(paths):
                 for span in extract_spans(tags):
                     chunk_spans.append((b, span.start, span.end))
-                    span_home.append((b, span.start, span.end))
             if chunk_spans:
                 reps = self.entity_representations(enc, chunk_spans)
-                for i, (b, start, end) in enumerate(span_home):
+                for i, (b, start, end) in enumerate(chunk_spans):
                     r = ad.take_rows(reps, [i])
                     label = predict_slot_type(r, protos, chunk[b].domain)
                     predictions[b].append(SpanPrediction(start, end, label))

@@ -32,10 +32,6 @@ class EncoderConfig:
     layers: int = 2
     dropout: float = 0.3
 
-    @property
-    def output_dim(self) -> int:
-        return 2 * self.hidden
-
 
 @dataclass
 class TaggedSpan:

@@ -20,9 +20,8 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tape, Tensor
-from .classifier import confusion_target, kl_divergence_reverse, smooth_distribution
-from .classifier import source_block_order
-from .data import ExperimentSplit, SlotSchema, Utterance, Vocab
+from .classifier import confusion_loss, contrastive_loss, source_block_order
+from .data import ExperimentSplit, SlotSchema, Utterance, Vocab, text_lines
 from .errors import CheckpointError, ConfigError, TrainingDiverged
 from .evaluate import SpanPrediction, span_f1
 from .model import ModelDims, PclcModel
@@ -31,10 +30,29 @@ from .rng import make_rng
 from .tagger import TAG_NAMES, crf_nll_batch, gold_spans
 
 
-_CHOICES = {
-    "kl_direction": ("smooth_to_pred", "pred_to_smooth"),
-    "contrast_block": ("both", "source"),
-}
+# (config keys, valid(value), the rule as the error states it)
+_RULES = (
+    (
+        ("batch_size", "word_dim", "char_dim", "char_hidden", "hidden", "layers",
+         "entity_hidden", "proto_dim"),
+        lambda v: v >= 1, "must be >= 1",
+    ),
+    (
+        ("seed", "patience", "few_shot", "kl_weight", "crf_weight"),
+        lambda v: v >= 0, "must be >= 0",
+    ),
+    (("max_epochs",), lambda v: v is None or v >= 0, "must be none or >= 0"),
+    (("lr",), lambda v: math.isfinite(v) and v > 0.0, "must be finite and > 0"),
+    (("temperature", "grad_clip"), lambda v: v > 0.0, "must be > 0"),
+    (("dropout",), lambda v: 0.0 <= v < 1.0, "must be in [0, 1)"),
+    (("confusion_lambda",), lambda v: 0.0 <= v <= 1.0, "must be in [0, 1]"),
+    (
+        ("kl_direction",),
+        lambda v: v in ("smooth_to_pred", "pred_to_smooth"),
+        "must be smooth_to_pred or pred_to_smooth",
+    ),
+    (("contrast_block",), lambda v: v in ("both", "source"), "must be both or source"),
+)
 
 
 @dataclass
@@ -63,25 +81,14 @@ class TrainConfig:
     entity_hidden: int = 200
     proto_dim: int = 200
 
+    _rules = _RULES  # a subclass with more fields extends these
+
     def __post_init__(self):
-        if self.batch_size < 1:
-            raise ConfigError(f"config key 'batch_size': must be >= 1, got {self.batch_size}")
-        if not 0.0 <= self.dropout < 1.0:
-            raise ConfigError(f"config key 'dropout': must be in [0, 1), got {self.dropout}")
-        if not self.temperature > 0.0:
-            raise ConfigError(f"config key 'temperature': must be > 0, got {self.temperature}")
-        if not 0.0 <= self.confusion_lambda <= 1.0:
-            raise ConfigError(
-                f"config key 'confusion_lambda': must be in [0, 1], got {self.confusion_lambda}"
-            )
-        if not self.kl_weight >= 0.0:
-            raise ConfigError(f"config key 'kl_weight': must be >= 0, got {self.kl_weight}")
-        for key, allowed in _CHOICES.items():
-            value = getattr(self, key)
-            if value not in allowed:
-                raise ConfigError(
-                    f"config key {key!r}: must be {' or '.join(allowed)}, got {value!r}"
-                )
+        for keys, valid, rule in self._rules:
+            for key in keys:
+                value = getattr(self, key)
+                if not valid(value):
+                    raise ConfigError(f"config key {key!r}: {rule}, got {value!r}")
 
     def resolved_max_epochs(self) -> int:
         if self.max_epochs is not None:
@@ -200,13 +207,16 @@ def loss_components(
     l_pc = zero
     if classification_needed:
         tau = config.temperature if config.enable_pcl else 1.0
-        l_pc = _contrastive_term(scores, rows, from_target, protos, tau, config.contrast_block)
+        l_pc = contrastive_loss(scores, rows, from_target, protos, tau, config.contrast_block)
 
     l_kl = zero
     if config.enable_lc:
         source_entities = [i for i, is_tgt in enumerate(from_target) if not is_tgt]
         if source_entities:
-            l_kl = _confusion_term(scores, rows, source_entities, protos, config)
+            l_kl = confusion_loss(
+                scores, rows, source_entities, protos,
+                config.confusion_lambda, config.kl_direction,
+            )
 
     total = l_crf
     if classification_needed:
@@ -230,82 +240,6 @@ def _check_finite(parts: dict[str, float]) -> None:
     for name, value in parts.items():
         if not np.isfinite(value):
             raise TrainingDiverged(f"non-finite loss term {name!r}: {value}")
-
-
-def _contrastive_term(
-    scores: Tensor,
-    rows: list[int],
-    from_target: list[bool],
-    protos,
-    tau: float,
-    contrast_block: str,
-) -> Tensor:
-    """Mean over entities of -log softmax(score/tau)[gold row].
-
-    With `contrast_block == "source"`, source-domain entities contrast only
-    against the source block; target-domain (few-shot) entities always use
-    every row so their gold stays in the candidate set.
-    """
-    n, n_rows = scores.shape
-    restrict = contrast_block == "source"
-    groups: list[tuple[list[int], list[int]]] = []  # (entity idx, candidate cols)
-    if restrict:
-        src_cols = list(range(protos.block_boundary))
-        all_cols = list(range(n_rows))
-        src_entities = [i for i in range(n) if not from_target[i]]
-        tgt_entities = [i for i in range(n) if from_target[i]]
-        if src_entities:
-            groups.append((src_entities, src_cols))
-        if tgt_entities:
-            groups.append((tgt_entities, all_cols))
-    else:
-        groups.append((list(range(n)), list(range(n_rows))))
-
-    acc = None
-    for entities, cols in groups:
-        sub = ad.take_rows(ad.transpose(ad.take_rows(ad.transpose(scores), cols)), entities)
-        lp = ad.log_softmax(ad.mul(sub, Tensor(1.0 / tau)), axis=1)
-        pick = np.zeros((len(entities), len(cols)))
-        col_of = {c: j for j, c in enumerate(cols)}
-        for out_i, i in enumerate(entities):
-            pick[out_i, col_of[rows[i]]] = 1.0
-        part = ad.mul(ad.tensor_sum(ad.mul(lp, Tensor(pick))), Tensor(-1.0))
-        acc = part if acc is None else ad.add(acc, part)
-    return ad.reshape(ad.mul(acc, Tensor(1.0 / n)), ())
-
-
-def _confusion_term(
-    scores: Tensor,
-    rows: list[int],
-    source_entities: list[int],
-    protos,
-    config: TrainConfig,
-) -> Tensor:
-    """Mean KL between smoothed label targets and prototype predictions,
-    over source-domain entities (confusion maps a source gold label onto
-    the target block, so target-domain entities carry no such term)."""
-    target_block = protos.target_block()
-    n_source = protos.block_boundary
-    distinct = sorted({rows[i] for i in source_entities})
-    smooth_rows = []
-    for y in distinct:
-        z_y = ad.reshape(ad.take_rows(protos.matrix, [y]), (protos.matrix.shape[1],))
-        d_tgt = confusion_target(z_y, target_block)
-        d_smooth = smooth_distribution(y, d_tgt, config.confusion_lambda, n_source)
-        smooth_rows.append(ad.reshape(d_smooth, (1, protos.n_rows)))
-    smooth_matrix = ad.concat(smooth_rows, axis=0)
-    index_of = {y: i for i, y in enumerate(distinct)}
-    targets = ad.take_rows(smooth_matrix, [index_of[rows[i]] for i in source_entities])
-    pred_scores = ad.take_rows(scores, source_entities)
-    pred_log = ad.log_softmax(pred_scores, axis=1)
-    if config.kl_direction == "smooth_to_pred":
-        kl_sum = ad.sub(
-            ad.tensor_sum(ad.xlogx(targets)),
-            ad.tensor_sum(ad.mul(targets, pred_log)),
-        )
-    else:  # "pred_to_smooth"
-        kl_sum = kl_divergence_reverse(pred_log, targets)
-    return ad.reshape(ad.mul(kl_sum, Tensor(1.0 / len(source_entities))), ())
 
 
 # ---------------------------------------------------------------------------
@@ -514,8 +448,7 @@ def load_checkpoint(directory: str) -> Checkpoint:
     payload_path = os.path.join(directory, PAYLOAD_NAME)
     if not os.path.exists(manifest_path) or not os.path.exists(payload_path):
         raise CheckpointError(f"checkpoint not found at {directory}")
-    with open(manifest_path, encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
+    lines = "".join(text_lines(manifest_path, CheckpointError)).splitlines()
     if not lines or not lines[0].startswith("pclc-checkpoint "):
         raise CheckpointError(f"{manifest_path}: not a checkpoint manifest")
     version = lines[0].split()[-1]
@@ -580,6 +513,8 @@ def load_checkpoint(directory: str) -> Checkpoint:
             ) from None
         if offset < 0 or any(n < 0 for n in shape):
             raise bad(lineno, f"tensor {name!r}: negative offset or dimension")
+        if len(shape) > 2:
+            raise bad(lineno, f"tensor {name!r}: {len(shape)} dimensions, at most 2 allowed")
         if count != math.prod(shape):
             raise bad(lineno, f"tensor {name!r}: count {count} is not the size of shape {shape_s}")
         if offset != expected:  # tensors tile the payload, so no two views overlap

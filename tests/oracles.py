@@ -52,6 +52,39 @@ def mp_kl_confusion(r, protos, target_dist) -> float:
     return float(total)
 
 
+def mp_reverse_kl_confusion(r, protos, target_dist) -> float:
+    """KL(softmax(protos @ r) || target), summed over the target's support."""
+    scores = [
+        mp.fsum(mp.mpf(float(a)) * mp.mpf(float(b)) for a, b in zip(r, row))
+        for row in protos
+    ]
+    lse = mp.log(mp.fsum(mp.e**s for s in scores))
+    total = mp.mpf(0)
+    for d, s in zip(target_dist, scores):
+        d = mp.mpf(float(d))
+        if d > 0:
+            total += mp.e ** (s - lse) * (s - lse - mp.log(d))
+    return float(total)
+
+
+def mp_smooth_target(protos, gold: int, n_source: int, lam: float) -> list[float]:
+    """Label-confusion target of source row `gold`: `lam` on its one-hot over
+    the source block, then (1 - lam) times the zero-clamped cosine
+    similarities of the target rows to row `gold`, L1-normalised (uniform
+    when none is positive)."""
+    rows = [[mp.mpf(float(v)) for v in row] for row in protos]
+
+    def dot(a, b):
+        return mp.fsum(x * y for x, y in zip(a, b))
+
+    z = rows[gold]
+    sims = [max(dot(t, z) / mp.sqrt(dot(t, t) * dot(z, z)), mp.mpf(0)) for t in rows[n_source:]]
+    total = mp.fsum(sims)
+    d_tgt = [s / total for s in sims] if total > 0 else [mp.mpf(1) / len(sims)] * len(sims)
+    source = [mp.mpf(lam) if i == gold else mp.mpf(0) for i in range(n_source)]
+    return [float(v) for v in source + [(1 - mp.mpf(lam)) * d for d in d_tgt]]
+
+
 # ---------------------------------------------------------------------------
 # CRF enumeration
 

@@ -16,10 +16,10 @@ from conftest import DATA_DIR
 from pclc import autodiff as ad
 from pclc.autodiff import Tape, Tensor
 from pclc.classifier import (
+    confusion_loss,
     confusion_target,
-    kl_confusion_loss,
+    contrastive_loss,
     kl_divergence_from_log,
-    proto_contrastive_loss,
     smooth_distribution,
 )
 from pclc.cli import main
@@ -171,7 +171,8 @@ def test_criterion_3_distribution_invariants():
         assert (values >= -1e-15).all()
         assert abs(values.sum() - 1.0) < 1e-12
         r = rng.uniform(-1.0, 1.0, dim)
-        kl = kl_confusion_loss(Tensor(r), protos, d_smooth).item()
+        scores = ad.matmul(Tensor(r[None]), ad.transpose(protos.matrix))
+        kl = confusion_loss(scores, [y], [0], protos, lam, "smooth_to_pred").item()
         assert kl >= -1e-12
         # constructed matching pair
         match = kl_divergence_from_log(
@@ -192,16 +193,16 @@ def test_criterion_4_loss_formula_oracles():
         r = rng.uniform(-1.5, 1.5, dim)
         y = int(rng.integers(C))
         tau = float(rng.uniform(0.2, 2.0))
-        got_pc = proto_contrastive_loss(Tensor(r), y, protos, tau).item()
+        # the training losses on a batch of one entity
+        scores = ad.matmul(Tensor(r[None]), ad.transpose(protos.matrix))
+        got_pc = contrastive_loss(scores, [y], [y >= n_src], protos, tau, "both").item()
         want_pc = oracles.mp_proto_contrastive(r, matrix, y, tau)
         assert abs(got_pc - want_pc) < 1e-10
 
-        raw = rng.uniform(0.0, 1.0, C)
-        raw[int(rng.integers(C))] = 0.0
-        if raw.sum() == 0.0:
-            raw[0] = 1.0
-        target = raw / raw.sum()
-        got_kl = kl_confusion_loss(Tensor(r), protos, Tensor(target)).item()
+        y_src = int(rng.integers(n_src))
+        lam = float(rng.uniform(0.0, 1.0))
+        got_kl = confusion_loss(scores, [y_src], [0], protos, lam, "smooth_to_pred").item()
+        target = oracles.mp_smooth_target(matrix, y_src, n_src, lam)
         want_kl = oracles.mp_kl_confusion(r, matrix, target)
         assert abs(got_kl - want_kl) < 1e-10
     _report("criterion 4 (contrastive and KL losses vs 50-digit oracle, 100 instances)")

@@ -12,18 +12,18 @@ from pclc.classifier import (
     EntityEncoder,
     PrototypeMatrix,
     build_prototypes,
+    confusion_loss,
     confusion_target,
-    encode_entity,
-    kl_confusion_loss,
+    contrastive_loss,
     kl_divergence_from_log,
     predict_slot_type,
-    proto_contrastive_loss,
     smooth_distribution,
 )
 from pclc.data import SlotSchema, build_vocab, random_embeddings
-from pclc.errors import ShapeError
+from pclc.errors import ConfigError, ShapeError
 from pclc.layers import Mlp
 from pclc.rng import make_rng
+from pclc.trainer import TrainConfig
 
 
 def _protos_from_matrix(matrix, n_source, n_target, target_domain="tgt"):
@@ -34,6 +34,17 @@ def _protos_from_matrix(matrix, n_source, n_target, target_domain="tgt"):
         target_domain=target_domain,
         slots_of={"src": [f"s{i}" for i in range(n_source)], target_domain: [f"t{i}" for i in range(n_target)]},
     )
+
+
+def _scores(reps, protos):
+    """(N, n_rows) dot products of entity rows `reps` with every prototype."""
+    return ad.matmul(Tensor(np.atleast_2d(reps)), ad.transpose(protos.matrix))
+
+
+def _pc(reps, protos, rows, tau=1.0, from_target=None, contrast_block="both"):
+    if from_target is None:
+        from_target = [row >= protos.block_boundary for row in rows]
+    return contrastive_loss(_scores(reps, protos), rows, from_target, protos, tau, contrast_block)
 
 
 # ---------------------------------------------------------------------------
@@ -117,23 +128,43 @@ def test_candidate_rows_target_vs_source_domain():
 # entity encoding
 
 
-def test_encode_entity_single_token_span():
+def _padded_spans(spans):
+    """`encode_steps` inputs for (length, in_dim) span arrays: end-padded
+    step-major rows, and the same with each span reversed in place."""
+    lengths = [len(span) for span in spans]
+    steps = range(max(lengths))
+    fwd = [span[min(t, len(span) - 1)] for t in steps for span in spans]
+    bwd = [span[max(len(span) - 1 - t, 0)] for t in steps for span in spans]
+    return Tensor(np.array(fwd)), Tensor(np.array(bwd)), lengths
+
+
+def test_encode_steps_single_token_span():
     encoder = EntityEncoder(in_dim=6, hidden=4, out_dim=5, rng=make_rng(0))
-    span = Tensor(make_rng(1).uniform(-1, 1, (1, 6)))
-    r = encode_entity(span, encoder)
+    r = encoder.encode_steps(*_padded_spans([make_rng(1).uniform(-1, 1, (1, 6))]))
     assert r.shape == (1, 5)
 
 
-def test_encode_entity_deterministic():
+def test_encode_steps_deterministic():
     encoder = EntityEncoder(in_dim=6, hidden=4, out_dim=5, rng=make_rng(0))
-    span = Tensor(make_rng(1).uniform(-1, 1, (3, 6)))
-    assert np.array_equal(encode_entity(span, encoder).values, encode_entity(span, encoder).values)
+    inputs = _padded_spans([make_rng(1).uniform(-1, 1, (3, 6))])
+    assert np.array_equal(encoder.encode_steps(*inputs).values, encoder.encode_steps(*inputs).values)
 
 
-def test_encode_entity_empty_span_errors():
+def test_encode_steps_empty_span_errors():
     encoder = EntityEncoder(in_dim=6, hidden=4, out_dim=5, rng=make_rng(0))
+    empty = Tensor(np.zeros((0, 6)))
     with pytest.raises(ShapeError):
-        encode_entity(Tensor(np.zeros((0, 6))), encoder)
+        encoder.encode_steps(empty, empty, [0])
+
+
+def test_encode_steps_batch_rows_match_spans_alone():
+    encoder = EntityEncoder(in_dim=6, hidden=4, out_dim=5, rng=make_rng(0))
+    rng = make_rng(9)
+    spans = [rng.uniform(-1, 1, (n, 6)) for n in (3, 1, 5, 2, 5, 1)]
+    batch = encoder.encode_steps(*_padded_spans(spans)).values
+    for row, span in zip(batch, spans):
+        alone = encoder.encode_steps(*_padded_spans([span])).values[0]
+        assert np.abs(row - alone).max() <= 1e-12 * np.abs(alone).max()
 
 
 # ---------------------------------------------------------------------------
@@ -142,14 +173,12 @@ def test_encode_entity_empty_span_errors():
 
 def test_contrastive_equal_scores_gives_ln2():
     protos = _protos_from_matrix(np.zeros((2, 3)), 1, 1)
-    r = Tensor(np.ones(3))
-    assert proto_contrastive_loss(r, 0, protos, 1.0).item() == pytest.approx(math.log(2.0), abs=1e-12)
+    assert _pc(np.ones(3), protos, [0]).item() == pytest.approx(math.log(2.0), abs=1e-12)
 
 
 def test_contrastive_single_prototype_is_zero():
     protos = _protos_from_matrix([[0.4, -0.2]], 1, 0)
-    r = Tensor([1.0, 2.0])
-    assert proto_contrastive_loss(r, 0, protos, 1.0).item() == pytest.approx(0.0, abs=1e-15)
+    assert _pc([1.0, 2.0], protos, [0]).item() == pytest.approx(0.0, abs=1e-15)
 
 
 def test_contrastive_matches_extended_precision():
@@ -159,7 +188,7 @@ def test_contrastive_matches_extended_precision():
         r = rng.uniform(-1, 1, 4)
         protos = _protos_from_matrix(matrix, 3, 2)
         y = int(rng.integers(5))
-        got = proto_contrastive_loss(Tensor(r), y, protos, 0.5).item()
+        got = _pc(r, protos, [y], 0.5).item()
         want = oracles.mp_proto_contrastive(r, matrix, y, 0.5)
         assert got == pytest.approx(want, abs=1e-10)
 
@@ -171,16 +200,17 @@ def test_contrastive_at_unit_temperature_is_softmax_posterior():
         r = rng.uniform(-1, 1, 3)
         protos = _protos_from_matrix(matrix, 2, 2)
         y = int(rng.integers(4))
-        loss = proto_contrastive_loss(Tensor(r), y, protos, 1.0).item()
+        loss = _pc(r, protos, [y]).item()
         logits = matrix @ r
         posterior = np.exp(logits[y]) / np.exp(logits).sum()
         assert loss == pytest.approx(-np.log(posterior), abs=1e-10)
 
 
 def test_contrastive_rejects_nonpositive_temperature():
-    protos = _protos_from_matrix(np.zeros((2, 3)), 1, 1)
-    with pytest.raises(ShapeError):
-        proto_contrastive_loss(Tensor(np.ones(3)), 0, protos, 0.0)
+    # `contrastive_loss` takes tau from TrainConfig, which refuses these
+    for tau in (0.0, -1.0, float("nan")):
+        with pytest.raises(ConfigError):
+            TrainConfig(temperature=tau)
 
 
 def test_contrastive_loss_nonnegative_property():
@@ -188,7 +218,7 @@ def test_contrastive_loss_nonnegative_property():
     for _ in range(50):
         matrix = rng.uniform(-2, 2, (4, 3))
         protos = _protos_from_matrix(matrix, 2, 2)
-        loss = proto_contrastive_loss(Tensor(rng.uniform(-2, 2, 3)), int(rng.integers(4)), protos, 1.0)
+        loss = _pc(rng.uniform(-2, 2, 3), protos, [int(rng.integers(4))])
         assert loss.item() >= -1e-12
 
 
@@ -286,7 +316,7 @@ def test_kl_zero_support_entries_contribute_nothing():
     assert a == b
 
 
-def test_kl_confusion_loss_matches_extended_precision():
+def test_kl_divergence_from_log_matches_extended_precision():
     rng = make_rng(4)
     for _ in range(10):
         matrix = rng.uniform(-1, 1, (5, 3))
@@ -295,16 +325,77 @@ def test_kl_confusion_loss_matches_extended_precision():
         raw = rng.uniform(0, 1, 5)
         raw[int(rng.integers(5))] = 0.0
         target = raw / raw.sum()
-        got = kl_confusion_loss(Tensor(r), protos, Tensor(target)).item()
+        pred_log = ad.log_softmax(_scores(r, protos), axis=1)
+        got = kl_divergence_from_log(pred_log, Tensor(target[None])).item()
         want = oracles.mp_kl_confusion(r, matrix, target)
         assert got == pytest.approx(want, abs=1e-10)
         assert got >= -1e-12
 
 
-def test_kl_confusion_loss_length_mismatch_errors():
-    protos = _protos_from_matrix(np.zeros((3, 2)), 2, 1)
+def test_kl_divergence_shape_mismatch_errors():
     with pytest.raises(ShapeError):
-        kl_confusion_loss(Tensor([1.0, 0.0]), protos, Tensor([0.5, 0.5]))
+        kl_divergence_from_log(Tensor(np.zeros((1, 3))), Tensor([[0.5, 0.5]]))
+
+
+# ---------------------------------------------------------------------------
+# the batched losses against per-entity 50-digit oracles
+
+
+def _random_batch(rng, n_max):
+    """Prototypes away from zero norm, 1..n_max entity rows, and each
+    entity's gold row; the first entity is from a source domain."""
+    n_src, n_tgt, dim = (int(v) for v in rng.integers((1, 1, 2), (5, 5, 6)))
+    matrix = rng.uniform(-1.5, 1.5, (n_src + n_tgt, dim))
+    matrix += 0.1 * np.sign(matrix)
+    n = int(rng.integers(1, n_max + 1))
+    reps = rng.uniform(-1.5, 1.5, (n, dim))
+    from_target = [i > 0 and bool(rng.random() < 0.3) for i in range(n)]
+    rows = [
+        int(rng.integers(n_src, n_src + n_tgt)) if tgt else int(rng.integers(n_src))
+        for tgt in from_target
+    ]
+    return _protos_from_matrix(matrix, n_src, n_tgt), reps, rows, from_target
+
+
+@pytest.mark.parametrize("n_max", [1, 6])
+@pytest.mark.parametrize("contrast_block", ["both", "source"])
+def test_contrastive_loss_is_mean_of_per_entity_oracles(n_max, contrast_block):
+    rng = make_rng(21)
+    for _ in range(30):
+        protos, reps, rows, from_target = _random_batch(rng, n_max)
+        tau = float(rng.uniform(0.2, 2.0))
+        matrix = protos.matrix.values
+        got = _pc(reps, protos, rows, tau, from_target, contrast_block).item()
+        per_entity = []
+        for r, y, tgt in zip(reps, rows, from_target):
+            # "source" contrasts source entities with the source block only
+            block = matrix if tgt or contrast_block == "both" else matrix[: protos.block_boundary]
+            per_entity.append(oracles.mp_proto_contrastive(r, block, y, tau))
+        assert got == pytest.approx(float(np.mean(per_entity)), abs=1e-10)
+
+
+@pytest.mark.parametrize("n_max", [1, 6])
+@pytest.mark.parametrize("kl_direction", ["smooth_to_pred", "pred_to_smooth"])
+def test_confusion_loss_is_mean_of_per_entity_oracles(n_max, kl_direction):
+    rng = make_rng(22)
+    oracle = {
+        "smooth_to_pred": oracles.mp_kl_confusion,
+        "pred_to_smooth": oracles.mp_reverse_kl_confusion,
+    }[kl_direction]
+    for i in range(40):
+        protos, reps, rows, from_target = _random_batch(rng, n_max)
+        lam = [0.0, 0.3, 0.6, 1.0][i % 4]
+        source = [k for k, tgt in enumerate(from_target) if not tgt]
+        scores = _scores(reps, protos)
+        got = confusion_loss(scores, rows, source, protos, lam, kl_direction).item()
+        matrix = protos.matrix.values
+        per_entity = [
+            oracle(reps[k], matrix, oracles.mp_smooth_target(matrix, rows[k], protos.block_boundary, lam))
+            for k in source
+        ]
+        assert got == pytest.approx(float(np.mean(per_entity)), abs=1e-10)
+        # restricted to the target's support, the reverse KL can go below 0
+        assert got >= -1e-12 or kl_direction == "pred_to_smooth"
 
 
 # ---------------------------------------------------------------------------
@@ -368,7 +459,7 @@ def test_stage2_losses_gradient_vs_finite_differences():
     b1 = rng.uniform(-0.5, 0.5, dim)
     w2 = rng.uniform(-0.5, 0.5, (dim, dim))
     b2 = rng.uniform(-0.5, 0.5, dim)
-    r_arr = rng.uniform(-0.5, 0.5, (1, dim))
+    r_arr = rng.uniform(-0.5, 0.5, (2, dim))
     arrays = [table_arr, w1, b1, w2, b2, r_arr]
 
     def build(protos_needed=True):
@@ -382,28 +473,23 @@ def test_stage2_losses_gradient_vs_finite_differences():
         r = Tensor(r_arr, requires_grad=True)
         return table, mlp, protos, r
 
+    def terms(protos, r):
+        # a source entity of gold row 1 and a target entity of gold row 4
+        scores = ad.matmul(r, ad.transpose(protos.matrix))
+        pc = contrastive_loss(scores, [1, 4], [False, True], protos, 0.7, "both")
+        kl = confusion_loss(scores, [1, 4], [0], protos, 0.6, "smooth_to_pred")
+        return pc, kl, ad.add(pc, ad.mul(kl, Tensor(0.8)))
+
     def losses():
         with Tape():
-            table, mlp, protos, r = build()
-            pc = proto_contrastive_loss(r, 1, protos, 0.7)
-            z_y = ad.reshape(ad.take_rows(protos.matrix, [1]), (dim,))
-            d_tgt = confusion_target(z_y, protos.target_block())
-            d_smooth = smooth_distribution(1, d_tgt, 0.6, protos.block_boundary)
-            kl = kl_confusion_loss(r, protos, d_smooth)
-            total = ad.add(pc, ad.mul(kl, Tensor(0.8)))
-            return (pc.item(), kl.item(), total.item())
+            _, _, protos, r = build()
+            return tuple(t.item() for t in terms(protos, r))
 
     fd = oracles.finite_difference_grads(losses, arrays)
 
     with Tape() as tape:
         table, mlp, protos, r = build()
-        pc = proto_contrastive_loss(r, 1, protos, 0.7)
-        z_y = ad.reshape(ad.take_rows(protos.matrix, [1]), (dim,))
-        d_tgt = confusion_target(z_y, protos.target_block())
-        d_smooth = smooth_distribution(1, d_tgt, 0.6, protos.block_boundary)
-        kl = kl_confusion_loss(r, protos, d_smooth)
-        total = ad.add(pc, ad.mul(kl, Tensor(0.8)))
-        ad.backward(total, tape)
+        ad.backward(terms(protos, r)[2], tape)
 
     tensors = [table, mlp.hidden_layer.w, mlp.hidden_layer.b, mlp.output_layer.w, mlp.output_layer.b, r]
     for tensor, numeric in zip(tensors, fd[2]):

@@ -136,6 +136,24 @@ def test_predict_emits_conll(tmp_path):
             assert tag == "O" or tag[:2] in ("B-", "I-")
 
 
+def test_non_utf8_input_files_are_errors_not_tracebacks(tmp_path, capsys):
+    out = _train(tmp_path)
+    cfg = os.path.join(tmp_path, "bad.cfg")
+    with open(cfg, "wb") as fh:
+        fh.write(b"lr=0.01\n\xff\n")
+    assert main(["train", "--config", cfg, "--output-dir", out]) == 1
+    assert capsys.readouterr().err == f"error: {cfg}: byte 0xff at offset 8 is not UTF-8\n"
+    inp = os.path.join(tmp_path, "input.txt")
+    with open(inp, "wb") as fh:
+        fh.write(b"stop\nthe\ncaf\xe9\n")
+    rc = main(
+        ["predict", os.path.join(out, "checkpoint"), inp, os.path.join(tmp_path, "tagged.conll"),
+         "--data-dir", os.path.join(DATA_DIR, "overfit")]
+    )
+    assert rc == 1
+    assert capsys.readouterr().err == f"error: {inp}: byte 0xe9 at offset 12 is not UTF-8\n"
+
+
 def test_export_protos_round_trip(tmp_path):
     out = _train(tmp_path)
     dest = os.path.join(tmp_path, "protos.tsv")
@@ -233,6 +251,17 @@ def test_sweep_lambda_rejects_non_numeric_value(tmp_path, capsys):
         ("--lr", "abc", "config key 'lr': expected float, got 'abc'"),
         ("--dropout", "1.5", "config key 'dropout': must be in [0, 1), got 1.5"),
         ("--contrast-block", "sourc", "config key 'contrast_block': must be both or source, got 'sourc'"),
+        ("--hidden", "0", "config key 'hidden': must be >= 1, got 0"),
+        ("--word-dim", "0", "config key 'word_dim': must be >= 1, got 0"),
+        ("--proto-dim", "0", "config key 'proto_dim': must be >= 1, got 0"),
+        ("--layers", "0", "config key 'layers': must be >= 1, got 0"),
+        ("--validation-size", "-5", "config key 'validation_size': must be >= 0, got -5"),
+        ("--grad-clip", "-1", "config key 'grad_clip': must be > 0, got -1.0"),
+        ("--lr", "nan", "config key 'lr': must be finite and > 0, got nan"),
+        ("--patience", "-1", "config key 'patience': must be >= 0, got -1"),
+        ("--few-shot", "-1", "config key 'few_shot': must be >= 0, got -1"),
+        ("--seed", "-1", "config key 'seed': must be >= 0, got -1"),
+        ("--max-epochs", "-1", "config key 'max_epochs': must be none or >= 0, got -1"),
     ],
 )
 def test_bad_config_value_is_config_error(tmp_path, capsys, flag, value, message):

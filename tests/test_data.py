@@ -1,4 +1,5 @@
 import os
+import tempfile
 
 import numpy as np
 import pytest
@@ -22,6 +23,7 @@ from pclc.data import (
     PAD_INDEX,
     UNK_INDEX,
 )
+from pclc.errors import PclcError
 
 
 def _write(tmp_path, name, text):
@@ -64,6 +66,44 @@ def test_parse_unknown_tag_prefix_errors(tmp_path):
     with pytest.raises(DataFormatError) as err:
         parse_conll(path)
     assert "X-thing" in str(err.value)
+
+
+def _write_bytes(directory, name, raw):
+    path = os.path.join(directory, name)
+    with open(path, "wb") as fh:
+        fh.write(raw)
+    return path
+
+
+def test_parse_non_utf8_byte_names_its_offset(tmp_path):
+    raw = b"play\tO\n" * 5000 + b"caf\xe9\tO\n"  # past the first buffered chunk
+    path = _write_bytes(tmp_path, "d.conll", raw)
+    offset = raw.index(b"\xe9")
+    with pytest.raises(DataFormatError) as err:
+        parse_conll(path)
+    assert str(err.value) == f"{path}: byte 0xe9 at offset {offset} is not UTF-8"
+
+
+_CONLL_PIECES = [
+    b"tok", b"\t", b"\n", b"\r\n", b"O", b"B-", b"I-", b"city_name", b"_", b"# domain: d\n",
+    b" ", b"\xe9", b"\xff", "\u00e9".encode(), b"\x00",
+]
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.one_of(
+        st.binary(max_size=300),
+        st.lists(st.sampled_from(_CONLL_PIECES), max_size=60).map(b"".join),
+    )
+)
+def test_parse_arbitrary_bytes_parses_or_raises_pclc_error(raw):
+    with tempfile.TemporaryDirectory() as directory:
+        path = _write_bytes(directory, "dom.conll", raw)
+        try:
+            parse_conll(path)
+        except PclcError:
+            pass
 
 
 def test_parse_repairs_leading_and_dangling_i_tags(tmp_path):
@@ -195,6 +235,15 @@ def test_load_embeddings_dimension_mismatch_errors(tmp_path):
     with pytest.raises(DataFormatError) as err:
         load_embeddings(path, vocab, dim=2, seed=0)
     assert ":2:" in str(err.value)
+
+
+def test_load_embeddings_non_utf8_byte_names_its_offset(tmp_path, transfer_corpus):
+    corpus, schema = transfer_corpus
+    vocab = build_vocab(corpus, schema)
+    path = _write_bytes(tmp_path, "vec.txt", b"the 0.1 0.2\n\xff 0.3 0.4\n")
+    with pytest.raises(DataFormatError) as err:
+        load_embeddings(path, vocab, 2, seed=0)
+    assert str(err.value) == f"{path}: byte 0xff at offset 12 is not UTF-8"
 
 
 def test_load_embeddings_absent_file_random_unless_required(tmp_path):

@@ -2,16 +2,19 @@ import dataclasses
 import os
 import platform
 import resource
+import tempfile
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import TOY_DIMS, build_toy_model, damaged_manifest
 from pclc import autodiff as ad
 from pclc.autodiff import Tape
 from pclc.data import build_vocab, random_embeddings
-from pclc.errors import CheckpointError, ConfigError, TrainingDiverged
+from pclc.errors import CheckpointError, ConfigError, PclcError, TrainingDiverged
 from pclc.model import PclcModel
 from pclc.rng import make_rng
 from pclc.trainer import (
@@ -66,17 +69,36 @@ def test_config_rejects_unknown_key():
 
 def test_hyperparams_validation():
     TrainConfig()
-    bad = {
-        "temperature": (0.0, "must be > 0, got 0.0"),
-        "confusion_lambda": (1.5, "must be in [0, 1], got 1.5"),
-        "kl_weight": (-0.1, "must be >= 0, got -0.1"),
-        "kl_direction": ("forward", "must be smooth_to_pred or pred_to_smooth, got 'forward'"),
-        "contrast_block": ("sourc", "must be both or source, got 'sourc'"),
-    }
-    for key, (value, message) in bad.items():
+    bad = [
+        ("temperature", 0.0, "must be > 0, got 0.0"),
+        ("confusion_lambda", 1.5, "must be in [0, 1], got 1.5"),
+        ("kl_weight", -0.1, "must be >= 0, got -0.1"),
+        ("kl_direction", "forward", "must be smooth_to_pred or pred_to_smooth, got 'forward'"),
+        ("contrast_block", "sourc", "must be both or source, got 'sourc'"),
+        ("lr", 0.0, "must be finite and > 0, got 0.0"),
+        ("lr", float("nan"), "must be finite and > 0, got nan"),
+        ("lr", float("inf"), "must be finite and > 0, got inf"),
+        ("grad_clip", -1.0, "must be > 0, got -1.0"),
+        ("grad_clip", 0.0, "must be > 0, got 0.0"),
+        ("patience", -1, "must be >= 0, got -1"),
+        ("few_shot", -2, "must be >= 0, got -2"),
+        ("seed", -1, "must be >= 0, got -1"),
+        ("crf_weight", float("nan"), "must be >= 0, got nan"),
+        ("max_epochs", -1, "must be none or >= 0, got -1"),
+    ] + [
+        (dim, 0, "must be >= 1, got 0")
+        for dim in ("word_dim", "char_dim", "char_hidden", "hidden", "layers",
+                    "entity_hidden", "proto_dim")
+    ]
+    for key, value, message in bad:
         with pytest.raises(ConfigError) as err:
             TrainConfig(**{key: value})
         assert str(err.value) == f"config key {key!r}: {message}"
+
+
+def test_hyperparams_edge_values_are_valid():
+    TrainConfig(max_epochs=0, patience=0, few_shot=0, kl_weight=0.0, dropout=0.0)
+    TrainConfig(max_epochs=None, grad_clip=float("inf"), confusion_lambda=1.0)
 
 
 def test_max_epochs_defaults_by_setting():
@@ -185,7 +207,7 @@ def _fewshot_batch(corpus, schema, overfit_split):
     return shot, batch
 
 
-def test_fewshot_target_entities_train_without_confusion_term(overfit_corpus, overfit_split):
+def test_fewshot_target_entities_train_without_confusion_loss(overfit_corpus, overfit_split):
     corpus, schema = overfit_corpus
     model, vocab = build_toy_model(corpus, schema, "kitchen", seed=2)
     _, batch = _fewshot_batch(corpus, schema, overfit_split)
@@ -494,6 +516,7 @@ def test_checkpoint_truncated_payload_reports_counts(tmp_path, overfit_corpus, o
         ("param.w\t2,3\t0\t6", "param.w\t2,3\t0.5\t6", "must be integers"),
         ("param.w\t2,3\t0\t6", "param.w\t2,3\t0\tsix", "must be integers"),
         ("param.w\t2,3\t0\t6", "param.w\t2,3\t-1\t6", "negative offset"),
+        ("param.v\t2\t6\t2", "param.v\t" + "1," * 70 + "2\t6\t2", "71 dimensions, at most 2 allowed"),
         ("param.w\t2,3\t0\t6", "param.w\t2,3\t0\t5", "count 5 is not the size of shape"),
         ("param.w\t2,3\t0\t6", "adam.m.w\t2,3\t0\t6", "unknown tensor entry 'adam.m.w'"),
         ("epoch=2", "epoch=2.5", "epoch='2.5' is not an integer"),
@@ -512,6 +535,46 @@ def test_checkpoint_malformed_manifest_names_line(tmp_path, old, new, message):
         load_checkpoint(directory)
     assert f"{os.path.join(directory, 'manifest.txt')}:{lineno}: " in str(err.value)
     assert message in str(err.value)
+
+
+def test_checkpoint_non_utf8_manifest_names_its_offset(tmp_path):
+    directory = os.path.join(tmp_path, "ckpt")
+    damaged_manifest(directory, "target_domain=kitchen", "target_domain=kitch\u00ffn")
+    path = os.path.join(directory, "manifest.txt")
+    with open(path, "rb") as fh:
+        raw = fh.read().replace("\u00ff".encode(), b"\xff")
+    with open(path, "wb") as fh:
+        fh.write(raw)
+    offset = raw.index(b"\xff")
+    with pytest.raises(CheckpointError) as err:
+        load_checkpoint(directory)
+    assert str(err.value) == f"{path}: byte 0xff at offset {offset} is not UTF-8"
+
+
+_MANIFEST_PIECES = [
+    b"pclc-checkpoint 2\n", b"[meta]\n", b"[config]\n", b"[proto_rows]\n", b"[tensors]\n",
+    b"[word_vocab]\n", b"param.w\t2,3\t0\t6\n", b"param.v\t2\t6\t2\n", b"param.", b"epoch=",
+    b"best_val_f1=", b"target_domain=", b"seed=1\n", b"source\tcity\n", b"scalar", b"\t", b"\n",
+    b",", b"=", b"0", b"1", b"-1", b"6", b"x", b"nan", b"\xff", b"\xc3", b"\r",
+]
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.one_of(
+        st.binary(max_size=300),
+        st.lists(st.sampled_from(_MANIFEST_PIECES), max_size=60).map(b"".join),
+    )
+)
+def test_checkpoint_arbitrary_manifest_bytes_load_or_raise_pclc_error(raw):
+    with tempfile.TemporaryDirectory() as directory:
+        damaged_manifest(directory, "seed=1", "seed=1")
+        with open(os.path.join(directory, "manifest.txt"), "wb") as fh:
+            fh.write(raw)
+        try:
+            load_checkpoint(directory)
+        except PclcError:
+            pass
 
 
 def test_checkpoint_missing_directory_errors(tmp_path):

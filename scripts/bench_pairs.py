@@ -7,8 +7,10 @@ runs `perfbench/run.py` once on the parent and once on the working tree for
 each pair, alternating which of the two goes first, with seeds `--seed`,
 `--seed`+1, ... (both runs of a pair use the same seed). Prints, for every
 end-to-end metric in BENCHMARK.json, the median [lower quartile, upper
-quartile] of each side, the number of pairs the working tree won, and the
-gap between the medians over the parent's interquartile range. `--out`
+quartile] of each side, the number of pairs the working tree won, the
+gap between the medians over the parent's interquartile range, the number
+of pairs whose two values are identical, and the largest relative
+difference within a pair (which 6 significant digits would hide). `--out`
 also writes every run's result line as JSON. A run that times out or ends
 without a JSON result line counts as incorrect, with its stderr tail; the
 remaining pairs still run, and the exit status is 1. Uses the standard
@@ -90,7 +92,7 @@ def summary(runs: dict[str, list[dict]], better: dict[str, str]) -> list[str]:
     out = [f"correct runs: parent {sum(r['correct'] for r in parent)}/{len(parent)}, "
            f"change {sum(r['correct'] for r in change)}/{len(change)}"]
     out.append(f"{'metric':<14} {'parent median [q1, q3]':>30} {'change median [q1, q3]':>30}"
-               f" {'ratio':>7} {'wins':>6} {'gap/IQR':>8}")
+               f" {'ratio':>7} {'wins':>6} {'gap/IQR':>8} {'same':>6} {'max|rel|':>9}")
     for name, direction in better.items():
         pairs = [(p["metrics"][name], c["metrics"][name]) for p, c in zip(parent, change)
                  if name in p["metrics"] and name in c["metrics"]]
@@ -103,9 +105,11 @@ def summary(runs: dict[str, list[dict]], better: dict[str, str]) -> list[str]:
         iqr = p3 - p1
         gap = f"{sign * (cm - pm) / iqr:8.2f}" if iqr > 0 else f"{'-':>8}"
         ratio = f"{cm / pm:7.3f}" if pm else f"{'-':>7}"
+        same = sum(p == c for p, c in pairs)
+        rel = max(abs(c - p) / max(abs(p), abs(c)) if p != c else 0.0 for p, c in pairs)
         out.append(f"{name:<14} {f'{pm:.6g} [{p1:.6g}, {p3:.6g}]':>30} "
                    f"{f'{cm:.6g} [{c1:.6g}, {c3:.6g}]':>30} {ratio} "
-                   f"{f'{wins}/{len(pairs)}':>6} {gap}")
+                   f"{f'{wins}/{len(pairs)}':>6} {gap} {f'{same}/{len(pairs)}':>6} {rel:9.2e}")
     return out
 
 

@@ -224,7 +224,12 @@ def contrastive_loss(
 
     acc = None
     for entities, cols in groups:
-        sub = ad.take_rows(ad.transpose(ad.take_rows(ad.transpose(scores), cols)), entities)
+        # both lists are ascending without repeats: a full-length one is the identity
+        sub = scores
+        if len(cols) < n_rows:
+            sub = ad.transpose(ad.take_rows(ad.transpose(sub), cols))
+        if len(entities) < n:
+            sub = ad.take_rows(sub, entities)
         lp = ad.log_softmax(ad.mul(sub, Tensor(1.0 / tau)), axis=1)
         pick = np.zeros((len(entities), len(cols)))
         col_of = {c: j for j, c in enumerate(cols)}

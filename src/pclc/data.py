@@ -352,34 +352,3 @@ def write_split_manifest(split: ExperimentSplit, path: str) -> None:
         ):
             for utt in part:
                 fh.write(f"{name}\t{utt.uid}\n")
-
-
-def read_split_manifest(
-    corpus: list[Utterance], schema: SlotSchema, path: str
-) -> ExperimentSplit:
-    by_uid = {u.uid: u for u in corpus}
-    parts: dict[str, list[Utterance]] = {"train": [], "validation": [], "test": []}
-    target = None
-    few_shot = 0
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            fields = line.rstrip("\n").split("\t")
-            if len(fields) != 2:
-                raise DataFormatError(f"{path}:{lineno}: malformed manifest line")
-            key, value = fields
-            if key == "target":
-                target = value
-            elif key == "few_shot":
-                few_shot = int(value)
-            elif key in parts:
-                if value not in by_uid:
-                    raise DataFormatError(f"{path}:{lineno}: unknown utterance id {value!r}")
-                parts[key].append(by_uid[value])
-            else:
-                raise DataFormatError(f"{path}:{lineno}: unknown partition {key!r}")
-    if target is None:
-        raise DataFormatError(f"{path}: manifest lacks a target line")
-    seen, unseen = classify_seen_unseen(schema, target)
-    return ExperimentSplit(
-        target, parts["train"], parts["validation"], parts["test"], seen, unseen, few_shot
-    )

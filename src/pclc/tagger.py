@@ -83,19 +83,16 @@ class Encoder:
         return params
 
     def _char_features(self, utterances, vocab) -> tuple[Tensor, list[list[int]]]:
-        """Char-BiLSTM final states per token, flattened over the batch.
+        """Char-BiLSTM final states, one row per distinct token of the batch.
 
-        Returns the ((n_tokens+1), 2*char_hidden) matrix (last row is a zero
-        pad) and, per utterance, each token's row index in it.
+        A token's states depend only on its spelling, so each is computed
+        once. Returns the ((n_distinct+1), 2*char_hidden) matrix, rows in
+        order of first occurrence and a zero pad row last, and, per
+        utterance, each token's row index in it.
         """
-        tokens: list[str] = []
-        row_of: list[list[int]] = []
-        for utt in utterances:
-            rows = []
-            for token in utt.tokens:
-                rows.append(len(tokens))
-                tokens.append(token)
-            row_of.append(rows)
+        index: dict[str, int] = {}
+        row_of = [[index.setdefault(t, len(index)) for t in utt.tokens] for utt in utterances]
+        tokens = list(index)
         n_tok = len(tokens)
         char_lengths = [len(t) for t in tokens]
         c_max = max(char_lengths)

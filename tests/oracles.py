@@ -1,9 +1,12 @@
 """Independent oracles the tests check the implementation against.
 
-Everything here is deliberately written without touching the package's
-computation paths: extended-precision arithmetic via mpmath, exhaustive
-enumeration for the CRF, a step-by-step LSTM, a counter-based span scorer,
-and plain central finite differences.
+Everything here except `per_occurrence_char_features` is deliberately
+written without touching the package's computation paths:
+extended-precision arithmetic via mpmath, exhaustive enumeration for the
+CRF, a step-by-step LSTM, a counter-based span scorer, and plain central
+finite differences. `per_occurrence_char_features` pins the char encoder's
+one-row-per-distinct-token shortcut, so it is built from the same taped
+LSTM (which `lstm_reference` checks) to compare gradients too.
 """
 
 from __future__ import annotations
@@ -143,6 +146,31 @@ def lstm_reference(x, lengths, w, b) -> np.ndarray:
         c = m * c_new + (1.0 - m) * c
         out.append(h)
     return np.concatenate(out, axis=0)
+
+
+def per_occurrence_char_features(encoder, utterances, vocab):
+    """Char-BiLSTM final states of every token occurrence, as a Tensor.
+
+    Rows are utterance-major, one per occurrence: repeated tokens are run
+    through both char LSTMs again, one column of char ids each.
+    """
+    from pclc import autodiff as ad
+    from pclc.data import PAD_INDEX
+    from pclc.layers import final_states, run_lstm
+
+    tokens = [token for utt in utterances for token in utt.tokens]
+    lengths = [len(token) for token in tokens]
+    ids = np.full((max(lengths), len(tokens)), PAD_INDEX, dtype=np.intp)
+    ids_rev = ids.copy()
+    for j, token in enumerate(tokens):
+        chars = [vocab.char_id(c) for c in token]
+        ids[: len(chars), j] = chars
+        ids_rev[: len(chars), j] = chars[::-1]
+    finals = []
+    for cell, char_ids in ((encoder.char_fwd, ids), (encoder.char_bwd, ids_rev)):
+        x = ad.embedding_lookup(encoder.char_table, char_ids.reshape(-1))
+        finals.append(final_states(run_lstm(cell, x, lengths), len(tokens)))
+    return ad.concat(finals, axis=1)
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,14 @@
-"""`scripts/bench_pairs.py` keeps every finished pair when a run fails."""
+"""`scripts/bench_pairs.py` keeps every finished pair when a run fails, and its
+summary shows differences that 6 significant digits hide."""
 
 import importlib.util
 import json
 import os
 import subprocess
 import types
+
+import numpy as np
+import pytest
 
 from conftest import REPO_ROOT
 
@@ -61,3 +65,25 @@ def test_failed_runs_keep_the_other_pairs(monkeypatch, tmp_path, capsys):
     assert [r["correct"] for r in runs["parent"]] == [True, True, True]
     assert [r["correct"] for r in runs["change"]] == [False, False, True]
     assert "correct runs: parent 3/3, change 1/3" in capsys.readouterr().out
+
+
+def test_summary_counts_identical_pairs_and_largest_relative_difference():
+    loss = 0.123456789
+    ulp_up = float(np.nextafter(loss, 1.0))
+
+    def side(losses, speeds):
+        return [{"correct": True, "metrics": {"final_loss": value, "utt_per_s": speed}}
+                for value, speed in zip(losses, speeds)]
+
+    runs = {
+        "parent": side([loss, loss, loss], [100.0, 100.0, 100.0]),
+        "change": side([loss, ulp_up, loss], [100.0, 110.0, 125.0]),
+    }
+    lines = bench_pairs.summary(runs, {"final_loss": "lower", "utt_per_s": "higher"})
+    assert lines[1].split()[-2:] == ["same", "max|rel|"]
+    rows = {line.split()[0]: line.split() for line in lines[2:]}
+    # 6 significant digits print both losses alike; the last two columns do not
+    assert rows["final_loss"][1] == rows["final_loss"][4] == "0.123457"
+    assert rows["final_loss"][-2] == "2/3"
+    assert float(rows["final_loss"][-1]) == pytest.approx((ulp_up - loss) / ulp_up, rel=0.01)
+    assert rows["utt_per_s"][-2:] == ["1/3", "2.00e-01"]

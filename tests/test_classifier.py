@@ -1,4 +1,6 @@
 import math
+import os
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -6,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from conftest import DATA_DIR
 from pclc import autodiff as ad
 from pclc.autodiff import Tape, Tensor
 from pclc.classifier import (
@@ -19,11 +22,12 @@ from pclc.classifier import (
     predict_slot_type,
     smooth_distribution,
 )
-from pclc.data import SlotSchema, build_vocab, random_embeddings
+from pclc.data import SlotSchema, build_vocab, load_corpus, random_embeddings, split_leave_one_out
 from pclc.errors import ConfigError, ShapeError
 from pclc.layers import Mlp
+from pclc.model import PclcModel
 from pclc.rng import make_rng
-from pclc.trainer import TrainConfig
+from pclc.trainer import TrainConfig, total_loss
 
 
 def _protos_from_matrix(matrix, n_source, n_target, target_domain="tgt"):
@@ -396,6 +400,70 @@ def test_confusion_loss_is_mean_of_per_entity_oracles(n_max, kl_direction):
         assert got == pytest.approx(float(np.mean(per_entity)), abs=1e-10)
         # restricted to the target's support, the reverse KL can go below 0
         assert got >= -1e-12 or kl_direction == "pred_to_smooth"
+
+
+def _explicit_gather_contrastive(scores, rows, from_target, protos, tau, contrast_block):
+    """`contrastive_loss` with every group's columns and entities gathered,
+    also when a group selects all of them."""
+    n, n_rows = scores.shape
+    groups = [(list(range(n)), list(range(n_rows)))]
+    if contrast_block == "source":
+        src = [i for i in range(n) if not from_target[i]]
+        tgt = [i for i in range(n) if from_target[i]]
+        groups = [(src, list(range(protos.block_boundary)))] if src else []
+        if tgt:
+            groups.append((tgt, list(range(n_rows))))
+    acc = None
+    for entities, cols in groups:
+        sub = ad.take_rows(ad.transpose(ad.take_rows(ad.transpose(scores), cols)), entities)
+        lp = ad.log_softmax(ad.mul(sub, Tensor(1.0 / tau)), axis=1)
+        pick = np.zeros((len(entities), len(cols)))
+        pick[np.arange(len(entities)), [rows[i] for i in entities]] = 1.0
+        part = ad.mul(ad.tensor_sum(ad.mul(lp, Tensor(pick))), Tensor(-1.0))
+        acc = part if acc is None else ad.add(acc, part)
+    return ad.mul(acc, Tensor(1.0 / n))
+
+
+@pytest.mark.parametrize("contrast_block", ["both", "source"])
+def test_contrastive_loss_skips_identity_gathers_bit_for_bit(contrast_block):
+    # values and gradients equal the explicit-gather form exactly, with the
+    # confusion term as a second consumer of the same scores
+    rng = make_rng(23)
+    for _ in range(30):
+        protos, reps, rows, from_target = _random_batch(rng, 6)
+        source = [k for k, tgt in enumerate(from_target) if not tgt]
+        results = []
+        for pc_fn in (contrastive_loss, _explicit_gather_contrastive):
+            r = Tensor(reps, requires_grad=True)
+            protos.matrix = Tensor(protos.matrix.values, requires_grad=True)
+            with Tape() as tape:
+                scores = ad.matmul(r, ad.transpose(protos.matrix))
+                pc = pc_fn(scores, rows, from_target, protos, 0.7, contrast_block)
+                kl = confusion_loss(scores, rows, source, protos, 0.6, "smooth_to_pred")
+                ad.backward(ad.add(pc, kl), tape)
+            results.append((pc.values, r.grad, protos.matrix.grad))
+        for got, want in zip(*results):
+            assert np.array_equal(got, want)
+
+
+def test_default_batch_step_records_167_ops():
+    # one 64-utterance batch at the criterion-6 dims with default losses: the
+    # contrastive term gathers nothing, since its one group is everything
+    corpus, schema = load_corpus(os.path.join(DATA_DIR, "transfer"))
+    vocab = build_vocab(corpus, schema)
+    split = split_leave_one_out(corpus, schema, "bus", seed=1)
+    config = TrainConfig(
+        word_dim=24, char_dim=8, char_hidden=8, hidden=24, layers=1,
+        entity_hidden=24, proto_dim=24, dropout=0.1,
+    )
+    assert config.contrast_block == "both"
+    word_matrix = random_embeddings(vocab.n_words, config.word_dim, make_rng(1))
+    model = PclcModel(schema, "bus", vocab, word_matrix, config.model_dims(), make_rng(2))
+    with Tape() as tape:
+        total_loss(split.train[:64], model, config, make_rng(3))
+    kinds = Counter(rec.kind for rec in tape.records)
+    assert sum(kinds.values()) == 167
+    assert (kinds["transpose"], kinds["take_rows"]) == (1, 16)
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,6 @@ from pclc.data import (
     load_corpus,
     load_embeddings,
     parse_conll,
-    read_split_manifest,
     split_leave_one_out,
     write_conll,
     write_split_manifest,
@@ -392,13 +391,20 @@ def test_seen_unseen_matches_set_intersection_oracle(transfer_corpus):
 # manifest
 
 
-def test_split_manifest_round_trip(tmp_path, transfer_corpus):
+def test_split_manifest_lists_each_uid_once_in_its_partition(tmp_path, transfer_corpus):
     corpus, schema = transfer_corpus
     split = fewshot_select(split_leave_one_out(corpus, schema, "bus", seed=4), 3, seed=4)
     path = os.path.join(tmp_path, "manifest.txt")
     write_split_manifest(split, path)
-    again = read_split_manifest(corpus, schema, path)
-    assert again.target_domain == "bus"
-    assert again.few_shot == 3
-    for part in ("train", "validation", "test"):
-        assert [u.uid for u in getattr(again, part)] == [u.uid for u in getattr(split, part)]
+    with open(path, encoding="utf-8") as fh:
+        lines = [line.rstrip("\n").split("\t") for line in fh]
+    assert all(len(fields) == 2 for fields in lines)
+    assert [value for key, value in lines if key == "target"] == ["bus"]
+    assert [value for key, value in lines if key == "few_shot"] == ["3"]
+    parts = ("train", "validation", "test")
+    listed = {part: [uid for key, uid in lines if key == part] for part in parts}
+    assert {key for key, _ in lines} == {"target", "few_shot", *listed}
+    for part, uids in listed.items():
+        assert uids == [u.uid for u in getattr(split, part)]
+    every = [uid for uids in listed.values() for uid in uids]
+    assert len(every) == len(set(every))

@@ -7,9 +7,18 @@ import pytest
 import oracles
 from conftest import DATA_DIR
 from pclc import autodiff as ad
+from pclc import tagger
 from pclc.autodiff import Tape, Tensor
-from pclc.data import Utterance, build_vocab, load_corpus, random_embeddings, split_leave_one_out
+from pclc.data import (
+    UNK_INDEX,
+    Utterance,
+    build_vocab,
+    load_corpus,
+    random_embeddings,
+    split_leave_one_out,
+)
 from pclc.errors import ShapeError
+from pclc.layers import run_lstm
 from pclc.model import PclcModel
 from pclc.rng import make_rng
 from pclc.tagger import (
@@ -386,6 +395,68 @@ def test_encode_batch_matches_single_utterance_eval(overfit_corpus):
         single = _encode_one(encoder, utt, vocab)
         rows = [enc.flat(b, t) for t in range(enc.lengths[b])]
         assert np.allclose(enc.hidden.values[rows], single.values, atol=1e-12)
+
+
+def _char_grads(encoder, features, weights):
+    """Gradients of sum(weights * features()) on the encoder's char parameters."""
+    char_params = [(n, p) for n, p in encoder.parameters() if n.startswith("char_")]
+    for _, p in char_params:
+        p.zero_grad()
+    with Tape() as tape:
+        ad.backward(ad.tensor_sum(ad.mul(features(), Tensor(weights))), tape)
+    return {n: p.grad.copy() for n, p in char_params}
+
+
+def test_char_features_run_once_per_distinct_token(overfit_corpus, monkeypatch):
+    config = EncoderConfig(word_dim=8, char_dim=3, char_hidden=3, hidden=6, layers=1)
+    corpus, vocab, encoder = _encoder_inputs(overfit_corpus, config)
+    assert vocab.char_id("\u0436") == UNK_INDEX
+    batch = [
+        corpus[0],
+        Utterance(["play"] * 4, ["O"] * 4, [None] * 4, "music", "music:r"),
+        corpus[1],
+        Utterance(["play", "\u0436azz"], ["O", "B"], [None, "genre"], "music", "music:o"),
+        corpus[0],
+    ]
+    occurrences = [token for utt in batch for token in utt.tokens]
+    distinct = list(dict.fromkeys(occurrences))
+    c_max = max(len(token) for token in occurrences)
+    assert len(distinct) < len(occurrences)
+
+    lstm_rows = []
+
+    def spy(cell, x, lengths):
+        lstm_rows.append((cell, x.shape[0]))
+        return run_lstm(cell, x, lengths)
+
+    monkeypatch.setattr(tagger, "run_lstm", spy)
+    with Tape() as tape:
+        char_mat, row_of = encoder._char_features(batch, vocab)
+    assert [rec.kind for rec in tape.records].count("lstm") == 2
+    rows = len(distinct) * c_max
+    assert lstm_rows == [(encoder.char_fwd, rows), (encoder.char_bwd, rows)]
+    assert char_mat.shape == (len(distinct) + 1, 2 * config.char_hidden)
+    assert not char_mat.values[-1].any()  # the zero pad row is last
+    flat_rows = [r for rs in row_of for r in rs]
+    assert [distinct[r] for r in flat_rows] == occurrences
+
+    reference = oracles.per_occurrence_char_features(encoder, batch, vocab)
+    got = char_mat.values[flat_rows]
+    assert np.abs(got - reference.values).max() <= 1e-12
+
+    weights = make_rng(6).uniform(-1, 1, got.shape)
+
+    def deduplicated():
+        mat, rows_of = encoder._char_features(batch, vocab)
+        return ad.take_rows(mat, [r for rs in rows_of for r in rs])
+
+    got_grads = _char_grads(encoder, deduplicated, weights)
+    want_grads = _char_grads(
+        encoder, lambda: oracles.per_occurrence_char_features(encoder, batch, vocab), weights
+    )
+    assert set(got_grads) == {"char_table", "char_fwd.w", "char_fwd.b", "char_bwd.w", "char_bwd.b"}
+    for name, want in want_grads.items():
+        assert np.abs(got_grads[name] - want).max() <= 1e-12 * np.abs(want).max(), name
 
 
 def test_encode_empty_batch_errors(overfit_corpus):

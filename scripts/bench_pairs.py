@@ -10,8 +10,12 @@ end-to-end metric in BENCHMARK.json, the median [lower quartile, upper
 quartile] of each side, the number of pairs the working tree won, the
 gap between the medians over the parent's interquartile range, the number
 of pairs whose two values are identical, and the largest relative
-difference within a pair (which 6 significant digits would hide). `--out`
-also writes every run's result line as JSON. A run that times out or ends
+difference within a pair (which 6 significant digits would hide). It also
+keeps each run's record line (printed before the result line) and, for the
+record keys in RECORD_KEYS that both runs of a pair hold, prints how many
+pairs are identical: predict-paper's `predict_f1` and `spans_per_utt` show
+whether a change kept its predictions. `--out` also writes every run's
+result and record as JSON. A run that times out or ends
 without a JSON result line counts as incorrect, with its stderr tail; the
 remaining pairs still run, and the exit status is 1. Uses the standard
 library only.
@@ -30,6 +34,7 @@ import tarfile
 import tempfile
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+RECORD_KEYS = ("predict_f1", "spans_per_utt")
 
 
 def parse_args(argv):
@@ -70,7 +75,20 @@ def run_once(tree: str, workload: str, seed: int, seconds: float) -> dict:
         result["metrics"] = {k: v["value"] for k, v in result["metrics"].items()}
     except (ValueError, KeyError, TypeError, AttributeError) as err:
         return failed(f"unreadable result line ({err!r}): {lines[-1][:200]}", proc.stderr)
+    result["record"] = run_record(lines[:-1])
     return result
+
+
+def run_record(lines: list[str]) -> dict:
+    """The last `{"record": {...}}` line among `lines`, or {} if there is none."""
+    for line in reversed(lines):
+        try:
+            obj = json.loads(line)
+        except ValueError:
+            continue
+        if isinstance(obj, dict) and isinstance(obj.get("record"), dict):
+            return obj["record"]
+    return {}
 
 
 def failed(reason: str, stderr) -> dict:
@@ -110,6 +128,12 @@ def summary(runs: dict[str, list[dict]], better: dict[str, str]) -> list[str]:
         out.append(f"{name:<14} {f'{pm:.6g} [{p1:.6g}, {p3:.6g}]':>30} "
                    f"{f'{cm:.6g} [{c1:.6g}, {c3:.6g}]':>30} {ratio} "
                    f"{f'{wins}/{len(pairs)}':>6} {gap} {f'{same}/{len(pairs)}':>6} {rel:9.2e}")
+    for key in RECORD_KEYS:
+        pairs = [(p["record"][key], c["record"][key]) for p, c in zip(parent, change)
+                 if key in p.get("record", {}) and key in c.get("record", {})]
+        if pairs:
+            same = sum(p == c for p, c in pairs)
+            out.append(f"record {key}: {same}/{len(pairs)} pairs identical")
     return out
 
 

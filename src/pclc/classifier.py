@@ -17,7 +17,7 @@ from . import autodiff as ad
 from .autodiff import Tensor
 from .data import SlotSchema, Vocab
 from .errors import ShapeError
-from .layers import LstmCell, Linear, Mlp, final_states, run_lstm
+from .layers import BiLstm, Linear, Mlp, final_states, run_lstm
 
 
 @dataclass
@@ -108,24 +108,16 @@ class EntityEncoder:
     """BiLSTM over a span's encoder states, projected to the prototype dim."""
 
     def __init__(self, in_dim: int, hidden: int, out_dim: int, rng):
-        self.hidden = hidden
-        self.fwd = LstmCell(in_dim, hidden, rng, "entity_fwd")
-        self.bwd = LstmCell(in_dim, hidden, rng, "entity_bwd")
+        self.lstm = BiLstm(in_dim, hidden, rng, "entity")
         self.proj = Linear(2 * hidden, out_dim, rng, "entity_proj")
 
     def parameters(self):
-        return self.fwd.parameters() + self.bwd.parameters() + self.proj.parameters()
+        return self.lstm.parameters() + self.proj.parameters()
 
-    def encode_steps(self, x_fwd: Tensor, x_bwd: Tensor, lengths: list[int]) -> Tensor:
-        """Representations of a padded batch of spans, shape (N, out_dim).
-
-        `x_fwd` and `x_bwd` are ((s_max * N), in_dim) in `run_lstm` row
-        layout; `x_bwd` holds each span reversed in place (same end padding
-        as `x_fwd`), so one length list serves both runs."""
-        n = len(lengths)
-        final_fwd = final_states(run_lstm(self.fwd, x_fwd, lengths), n)
-        final_bwd = final_states(run_lstm(self.bwd, x_bwd, lengths), n)
-        return self.proj(ad.concat([final_fwd, final_bwd], axis=1))
+    def encode_steps(self, x: Tensor, lengths: list[int]) -> Tensor:
+        """Representations of a padded batch of spans, shape (N, out_dim);
+        `x` is ((s_max * N), in_dim) in `run_lstm` row layout."""
+        return self.proj(final_states(run_lstm(self.lstm, x, lengths), lengths))
 
 
 # ---------------------------------------------------------------------------
@@ -182,11 +174,10 @@ def kl_divergence_from_log(pred_log: Tensor, target: Tensor) -> Tensor:
 
 
 def kl_divergence_reverse(pred_log: Tensor, target: Tensor) -> Tensor:
-    """KL(exp(pred_log) || target), restricted to the target's support.
-
-    Entries where the target is exactly zero are excluded (a faithful
-    reverse KL would be infinite there and untrainable).
-    """
+    """KL(exp(pred_log) || target) over the target's support only (a full
+    reverse KL is infinite off it). With s the predicted mass on the support,
+    this is s * (KL(p/s || target) + log s), not a divergence: its minimum,
+    -1/e at s = 1/e, rewards moving predicted mass off the target's support."""
     support = (target.values > 0.0).astype(np.float64)
     safe_target = ad.add(ad.mul(target, Tensor(support)), Tensor(1.0 - support))
     pred = ad.exp(pred_log)

@@ -2,12 +2,13 @@
 
 A batch of sequences is one ((t_max * B), dim) matrix with row t*B + b
 holding step t of sequence b (the `EncodedBatch` row layout) plus the
-per-sequence lengths. `run_lstm` is a fused primitive that computes live
-rows only: it sorts the sequences by length and packs their live rows
-step-major (as `pack_padded_sequence` does), so the input projection is one
-matmul over sum(lengths) rows, each step of the recurrence is one
-contiguous block, and its vjp is backpropagation through time over the
-same packed rows.
+per-sequence lengths. `run_lstm` runs a whole BiLSTM as one fused
+primitive that computes live rows only: it sorts the sequences by length and
+packs their live rows step-major (as `pack_padded_sequence` does), so each
+direction's input projection is one matmul over sum(lengths) rows, each step
+of the recurrence is one contiguous block, and its vjp is backpropagation
+through time over the same packed rows. The backward direction reads each
+sequence reversed through a row index, so no caller reverses anything.
 """
 
 from __future__ import annotations
@@ -33,25 +34,25 @@ class Linear:
         return [(f"{self.name}.w", self.w), (f"{self.name}.b", self.b)]
 
 
-class LstmCell:
-    """LSTM weights: `w` is ((in_dim + hidden), 4*hidden), input rows first,
-    then hidden rows; gate columns are ordered input, forget, cell, output."""
+class BiLstm:
+    """Bidirectional LSTM weights: `w[k]` and `b[k]` for direction k, forward
+    then backward. Each `w[k]` is ((in_dim + hidden), 4*hidden), input rows
+    first, then hidden rows; gate columns are ordered input, forget, cell,
+    output."""
 
     def __init__(self, in_dim: int, hidden: int, rng, name: str):
-        self.in_dim = in_dim
-        self.hidden = hidden
+        self.in_dim, self.hidden, self.name = in_dim, hidden, name
         scale = 1.0 / np.sqrt(hidden)
-        self.w = Tensor(
-            rng.uniform(-scale, scale, (in_dim + hidden, 4 * hidden)),
-            requires_grad=True,
-        )
         b = np.zeros(4 * hidden)
         b[hidden : 2 * hidden] = 1.0  # forget-gate bias
-        self.b = Tensor(b, requires_grad=True)
-        self.name = name
+        shape = (in_dim + hidden, 4 * hidden)
+        self.w = [Tensor(rng.uniform(-scale, scale, shape), requires_grad=True) for _ in range(2)]
+        self.b = [Tensor(b.copy(), requires_grad=True) for _ in range(2)]
 
     def parameters(self):
-        return [(f"{self.name}.w", self.w), (f"{self.name}.b", self.b)]
+        tensors = [self.w[0], self.b[0], self.w[1], self.b[1]]
+        names = [f"{self.name}_{d}.{p}" for d in ("fwd", "bwd") for p in ("w", "b")]
+        return list(zip(names, tensors))
 
 
 def _sigmoid_(z: np.ndarray) -> None:
@@ -65,112 +66,140 @@ def _sigmoid_(z: np.ndarray) -> None:
     np.reciprocal(z, out=z)
 
 
-def run_lstm(cell: LstmCell, x: Tensor, lengths: list[int]) -> Tensor:
-    """Run `cell` over a padded batch of sequences as one tape record.
+def run_lstm(cell: BiLstm, x: Tensor, lengths: list[int]) -> Tensor:
+    """Run the BiLSTM `cell` over a padded batch of sequences as one tape record.
 
     `x` is ((t_max * B), in_dim) with row t*B + b holding step t of sequence
-    b, and t_max = max(lengths). Returns the ((t_max * B), hidden) states in
-    the same layout. Past its length a row repeats its last state, so the
-    final B rows are each sequence's final state, and padded input rows get
-    exactly zero gradient.
+    b, and t_max = max(lengths). Returns the ((t_max * B), 2*hidden) states
+    in the same layout: row (b, t) is [forward after steps 0..t | backward
+    after steps L_b-1..t]. A padded row holds both final states, and padded
+    input rows get exactly zero gradient.
 
     Only live rows are computed. Sequences are sorted by length (descending,
     stable) and their live rows packed step-major: step t owns rows
     starts[t]:starts[t+1], one per sequence longer than t, and its previous
-    state is the first rows of step t-1's block.
+    state is the first rows of step t-1's block. The backward direction
+    shares this packing: it reads `x` through the row involution `rev`,
+    which swaps (b, t) and (b, L_b-1-t) and fixes padded rows. Untaped, one
+    direction's buffers are freed before the other's are made.
     """
     if not lengths or min(lengths) < 1:
         raise ShapeError(f"run_lstm: every length must be >= 1, got {lengths}")
     t_max, batch, n_in, hid = max(lengths), len(lengths), cell.in_dim, cell.hidden
     if x.shape != (t_max * batch, n_in):
         raise ShapeError(f"run_lstm: input {x.shape} does not fit lengths {lengths} x {n_in}")
-    w_x, w_h = cell.w.values[:n_in], cell.w.values[n_in:]
     lens, steps = np.asarray(lengths), np.arange(t_max)[:, None]
     order = np.argsort(-lens, kind="stable")
     live = lens[order] > steps  # live[t, j]: the j-th longest sequence has step t
     starts = np.concatenate(([0], np.cumsum(live.sum(axis=1))))
     src = (steps * batch + order)[live]  # padded row of each packed row
-    x_packed = x.values[src]
-    gates = x_packed @ w_x
-    gates += cell.b.values
-    i, f, g, o = (gates[:, k * hid : (k + 1) * hid] for k in range(4))
-    hs = np.empty((src.size, hid))
-    cs = np.empty((src.size, hid))
-    tanh_c = np.empty((src.size, hid))
     bounds = list(zip(starts[:-1].tolist(), starts[1:].tolist()))
-    ifo_rows = np.empty((bounds[0][1], 3 * hid))  # i, f, o: contiguous, so sigmoid is ~1.5x faster
-    for t, (lo, hi) in enumerate(bounds):
-        z, c, ifo = gates[lo:hi], cs[lo:hi], ifo_rows[: hi - lo]
-        if t:  # the previous state: the first hi - lo rows of step t-1
-            prev = slice(bounds[t - 1][0], bounds[t - 1][0] + hi - lo)
-            z += hs[prev] @ w_h
-        np.concatenate((z[:, : 2 * hid], o[lo:hi]), axis=1, out=ifo)
-        _sigmoid_(ifo)
-        z[:, : 2 * hid], o[lo:hi] = ifo[:, : 2 * hid], ifo[:, 2 * hid :]
-        np.tanh(g[lo:hi], out=g[lo:hi])
-        np.multiply(i[lo:hi], g[lo:hi], out=c)
-        if t:
-            c += f[lo:hi] * cs[prev]
-        np.tanh(c, out=tanh_c[lo:hi])
-        np.multiply(o[lo:hi], tanh_c[lo:hi], out=hs[lo:hi])
     rank = np.argsort(order)  # sequence b is the rank[b]-th longest
     out_rows = (starts[np.minimum(steps, lens - 1)] + rank).reshape(-1)
+    rev = (np.where(steps < lens, lens - 1 - steps, steps) * batch + np.arange(batch)).reshape(-1)
+    params = [t for _, t in cell.parameters()]
+    track = ad.active_tape() is not None and any(t.requires_grad for t in [x, *params])
+    out = np.empty((t_max * batch, 2 * hid))
+
+    def direction(k: int, rows: np.ndarray):
+        """Run direction k over `x[rows]` into column block k of `out`; its vjp if taped."""
+        w_x, w_h = cell.w[k].values[:n_in], cell.w[k].values[n_in:]
+        x_rows = rows[src]
+        x_packed = x.values[x_rows]
+        gates = x_packed @ w_x
+        gates += cell.b[k].values
+        i, f, g, o = (gates[:, j * hid : (j + 1) * hid] for j in range(4))
+        hs = np.empty((src.size, hid))
+        cs = np.empty((src.size, hid))
+        tanh_c = np.empty((src.size, hid))
+        # i, f, o gathered into contiguous rows: sigmoid runs ~1.5x faster on them
+        ifo_rows = np.empty((bounds[0][1], 3 * hid))
+        for t, (lo, hi) in enumerate(bounds):
+            z, c, ifo = gates[lo:hi], cs[lo:hi], ifo_rows[: hi - lo]
+            if t:  # the previous state: the first hi - lo rows of step t-1
+                prev = slice(bounds[t - 1][0], bounds[t - 1][0] + hi - lo)
+                z += hs[prev] @ w_h
+            np.concatenate((z[:, : 2 * hid], o[lo:hi]), axis=1, out=ifo)
+            _sigmoid_(ifo)
+            z[:, : 2 * hid], o[lo:hi] = ifo[:, : 2 * hid], ifo[:, 2 * hid :]
+            np.tanh(g[lo:hi], out=g[lo:hi])
+            np.multiply(i[lo:hi], g[lo:hi], out=c)
+            if t:
+                c += f[lo:hi] * cs[prev]
+            np.tanh(c, out=tanh_c[lo:hi])
+            np.multiply(o[lo:hi], tanh_c[lo:hi], out=hs[lo:hi])
+        cols = slice(k * hid, (k + 1) * hid)
+        out[:, cols] = hs[out_rows[rows]]
+        if not track:
+            return None
+
+        def vjp(d_out, dx):
+            """Add this direction's input gradient into `dx`; return (dw, db)."""
+            # packed row of step t-1 that feeds each row of steps 1..t_max-1
+            prev_rows = (starts[:-1, None] + np.arange(batch))[:-1][live[1:]]
+            n0 = bounds[0][1]
+            # dL/d(pre-activation) = upstream * partner * activation slope:
+            # i <- dc * g, f <- dc * c_prev, g <- dc * i, o <- dh * tanh(c)
+            fac = 1.0 - gates
+            fac *= gates
+            fac_g = fac[:, 2 * hid : 3 * hid]
+            np.multiply(g, g, out=fac_g)
+            np.subtract(1.0, fac_g, out=fac_g)
+            fac[:, :hid] *= g
+            fac[:n0, hid : 2 * hid] = 0.0
+            fac[n0:, hid : 2 * hid] *= cs[prev_rows]
+            fac[:, 2 * hid : 3 * hid] *= i
+            fac[:, 3 * hid :] *= tanh_c
+            dc_from_h = 1.0 - tanh_c * tanh_c
+            dc_from_h *= o
+            # d_sorted[t, j]: gradient of padded row (t, j-th longest sequence);
+            # padded rows repeat the last live state, so their gradient is
+            # summed into `tail` and added at that sequence's last live step
+            d_sorted = d_out[rows, cols].reshape(t_max, batch, hid)[:, order]
+            tail = np.zeros((batch, hid))
+            dz = np.empty_like(gates)
+            dh_next = dc_next = np.zeros((0, hid))
+            for t in range(t_max - 1, -1, -1):
+                lo, hi = bounds[t]
+                n, n_next = hi - lo, len(dh_next)
+                tail[n:] += d_sorted[t, n:]
+                dh = d_sorted[t, :n].copy()
+                dh[:n_next] += dh_next
+                dh[n_next:] += tail[n_next:n]
+                dc = dh * dc_from_h[lo:hi]
+                dc[:n_next] += dc_next
+                d = dz[lo:hi]
+                d.reshape(n, 4, hid)[:, :3] = dc[:, None]
+                d[:, 3 * hid :] = dh
+                d *= fac[lo:hi]
+                if t:
+                    dh_next = d @ w_h.T
+                    dc_next = dc * f[lo:hi]
+            dw = np.empty_like(cell.w[k].values)
+            np.matmul(x_packed.T, dz, out=dw[:n_in])
+            np.matmul(hs[prev_rows].T, dz[n0:], out=dw[n_in:])
+            dx[x_rows] += dz @ w_x.T  # x_rows holds no row twice
+            return dw, dz.sum(axis=0)
+
+        return vjp
+
+    vjps = [direction(0, np.arange(t_max * batch)), direction(1, rev)]
 
     def vjp(d_out):
-        # packed row of step t-1 that feeds each row of steps 1..t_max-1
-        prev_rows = (starts[:-1, None] + np.arange(batch))[:-1][live[1:]]
-        n0 = bounds[0][1]
-        # dL/d(pre-activation) = upstream * partner * activation slope:
-        # i <- dc * g, f <- dc * c_prev, g <- dc * i, o <- dh * tanh(c)
-        fac = 1.0 - gates
-        fac *= gates
-        fac_g = fac[:, 2 * hid : 3 * hid]
-        np.multiply(g, g, out=fac_g)
-        np.subtract(1.0, fac_g, out=fac_g)
-        fac[:, :hid] *= g
-        fac[:n0, hid : 2 * hid] = 0.0
-        fac[n0:, hid : 2 * hid] *= cs[prev_rows]
-        fac[:, 2 * hid : 3 * hid] *= i
-        fac[:, 3 * hid :] *= tanh_c
-        dc_from_h = 1.0 - tanh_c * tanh_c
-        dc_from_h *= o
-        # d_sorted[t, j]: gradient of padded row (t, j-th longest sequence);
-        # padded rows repeat the last live state, so their gradient is
-        # summed into `tail` and added at that sequence's last live step
-        d_sorted = d_out.reshape(t_max, batch, hid)[:, order]
-        tail = np.zeros((batch, hid))
-        dz = np.empty_like(gates)
-        dh_next = dc_next = np.zeros((0, hid))
-        for t in range(t_max - 1, -1, -1):
-            lo, hi = bounds[t]
-            n, n_next = hi - lo, len(dh_next)
-            tail[n:] += d_sorted[t, n:]
-            dh = d_sorted[t, :n].copy()
-            dh[:n_next] += dh_next
-            dh[n_next:] += tail[n_next:n]
-            dc = dh * dc_from_h[lo:hi]
-            dc[:n_next] += dc_next
-            d = dz[lo:hi]
-            d.reshape(n, 4, hid)[:, :3] = dc[:, None]
-            d[:, 3 * hid :] = dh
-            d *= fac[lo:hi]
-            if t:
-                dh_next = d @ w_h.T
-                dc_next = dc * f[lo:hi]
-        dw = np.empty_like(cell.w.values)
-        np.matmul(x_packed.T, dz, out=dw[:n_in])
-        np.matmul(hs[prev_rows].T, dz[n0:], out=dw[n_in:])
         dx = np.zeros_like(x.values)
-        dx[src] = dz @ w_x.T
-        return dx, dw, dz.sum(axis=0)
+        return (dx, *[g for v in vjps for g in v(d_out, dx)])
 
-    return ad.emit("lstm", [x, cell.w, cell.b], hs[out_rows], vjp)
+    return ad.emit("lstm", [x, *params], out, vjp)
 
 
-def final_states(states: Tensor, batch: int) -> Tensor:
-    """The last `batch` rows of `run_lstm` output: each sequence's final state."""
-    n = states.shape[0]
-    return ad.take_rows(states, np.arange(n - batch, n))
+def final_states(states: Tensor, lengths: list[int]) -> Tensor:
+    """Each sequence's [forward after step L_b-1 | backward after step 0] in
+    `run_lstm` output, (B, 2*hidden): one row gather over the (2 * rows,
+    hidden) view, whose row 2r is row r's forward half and 2r + 1 its backward."""
+    (n_rows, width), batch, seq = states.shape, len(lengths), np.arange(len(lengths))
+    idx = np.stack([2 * ((np.asarray(lengths) - 1) * batch + seq), 2 * seq + 1], axis=1)
+    halves = ad.take_rows(ad.reshape(states, (2 * n_rows, width // 2)), idx.reshape(-1))
+    return ad.reshape(halves, (batch, width))
 
 
 class Mlp:

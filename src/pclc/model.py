@@ -120,11 +120,8 @@ class PclcModel:
                 raise ShapeError(f"span ({start}, {end}) outside utterance of length {enc.lengths[b]}")
         lengths = [end - start + 1 for _, start, end in spans]
         steps = range(max(lengths))
-        fwd_rows = [enc.flat(b, min(start + s, end)) for s in steps for b, start, end in spans]
-        bwd_rows = [enc.flat(b, max(end - s, start)) for s in steps for b, start, end in spans]
-        return self.entity_encoder.encode_steps(
-            ad.take_rows(enc.hidden, fwd_rows), ad.take_rows(enc.hidden, bwd_rows), lengths
-        )
+        rows = [enc.flat(b, min(start + s, end)) for s in steps for b, start, end in spans]
+        return self.entity_encoder.encode_steps(ad.take_rows(enc.hidden, rows), lengths)
 
     def predict(
         self, utterances: list[Utterance], batch_size: int = 64

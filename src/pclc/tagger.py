@@ -16,7 +16,7 @@ from . import autodiff as ad
 from .autodiff import Tensor
 from .data import PAD_INDEX, Utterance, Vocab
 from .errors import ShapeError
-from .layers import LstmCell, final_states, run_lstm
+from .layers import BiLstm, final_states, run_lstm
 
 N_TAGS = 3
 O_IDX, B_IDX, I_IDX = 0, 1, 2
@@ -65,21 +65,17 @@ class Encoder:
         char_matrix = rng.uniform(-0.1, 0.1, size=(vocab.n_chars, config.char_dim))
         char_matrix[PAD_INDEX] = 0.0
         self.char_table = Tensor(char_matrix, requires_grad=True)
-        self.char_fwd = LstmCell(config.char_dim, config.char_hidden, rng, "char_fwd")
-        self.char_bwd = LstmCell(config.char_dim, config.char_hidden, rng, "char_bwd")
-        self.layers: list[tuple[LstmCell, LstmCell]] = []
+        self.char_lstm = BiLstm(config.char_dim, config.char_hidden, rng, "char")
+        self.layers: list[BiLstm] = []
         in_dim = config.word_dim + 2 * config.char_hidden
         for layer in range(config.layers):
-            fwd = LstmCell(in_dim, config.hidden, rng, f"lstm{layer}_fwd")
-            bwd = LstmCell(in_dim, config.hidden, rng, f"lstm{layer}_bwd")
-            self.layers.append((fwd, bwd))
+            self.layers.append(BiLstm(in_dim, config.hidden, rng, f"lstm{layer}"))
             in_dim = 2 * config.hidden
 
     def parameters(self):
         params = [("word_table", self.word_table), ("char_table", self.char_table)]
-        params += self.char_fwd.parameters() + self.char_bwd.parameters()
-        for fwd, bwd in self.layers:
-            params += fwd.parameters() + bwd.parameters()
+        for lstm in [self.char_lstm, *self.layers]:
+            params += lstm.parameters()
         return params
 
     def _char_features(self, utterances, vocab) -> tuple[Tensor, list[list[int]]]:
@@ -93,20 +89,12 @@ class Encoder:
         index: dict[str, int] = {}
         row_of = [[index.setdefault(t, len(index)) for t in utt.tokens] for utt in utterances]
         tokens = list(index)
-        n_tok = len(tokens)
         char_lengths = [len(t) for t in tokens]
-        c_max = max(char_lengths)
-        char_ids = np.full((c_max, n_tok), PAD_INDEX, dtype=np.intp)
-        char_ids_rev = np.full((c_max, n_tok), PAD_INDEX, dtype=np.intp)
+        char_ids = np.full((max(char_lengths), len(tokens)), PAD_INDEX, dtype=np.intp)
         for j, token in enumerate(tokens):
-            ids = [vocab.char_id(c) for c in token]
-            char_ids[: len(ids), j] = ids
-            char_ids_rev[: len(ids), j] = ids[::-1]
-        finals = []
-        for cell, ids in ((self.char_fwd, char_ids), (self.char_bwd, char_ids_rev)):
-            x = ad.embedding_lookup(self.char_table, ids.reshape(-1))
-            finals.append(final_states(run_lstm(cell, x, char_lengths), n_tok))
-        char_final = ad.concat(finals, axis=1)
+            char_ids[: len(token), j] = [vocab.char_id(c) for c in token]
+        x = ad.embedding_lookup(self.char_table, char_ids.reshape(-1))
+        char_final = final_states(run_lstm(self.char_lstm, x, char_lengths), char_lengths)
         zero_row = Tensor(np.zeros((1, 2 * self.config.char_hidden)))
         return ad.concat([char_final, zero_row], axis=0), row_of
 
@@ -129,19 +117,13 @@ class Encoder:
             for t, token in enumerate(utt.tokens):
                 word_ids[t, b] = vocab.word_id(token)
                 char_row_ids[t, b] = char_rows[b][t]
-        # rev_map[t*batch + b] is the row of (b, L_b-1-t), or of (b, 0) on
-        # padding; gathering by it twice restores every live row.
-        steps, n = np.arange(t_max)[:, None], np.asarray(lengths)
-        rev_map = (np.where(steps < n, n - 1 - steps, 0) * batch + np.arange(batch)).reshape(-1)
 
         word_x = ad.embedding_lookup(self.word_table, word_ids.reshape(-1))
         char_x = ad.take_rows(char_mat, char_row_ids.reshape(-1))
         x = ad.dropout(ad.concat([word_x, char_x], axis=1), cfg.dropout, rng=rng, training=training)
 
-        for layer_idx, (fwd, bwd) in enumerate(self.layers):
-            fwd_out = run_lstm(fwd, x, lengths)
-            bwd_out_rev = run_lstm(bwd, ad.take_rows(x, rev_map), lengths)
-            x = ad.concat([fwd_out, ad.take_rows(bwd_out_rev, rev_map)], axis=1)
+        for layer_idx, lstm in enumerate(self.layers):
+            x = run_lstm(lstm, x, lengths)
             if layer_idx + 1 < len(self.layers):
                 x = ad.dropout(x, cfg.dropout, rng=rng, training=training)
 

@@ -152,7 +152,7 @@ def per_occurrence_char_features(encoder, utterances, vocab):
     """Char-BiLSTM final states of every token occurrence, as a Tensor.
 
     Rows are utterance-major, one per occurrence: repeated tokens are run
-    through both char LSTMs again, one column of char ids each.
+    through the char BiLSTM again, one column of char ids each.
     """
     from pclc import autodiff as ad
     from pclc.data import PAD_INDEX
@@ -161,16 +161,10 @@ def per_occurrence_char_features(encoder, utterances, vocab):
     tokens = [token for utt in utterances for token in utt.tokens]
     lengths = [len(token) for token in tokens]
     ids = np.full((max(lengths), len(tokens)), PAD_INDEX, dtype=np.intp)
-    ids_rev = ids.copy()
     for j, token in enumerate(tokens):
-        chars = [vocab.char_id(c) for c in token]
-        ids[: len(chars), j] = chars
-        ids_rev[: len(chars), j] = chars[::-1]
-    finals = []
-    for cell, char_ids in ((encoder.char_fwd, ids), (encoder.char_bwd, ids_rev)):
-        x = ad.embedding_lookup(encoder.char_table, char_ids.reshape(-1))
-        finals.append(final_states(run_lstm(cell, x, lengths), len(tokens)))
-    return ad.concat(finals, axis=1)
+        ids[: len(token), j] = [vocab.char_id(c) for c in token]
+    x = ad.embedding_lookup(encoder.char_table, ids.reshape(-1))
+    return final_states(run_lstm(encoder.char_lstm, x, lengths), lengths)
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
-"""`scripts/bench_pairs.py` keeps every finished pair when a run fails, and its
-summary shows differences that 6 significant digits hide."""
+"""`scripts/bench_pairs.py` keeps every finished pair when a run fails, keeps
+each run's record, and its summary shows differences that 6 significant
+digits hide."""
 
 import importlib.util
 import json
@@ -87,3 +88,35 @@ def test_summary_counts_identical_pairs_and_largest_relative_difference():
     assert rows["final_loss"][-2] == "2/3"
     assert float(rows["final_loss"][-1]) == pytest.approx((ulp_up - loss) / ulp_up, rel=0.01)
     assert rows["utt_per_s"][-2:] == ["1/3", "2.00e-01"]
+
+
+def test_run_keeps_its_record_line(monkeypatch):
+    record = json.dumps({"record": {"predict_f1": 0.5, "spans_per_utt": 1.25}})
+    outcomes = [f"{record}\n{GOOD}", GOOD]
+    monkeypatch.setattr(bench_pairs.subprocess, "run", _fake_runs(outcomes))
+    res = bench_pairs.run_once("tree", "predict-paper", 1, 3.0)
+    assert res["record"] == {"predict_f1": 0.5, "spans_per_utt": 1.25}
+    assert res["metrics"] == {"utt_per_s": 100.0}
+    assert bench_pairs.run_once("tree", "predict-paper", 1, 3.0)["record"] == {}
+
+
+def test_summary_counts_pairs_with_identical_record_keys():
+    def side(f1s, spans):
+        return [{"correct": True, "metrics": {"utt_per_s": 100.0},
+                 "record": {"predict_f1": f1, "spans_per_utt": n}}
+                for f1, n in zip(f1s, spans)]
+
+    runs = {
+        "parent": side([0.5, 0.25, 0.75], [1.0, 1.5, 2.0]),
+        "change": side([0.5, 0.25, 0.7500000000000001], [1.0, 1.5, 2.0]),
+    }
+    runs["change"].append({"correct": False, "metrics": {}, "error": "boom"})
+    runs["parent"].append({"correct": True, "metrics": {}, "record": {"predict_f1": 0.5}})
+    lines = bench_pairs.summary(runs, {"utt_per_s": "higher"})
+    assert lines[-2:] == [
+        "record predict_f1: 2/3 pairs identical",
+        "record spans_per_utt: 3/3 pairs identical",
+    ]
+    train = {side: [{"correct": True, "metrics": {"utt_per_s": 1.0}, "record": {}}]
+             for side in ("parent", "change")}
+    assert not any(line.startswith("record") for line in bench_pairs.summary(train, {}))

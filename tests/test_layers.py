@@ -1,4 +1,5 @@
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,8 +10,8 @@ from pclc import autodiff as ad
 from pclc.autodiff import Tape, Tensor
 from pclc.data import build_vocab, load_corpus, random_embeddings, split_leave_one_out
 from pclc.errors import ShapeError
-from pclc.layers import LstmCell, _sigmoid_, run_lstm
-from pclc.model import PclcModel
+from pclc.layers import BiLstm, _sigmoid_, final_states, run_lstm
+from pclc.model import ModelDims, PclcModel
 from pclc.rng import make_rng
 from pclc.trainer import TrainConfig, total_loss
 
@@ -19,7 +20,7 @@ KINDS = ("ragged", "equal", "one_long")
 
 
 def _ragged_lstm(rng, kind, in_dim=3, hidden=2):
-    """A cell with random weights and a padded ((t_max*B), in_dim) batch of
+    """A BiLSTM with random weights and a padded ((t_max*B), in_dim) batch of
     B in 1..9 sequences with random values in the padded rows. Lengths are
     random in 1..6 with ties ("ragged"), all equal so nothing is padded
     ("equal"), or all 1 but one of 2..6 ("one_long")."""
@@ -31,8 +32,9 @@ def _ragged_lstm(rng, kind, in_dim=3, hidden=2):
     else:
         lengths = [1] * batch
         lengths[int(rng.integers(batch))] = int(rng.integers(2, 7))
-    cell = LstmCell(in_dim, hidden, rng, "test")
-    cell.b.values = rng.uniform(-1, 1, cell.b.shape)
+    cell = BiLstm(in_dim, hidden, rng, "test")
+    for b in cell.b:
+        b.values = rng.uniform(-1, 1, b.shape)
     x = rng.uniform(-2, 2, (max(lengths) * batch, in_dim))
     return cell, x, lengths
 
@@ -42,35 +44,64 @@ def _padded_rows(lengths):
     return [t * batch + b for b, n in enumerate(lengths) for t in range(n, max(lengths))]
 
 
+def _reversed_rows(lengths):
+    """Row index taking (b, t) to (b, L_b-1-t) on live rows, padded rows fixed."""
+    batch = len(lengths)
+    rows = list(range(max(lengths) * batch))
+    for b, n in enumerate(lengths):
+        for t in range(n):
+            rows[t * batch + b] = (n - 1 - t) * batch + b
+    return rows
+
+
+def _params(cell):
+    return [cell.w[0], cell.b[0], cell.w[1], cell.b[1]]
+
+
 def test_run_lstm_matches_step_by_step_reference():
+    # forward half: the reference over x; backward half: the reference over
+    # each sequence reversed in place, then un-reversed
     rng = make_rng(20)
     for kind in KINDS * 10:
         cell, x, lengths = _ragged_lstm(rng, kind)
+        hid, batch = cell.hidden, len(lengths)
         out = run_lstm(cell, Tensor(x), lengths).values
-        want = oracles.lstm_reference(x, lengths, cell.w.values, cell.b.values)
-        assert np.abs(out - want).max() < 1e-12
-        batch = len(lengths)
-        for b, n in enumerate(lengths):  # padded rows repeat the last live state
+        assert out.shape == (x.shape[0], 2 * hid)
+        rev = _reversed_rows(lengths)
+        want_fwd = oracles.lstm_reference(x, lengths, cell.w[0].values, cell.b[0].values)
+        want_bwd = oracles.lstm_reference(x[rev], lengths, cell.w[1].values, cell.b[1].values)
+        assert np.abs(out[:, :hid] - want_fwd).max() < 1e-12
+        assert np.abs(out[:, hid:] - want_bwd[rev]).max() < 1e-12
+        for b, n in enumerate(lengths):  # padded rows hold both final states
+            finals = np.concatenate([out[(n - 1) * batch + b, :hid], out[b, hid:]])
             for t in range(n, max(lengths)):
-                assert np.array_equal(out[t * batch + b], out[(n - 1) * batch + b])
+                assert np.array_equal(out[t * batch + b], finals)
 
 
 def test_run_lstm_gradients_match_finite_differences():
+    # the loss also reads final_states, so its gather's vjp is checked too
     rng = make_rng(21)
     for kind in KINDS:
         cell, x, lengths = _ragged_lstm(rng, kind)
-        weights = rng.uniform(-1, 1, (x.shape[0], cell.hidden))
-        arrays = [x, cell.w.values, cell.b.values]
+        weights = rng.uniform(-1, 1, (x.shape[0], 2 * cell.hidden))
+        final_weights = rng.uniform(-1, 1, (len(lengths), 2 * cell.hidden))
+        params = _params(cell)
 
         def loss_value():
-            return (float((run_lstm(cell, Tensor(x), lengths).values * weights).sum()),)
+            out = run_lstm(cell, Tensor(x), lengths)
+            finals = final_states(out, lengths).values
+            return (float((out.values * weights).sum() + (finals * final_weights).sum()),)
 
-        fd = oracles.finite_difference_grads(loss_value, arrays)[0]
+        fd = oracles.finite_difference_grads(loss_value, [x] + [p.values for p in params])[0]
         xt = Tensor(x, requires_grad=True)
         with Tape() as tape:
             out = run_lstm(cell, xt, lengths)
-            ad.backward(ad.tensor_sum(ad.mul(out, Tensor(weights))), tape)
-        for analytic, numeric in zip([xt.grad, cell.w.grad, cell.b.grad], fd):
+            loss = ad.add(
+                ad.tensor_sum(ad.mul(out, Tensor(weights))),
+                ad.tensor_sum(ad.mul(final_states(out, lengths), Tensor(final_weights))),
+            )
+            ad.backward(loss, tape)
+        for analytic, numeric in zip([xt.grad] + [p.grad for p in params], fd):
             assert oracles.relative_error(analytic, numeric) < 1e-6
 
 
@@ -90,6 +121,24 @@ def test_run_lstm_padding_gets_exactly_zero_gradient():
         assert np.all(np.abs(xt.grad[live]).sum(axis=1) > 0.0)
 
 
+def test_final_states_pick_each_directions_last_step():
+    # lengths 1 and t_max are the edge cases: a length-1 sequence's forward
+    # and backward finals are the same step, and at t_max no row is padded
+    rng = make_rng(26)
+    cell = BiLstm(3, 2, rng, "test")
+    lengths = [1, 5, 3, 1, 5]
+    batch = len(lengths)
+    with Tape() as tape:
+        out = run_lstm(cell, Tensor(rng.uniform(-2, 2, (5 * batch, 3))), lengths)
+        finals = final_states(out, lengths).values
+    assert [rec.kind for rec in tape.records] == ["lstm", "reshape", "take_rows", "reshape"]
+    assert finals.shape == (batch, 4)
+    for b, n in enumerate(lengths):
+        assert np.array_equal(finals[b, :2], out.values[(n - 1) * batch + b, :2])
+        assert np.array_equal(finals[b, 2:], out.values[b, 2:])
+    assert not np.array_equal(finals[1, 2:], out.values[4 * batch + 1, 2:])
+
+
 def test_run_lstm_saturated_gates_stay_finite_and_silent():
     # pre-activations far below -709 overflow exp inside the sigmoid; the
     # gate is then exactly 0, with no RuntimeWarning (an error in this suite)
@@ -97,14 +146,34 @@ def test_run_lstm_saturated_gates_stay_finite_and_silent():
     for kind in KINDS:
         cell, x, lengths = _ragged_lstm(rng, kind)
         x = 1e4 * np.sign(x)
-        assert (x @ cell.w.values[: cell.in_dim]).min() < -709
+        for w in cell.w:
+            assert (x @ w.values[: cell.in_dim]).min() < -709
         xt = Tensor(x, requires_grad=True)
         with Tape() as tape:
             out = run_lstm(cell, xt, lengths)
             ad.backward(ad.tensor_sum(out), tape)
         assert np.all(np.abs(out.values) <= 1.0)
-        for grad in (xt.grad, cell.w.grad, cell.b.grad):
+        for grad in [xt.grad] + [p.grad for p in _params(cell)]:
             assert np.all(np.isfinite(grad))
+
+
+def test_untaped_run_lstm_holds_one_direction_at_a_time():
+    # inference keeps no vjp, so a direction's packed input, gates and
+    # state buffers must be gone before the other direction allocates its own
+    rng = make_rng(27)
+    in_dim, hid, batch, t_max = 50, 40, 30, 12
+    cell = BiLstm(in_dim, hid, rng, "test")
+    x = Tensor(rng.uniform(-1, 1, (t_max * batch, in_dim)))
+    lengths = [t_max] * batch
+    one_direction = t_max * batch * (in_dim + 7 * hid) * 8  # x_packed, gates, hs, cs, tanh(c)
+    run_lstm(cell, x, lengths)  # warm any one-off allocations
+    tracemalloc.start()
+    try:
+        run_lstm(cell, x, lengths)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert one_direction < peak < 2 * one_direction
 
 
 def test_gate_sigmoid_on_a_gathered_block_equals_it_on_strided_slices():
@@ -131,7 +200,7 @@ def test_run_lstm_permuting_sequences_permutes_output_and_gradient():
     for kind in KINDS * 3:
         cell, x, lengths = _ragged_lstm(rng, kind)
         batch = len(lengths)
-        weights = rng.uniform(-1, 1, (x.shape[0], cell.hidden))
+        weights = rng.uniform(-1, 1, (x.shape[0], 2 * cell.hidden))
         perm = rng.permutation(batch)
         rows = (np.arange(max(lengths))[:, None] * batch + perm).reshape(-1)
         shuffled = (x[rows], weights[rows], [lengths[b] for b in perm])
@@ -142,14 +211,15 @@ def test_run_lstm_permuting_sequences_permutes_output_and_gradient():
                 out = run_lstm(cell, xt, ls)
                 ad.backward(ad.tensor_sum(ad.mul(out, Tensor(ws))), tape)
             results.append((out.values, xt.grad))
-            cell.w.grad = cell.b.grad = None
+            for p in _params(cell):
+                p.grad = None
         (out, dx), (out_p, dx_p) = results
         assert np.abs(out_p - out[rows]).max() < 1e-12
         assert np.abs(dx_p - dx[rows]).max() < 1e-12
 
 
 def test_run_lstm_rejects_inconsistent_inputs():
-    cell = LstmCell(3, 2, make_rng(0), "test")
+    cell = BiLstm(3, 2, make_rng(0), "test")
     with pytest.raises(ShapeError):
         run_lstm(cell, Tensor(np.zeros((5, 3))), [3, 2])  # needs 6 rows
     with pytest.raises(ShapeError):
@@ -158,9 +228,10 @@ def test_run_lstm_rejects_inconsistent_inputs():
         run_lstm(cell, Tensor(np.zeros((6, 3))), [3, 0])
 
 
-def test_batch_loss_records_one_lstm_op_per_direction():
-    # one 64-utterance batch at the criterion-6 dims: char, word and entity
-    # BiLSTMs are one record per direction each, not a per-timestep chain
+def test_batch_loss_records_one_lstm_op_per_bilstm():
+    # one 64-utterance batch at the criterion-6 dims: the char, word and
+    # entity BiLSTMs are one record each, not a per-direction or
+    # per-timestep chain
     corpus, schema = load_corpus(os.path.join(DATA_DIR, "transfer"))
     vocab = build_vocab(corpus, schema)
     split = split_leave_one_out(corpus, schema, "bus", seed=1)
@@ -173,5 +244,37 @@ def test_batch_loss_records_one_lstm_op_per_direction():
     with Tape() as tape:
         total_loss(split.train[:64], model, config, make_rng(3))
     kinds = [rec.kind for rec in tape.records]
-    assert kinds.count("lstm") == 6
+    assert kinds.count("lstm") == 3
     assert len(kinds) <= 250
+
+
+def test_bilstm_draws_forward_then_backward_weights():
+    # checkpoints and seeded runs rely on the draw order of the weights the
+    # two directions had as separate cells: forward w, then backward w
+    cell = BiLstm(3, 2, make_rng(7), "x")
+    rng = make_rng(7)
+    scale = 1.0 / np.sqrt(2)
+    for w, b in zip(cell.w, cell.b):
+        assert np.array_equal(w.values, rng.uniform(-scale, scale, (5, 8)))
+        assert np.array_equal(b.values, [0, 0, 1, 1, 0, 0, 0, 0])  # forget-gate bias 1
+    assert [name for name, _ in cell.parameters()] == ["x_fwd.w", "x_fwd.b", "x_bwd.w", "x_bwd.b"]
+
+
+def test_two_layer_model_parameter_names_and_order():
+    # checkpoints store tensors by these names; their order is the
+    # optimizer's and the rng's, so seeded runs depend on it too
+    corpus, schema = load_corpus(os.path.join(DATA_DIR, "transfer"))
+    vocab = build_vocab(corpus, schema)
+    dims = ModelDims(word_dim=6, char_dim=3, char_hidden=3, hidden=4, layers=2,
+                     entity_hidden=4, proto_dim=5)
+    word_matrix = random_embeddings(vocab.n_words, dims.word_dim, make_rng(1))
+    model = PclcModel(schema, "bus", vocab, word_matrix, dims, make_rng(2))
+    lstm = [f"{name}_{d}.{p}" for name in ("char", "lstm0", "lstm1")
+            for d in ("fwd", "bwd") for p in ("w", "b")]
+    entity = [f"entity_{d}.{p}" for d in ("fwd", "bwd") for p in ("w", "b")]
+    assert list(model.named_parameters()) == [
+        "word_table", "char_table", *lstm,
+        "emission.w", "emission.b", "crf.transitions", "crf.start", "crf.end",
+        *entity, "entity_proj.w", "entity_proj.b",
+        "proto_mlp.hidden.w", "proto_mlp.hidden.b", "proto_mlp.out.w", "proto_mlp.out.b",
+    ]

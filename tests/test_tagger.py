@@ -432,9 +432,8 @@ def test_char_features_run_once_per_distinct_token(overfit_corpus, monkeypatch):
     monkeypatch.setattr(tagger, "run_lstm", spy)
     with Tape() as tape:
         char_mat, row_of = encoder._char_features(batch, vocab)
-    assert [rec.kind for rec in tape.records].count("lstm") == 2
-    rows = len(distinct) * c_max
-    assert lstm_rows == [(encoder.char_fwd, rows), (encoder.char_bwd, rows)]
+    assert [rec.kind for rec in tape.records].count("lstm") == 1
+    assert lstm_rows == [(encoder.char_lstm, len(distinct) * c_max)]
     assert char_mat.shape == (len(distinct) + 1, 2 * config.char_hidden)
     assert not char_mat.values[-1].any()  # the zero pad row is last
     flat_rows = [r for rs in row_of for r in rs]

@@ -6,10 +6,10 @@ from .classifier import (
     PrototypeMatrix,
     build_prototypes,
     confusion_loss,
-    confusion_target,
+    confusion_targets,
     contrastive_loss,
     predict_slot_type,
-    smooth_distribution,
+    smooth_distributions,
 )
 from .data import (
     ExperimentSplit,

@@ -126,38 +126,6 @@ class Tensor:
     def __repr__(self):
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
 
-    # operator sugar; scalars wrap into constant tensors
-    def __add__(self, other):
-        return add(self, _as_tensor(other))
-
-    def __radd__(self, other):
-        return add(_as_tensor(other), self)
-
-    def __sub__(self, other):
-        return sub(self, _as_tensor(other))
-
-    def __rsub__(self, other):
-        return sub(_as_tensor(other), self)
-
-    def __mul__(self, other):
-        return mul(self, _as_tensor(other))
-
-    def __rmul__(self, other):
-        return mul(_as_tensor(other), self)
-
-    def __truediv__(self, other):
-        return div(self, _as_tensor(other))
-
-    def __matmul__(self, other):
-        return matmul(self, _as_tensor(other))
-
-    def __neg__(self):
-        return mul(self, Tensor(-1.0))
-
-
-def _as_tensor(x) -> Tensor:
-    return x if isinstance(x, Tensor) else Tensor(x)
-
 
 def emit(kind, inputs, out_values, vjp_builder) -> Tensor:
     """Create the output tensor and record the op if anything needs grad.
@@ -325,15 +293,6 @@ def tanh(a: Tensor) -> Tensor:
 def relu(a: Tensor) -> Tensor:
     out = np.maximum(a.values, 0.0)
     return _elementwise("relu", a, out, (a.values > 0.0).astype(np.float64))
-
-
-def exp(a: Tensor) -> Tensor:
-    out = np.exp(a.values)
-    return _elementwise("exp", a, out, out)
-
-
-def log(a: Tensor) -> Tensor:
-    return _elementwise("log", a, np.log(a.values), 1.0 / a.values)
 
 
 def sqrt(a: Tensor) -> Tensor:

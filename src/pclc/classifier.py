@@ -5,6 +5,14 @@ description-token word vectors), rebuilt on every forward pass so the label
 space keeps moving with training. The prototype matrix has a source block
 followed by a target block; a slot living in both domains gets one row in
 each block.
+
+The label space is handled as whole matrices, so the number of taped ops
+does not grow with the number of slots, gold labels or spans:
+`build_prototypes` averages every label's description tokens with one
+constant membership matmul, `confusion_targets` builds the label-confusion
+targets of all distinct gold slots from one cosine matrix, and
+`predict_slot_type` scores a chunk of spans with one product against the
+prototype matrix.
 """
 
 from __future__ import annotations
@@ -77,24 +85,27 @@ def build_prototypes(
     word_table: Tensor,
     mlp: Mlp,
 ) -> PrototypeMatrix:
-    """Prototype rows = MLP(mean of description-token word embeddings)."""
+    """Prototype rows = MLP(mean of description-token word embeddings); a
+    constant 0/1 membership matmul sums every label's tokens at once."""
     source_labels = source_block_order(schema, source_domains)
     target_labels = list(schema.slots_of[target_domain])
-    name_rows = []
+    ids: list[int] = []
+    counts: list[int] = []
     for label in source_labels + target_labels:
         tokens = schema.description_tokens[label]
         if not tokens:
             raise ShapeError(f"slot {label!r} has an empty description")
-        ids = []
         for t in tokens:
             if t not in vocab.word_index:
                 raise ShapeError(f"description token {t!r} of slot {label!r} not in vocab")
             ids.append(vocab.word_index[t])
-        looked = ad.embedding_lookup(word_table, np.asarray(ids, dtype=np.intp))
-        mean = ad.mul(ad.tensor_sum(looked, axis=0, keepdims=True), Tensor(1.0 / len(ids)))
-        name_rows.append(mean)
-    name_matrix = ad.concat(name_rows, axis=0)
-    matrix = mlp(name_matrix)
+        counts.append(len(tokens))
+    membership = np.zeros((len(counts), len(ids)))
+    membership[np.repeat(np.arange(len(counts)), counts), np.arange(len(ids))] = 1.0
+    looked = ad.embedding_lookup(word_table, np.asarray(ids, dtype=np.intp))
+    sums = ad.matmul(Tensor(membership), looked)
+    means = ad.mul(sums, Tensor(1.0 / np.asarray(counts, dtype=np.float64)[:, None]))
+    matrix = mlp(means)
     return PrototypeMatrix(
         matrix=matrix,
         source_labels=source_labels,
@@ -125,43 +136,42 @@ class EntityEncoder:
 # dotted with every prototype row
 
 
-def confusion_target(z_y: Tensor, target_block: Tensor) -> Tensor:
-    """Soft distribution over target slots by similarity to the gold prototype.
+def confusion_targets(z: Tensor, target_block: Tensor) -> Tensor:
+    """Soft distributions over target slots, one row per gold prototype row
+    of `z` (K, dim), by cosine similarity to every target prototype.
 
-    Cosine similarities are clamped at zero before L1 normalization so the
-    result is a valid distribution; if nothing is positive the distribution
-    falls back to uniform.
+    Cosines are clamped at zero before L1 normalization so each row is a
+    valid distribution. A row with nothing positive falls back to uniform:
+    its zeros become ones, so it is never divided by a zero sum, and its
+    cosines are all <= 0, so relu passes it exactly zero gradient.
     """
-    n_target = target_block.shape[0]
-    if n_target == 0:
-        raise ShapeError("confusion_target: empty target block")
-    z = z_y if z_y.values.ndim == 1 else ad.reshape(z_y, (z_y.size,))
-    if float(np.linalg.norm(z.values)) == 0.0:
-        raise ShapeError("confusion_target: zero-norm gold prototype")
-    norms_sq = ad.tensor_sum(ad.mul(target_block, target_block), axis=1)
-    if float(norms_sq.values.min()) == 0.0:
-        raise ShapeError("confusion_target: zero-norm target prototype row")
-    dots = ad.reshape(ad.matmul(target_block, ad.reshape(z, (z.size, 1))), (n_target,))
-    z_norm = ad.sqrt(ad.tensor_sum(ad.mul(z, z)))
-    sims = ad.div(dots, ad.mul(ad.sqrt(norms_sq), z_norm))
+    if target_block.shape[0] == 0:
+        raise ShapeError("confusion_targets: empty target block")
+    z_norms_sq = ad.tensor_sum(ad.mul(z, z), axis=1, keepdims=True)
+    if float(z_norms_sq.values.min()) == 0.0:
+        raise ShapeError("confusion_targets: zero-norm gold prototype row")
+    t_norms_sq = ad.tensor_sum(ad.mul(target_block, target_block), axis=1)
+    if float(t_norms_sq.values.min()) == 0.0:
+        raise ShapeError("confusion_targets: zero-norm target prototype row")
+    dots = ad.matmul(z, ad.transpose(target_block))
+    sims = ad.div(dots, ad.mul(ad.sqrt(t_norms_sq), ad.sqrt(z_norms_sq)))
     clamped = ad.relu(sims)
-    total = float(clamped.values.sum())
-    if total == 0.0:
-        return Tensor(np.full(n_target, 1.0 / n_target))
-    return ad.div(clamped, ad.tensor_sum(clamped))
+    fallback = (clamped.values.sum(axis=1, keepdims=True) == 0.0).astype(np.float64)
+    weights = ad.add(clamped, Tensor(fallback))
+    return ad.div(weights, ad.tensor_sum(weights, axis=1, keepdims=True))
 
 
-def smooth_distribution(y: int, d_tgt: Tensor, lam: float, n_source: int) -> Tensor:
-    """Concatenate lam * one_hot(y) over the source block with
-    (1 - lam) * d_tgt over the target block."""
+def smooth_distributions(ys: list[int], d_tgt: Tensor, lam: float, n_source: int) -> Tensor:
+    """Row k is lam * one_hot(ys[k]) over the source block followed by
+    (1 - lam) * d_tgt[k] over the target block."""
     if not 0.0 <= lam <= 1.0:
         raise ShapeError(f"confusion factor must be in [0, 1], got {lam}")
-    if not 0 <= y < n_source:
-        raise ShapeError(f"source label index {y} out of range for {n_source} slots")
-    src = np.zeros(n_source)
-    src[y] = lam
-    scaled_tgt = ad.mul(d_tgt, Tensor(1.0 - lam))
-    return ad.concat([Tensor(src), scaled_tgt], axis=0)
+    for y in ys:
+        if not 0 <= y < n_source:
+            raise ShapeError(f"source label index {y} out of range for {n_source} slots")
+    src = np.zeros((len(ys), n_source))
+    src[np.arange(len(ys)), ys] = lam
+    return ad.concat([Tensor(src), ad.mul(d_tgt, Tensor(1.0 - lam))], axis=1)
 
 
 def kl_divergence_from_log(pred_log: Tensor, target: Tensor) -> Tensor:
@@ -171,18 +181,6 @@ def kl_divergence_from_log(pred_log: Tensor, target: Tensor) -> Tensor:
     entropy_part = ad.tensor_sum(ad.xlogx(target))
     cross_part = ad.tensor_sum(ad.mul(target, pred_log))
     return ad.sub(entropy_part, cross_part)
-
-
-def kl_divergence_reverse(pred_log: Tensor, target: Tensor) -> Tensor:
-    """KL(exp(pred_log) || target) over the target's support only (a full
-    reverse KL is infinite off it). With s the predicted mass on the support,
-    this is s * (KL(p/s || target) + log s), not a divergence: its minimum,
-    -1/e at s = 1/e, rewards moving predicted mass off the target's support."""
-    support = (target.values > 0.0).astype(np.float64)
-    safe_target = ad.add(ad.mul(target, Tensor(support)), Tensor(1.0 - support))
-    pred = ad.exp(pred_log)
-    log_ratio = ad.sub(pred_log, ad.log(safe_target))
-    return ad.tensor_sum(ad.mul(ad.mul(pred, log_ratio), Tensor(support)))
 
 
 def contrastive_loss(
@@ -237,40 +235,34 @@ def confusion_loss(
     source_entities: list[int],
     protos: PrototypeMatrix,
     lam: float,
-    kl_direction: str,
 ) -> Tensor:
-    """Mean KL between smoothed label targets and prototype predictions,
-    over source-domain entities (confusion maps a source gold label onto
-    the target block, so target-domain entities carry no such term).
-
-    `kl_direction` is "smooth_to_pred" (KL(smoothed || predicted)) or
-    "pred_to_smooth" (`kl_divergence_reverse`)."""
-    target_block = protos.target_block()
-    n_source = protos.block_boundary
+    """Mean KL(smoothed || predicted) between smoothed label targets and
+    prototype predictions, over source-domain entities (confusion maps a
+    source gold label onto the target block, so target-domain entities
+    carry no such term). The targets of all distinct gold slots are built
+    in one batch."""
     distinct = sorted({rows[i] for i in source_entities})
-    smooth_rows = []
-    for y in distinct:
-        z_y = ad.reshape(ad.take_rows(protos.matrix, [y]), (protos.matrix.shape[1],))
-        d_tgt = confusion_target(z_y, target_block)
-        d_smooth = smooth_distribution(y, d_tgt, lam, n_source)
-        smooth_rows.append(ad.reshape(d_smooth, (1, protos.n_rows)))
-    smooth_matrix = ad.concat(smooth_rows, axis=0)
+    d_tgt = confusion_targets(ad.take_rows(protos.matrix, distinct), protos.target_block())
+    smooth = smooth_distributions(distinct, d_tgt, lam, protos.block_boundary)
     index_of = {y: i for i, y in enumerate(distinct)}
-    targets = ad.take_rows(smooth_matrix, [index_of[rows[i]] for i in source_entities])
+    targets = ad.take_rows(smooth, [index_of[rows[i]] for i in source_entities])
     pred_log = ad.log_softmax(ad.take_rows(scores, source_entities), axis=1)
-    if kl_direction == "smooth_to_pred":
-        kl_sum = kl_divergence_from_log(pred_log, targets)
-    else:
-        kl_sum = kl_divergence_reverse(pred_log, targets)
+    kl_sum = kl_divergence_from_log(pred_log, targets)
     return ad.mul(kl_sum, Tensor(1.0 / len(source_entities)))
 
 
-def predict_slot_type(r: Tensor, protos: PrototypeMatrix, domain: str) -> str:
-    """Argmax of prototype dot products over the domain's candidate rows;
-    ties go to the lower row index."""
-    rows, labels = protos.candidate_rows(domain)
-    if not rows:
-        raise ShapeError(f"no candidate prototypes for domain {domain!r}")
-    vec = r.values.reshape(-1)
-    scores = protos.matrix.values[rows] @ vec
-    return labels[int(np.argmax(scores))]
+def predict_slot_type(reps: Tensor, protos: PrototypeMatrix, domains: list[str]) -> list[str]:
+    """Slot label of each row of `reps` (N, dim): the argmax of its
+    prototype dot products over the candidate rows of its domain, in
+    `candidate_rows` order, so ties go to the first candidate."""
+    scores = reps.values @ protos.matrix.values.T
+    labels: list[str] = [""] * len(domains)
+    for domain in dict.fromkeys(domains):
+        rows, names = protos.candidate_rows(domain)
+        if not rows:
+            raise ShapeError(f"no candidate prototypes for domain {domain!r}")
+        spans = [i for i, d in enumerate(domains) if d == domain]
+        best = np.argmax(scores[np.ix_(spans, rows)], axis=1)
+        for i, j in zip(spans, best):
+            labels[i] = names[j]
+    return labels

@@ -4,8 +4,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import PclcError, ShapeError
 
 
@@ -164,15 +162,3 @@ def export_prototypes(protos, path: str) -> None:
             row = protos.matrix.values[i]
             cells = [label, block] + [repr(float(v)) for v in row]
             fh.write("\t".join(cells) + "\n")
-
-
-def read_prototype_export(path: str) -> tuple[list[str], list[str], np.ndarray]:
-    """Inverse of export_prototypes: (labels, blocks, matrix)."""
-    labels, blocks, rows = [], [], []
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            cells = line.rstrip("\n").split("\t")
-            labels.append(cells[0])
-            blocks.append(cells[1])
-            rows.append([float(v) for v in cells[2:]])
-    return labels, blocks, np.array(rows)

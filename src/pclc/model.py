@@ -141,9 +141,8 @@ class PclcModel:
                     chunk_spans.append((b, span.start, span.end))
             if chunk_spans:
                 reps = self.entity_representations(enc, chunk_spans)
-                for i, (b, start, end) in enumerate(chunk_spans):
-                    r = ad.take_rows(reps, [i])
-                    label = predict_slot_type(r, protos, chunk[b].domain)
+                labels = predict_slot_type(reps, protos, [chunk[b].domain for b, _, _ in chunk_spans])
+                for (b, start, end), label in zip(chunk_spans, labels):
                     predictions[b].append(SpanPrediction(start, end, label))
             out.extend(predictions)
         return out

@@ -46,11 +46,6 @@ _RULES = (
     (("temperature", "grad_clip"), lambda v: v > 0.0, "must be > 0"),
     (("dropout",), lambda v: 0.0 <= v < 1.0, "must be in [0, 1)"),
     (("confusion_lambda",), lambda v: 0.0 <= v <= 1.0, "must be in [0, 1]"),
-    (
-        ("kl_direction",),
-        lambda v: v in ("smooth_to_pred", "pred_to_smooth"),
-        "must be smooth_to_pred or pred_to_smooth",
-    ),
     (("contrast_block",), lambda v: v in ("both", "source"), "must be both or source"),
 )
 
@@ -69,7 +64,6 @@ class TrainConfig:
     seed: int = 1
     enable_pcl: bool = True
     enable_lc: bool = True
-    kl_direction: str = "smooth_to_pred"  # or "pred_to_smooth"
     contrast_block: str = "both"  # candidate prototypes during training; or "source"
     crf_weight: float = 1.0
     grad_clip: float = 5.0
@@ -152,6 +146,16 @@ def config_from_kv(cls, pairs: dict[str, str]):
     fields = {f.name: f for f in dataclasses.fields(cls)}
     kwargs = {}
     for key, raw in pairs.items():
+        if key == "kl_direction":
+            # removed; older checkpoints and effective.cfg files name the one
+            # direction every run still computes
+            if raw.strip() == "smooth_to_pred":
+                continue
+            raise ConfigError(
+                f"config key 'kl_direction' was removed, got {raw.strip()!r}: the label-confusion "
+                "term is always KL(smoothed || predicted); pred_to_smooth rewarded predicted "
+                "mass off the smoothed target's support"
+            )
         if key not in fields:
             raise ConfigError(f"unknown config key {key!r}")
         kwargs[key] = _coerce(key, str(fields[key].type), raw)
@@ -213,10 +217,7 @@ def loss_components(
     if config.enable_lc:
         source_entities = [i for i, is_tgt in enumerate(from_target) if not is_tgt]
         if source_entities:
-            l_kl = confusion_loss(
-                scores, rows, source_entities, protos,
-                config.confusion_lambda, config.kl_direction,
-            )
+            l_kl = confusion_loss(scores, rows, source_entities, protos, config.confusion_lambda)
 
     total = l_crf
     if classification_needed:

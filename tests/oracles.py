@@ -3,8 +3,9 @@
 Everything here except `per_occurrence_char_features` is deliberately
 written without touching the package's computation paths:
 extended-precision arithmetic via mpmath, exhaustive enumeration for the
-CRF, a step-by-step LSTM, a counter-based span scorer, and plain central
-finite differences. `per_occurrence_char_features` pins the char encoder's
+CRF, a step-by-step LSTM, a counter-based span scorer, plain central
+finite differences, and a reader for the prototype export.
+`per_occurrence_char_features` pins the char encoder's
 one-row-per-distinct-token shortcut, so it is built from the same taped
 LSTM (which `lstm_reference` checks) to compare gradients too.
 """
@@ -55,21 +56,6 @@ def mp_kl_confusion(r, protos, target_dist) -> float:
     return float(total)
 
 
-def mp_reverse_kl_confusion(r, protos, target_dist) -> float:
-    """KL(softmax(protos @ r) || target), summed over the target's support."""
-    scores = [
-        mp.fsum(mp.mpf(float(a)) * mp.mpf(float(b)) for a, b in zip(r, row))
-        for row in protos
-    ]
-    lse = mp.log(mp.fsum(mp.e**s for s in scores))
-    total = mp.mpf(0)
-    for d, s in zip(target_dist, scores):
-        d = mp.mpf(float(d))
-        if d > 0:
-            total += mp.e ** (s - lse) * (s - lse - mp.log(d))
-    return float(total)
-
-
 def mp_smooth_target(protos, gold: int, n_source: int, lam: float) -> list[float]:
     """Label-confusion target of source row `gold`: `lam` on its one-hot over
     the source block, then (1 - lam) times the zero-clamped cosine
@@ -86,6 +72,18 @@ def mp_smooth_target(protos, gold: int, n_source: int, lam: float) -> list[float
     d_tgt = [s / total for s in sims] if total > 0 else [mp.mpf(1) / len(sims)] * len(sims)
     source = [mp.mpf(lam) if i == gold else mp.mpf(0) for i in range(n_source)]
     return [float(v) for v in source + [(1 - mp.mpf(lam)) * d for d in d_tgt]]
+
+
+def read_prototype_export(path: str) -> tuple[list[str], list[str], np.ndarray]:
+    """Inverse of `evaluate.export_prototypes`: (labels, blocks, matrix)."""
+    labels, blocks, rows = [], [], []
+    with open(path, encoding="utf-8") as fh:
+        for line in fh:
+            cells = line.rstrip("\n").split("\t")
+            labels.append(cells[0])
+            blocks.append(cells[1])
+            rows.append([float(v) for v in cells[2:]])
+    return labels, blocks, np.array(rows)
 
 
 # ---------------------------------------------------------------------------

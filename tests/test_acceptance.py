@@ -17,10 +17,10 @@ from pclc import autodiff as ad
 from pclc.autodiff import Tape, Tensor
 from pclc.classifier import (
     confusion_loss,
-    confusion_target,
+    confusion_targets,
     contrastive_loss,
     kl_divergence_from_log,
-    smooth_distribution,
+    smooth_distributions,
 )
 from pclc.cli import main
 from pclc.data import SlotSchema, Utterance, build_vocab, load_corpus, random_embeddings, split_leave_one_out
@@ -163,16 +163,16 @@ def test_criterion_3_distribution_invariants():
         matrix += 0.1 * np.sign(matrix)
         protos = _protos_from_matrix(matrix, n_src, n_tgt)
         y = int(rng.integers(n_src))
-        z_y = Tensor(matrix[y])
-        d_tgt = confusion_target(z_y, protos.target_block())
+        # the batched target and smoothing functions on a batch of one gold row
+        d_tgt = confusion_targets(Tensor(matrix[[y]]), protos.target_block())
         lam = lambdas[i % 4]
-        d_smooth = smooth_distribution(y, d_tgt, lam, n_src)
+        d_smooth = smooth_distributions([y], d_tgt, lam, n_src)
         values = d_smooth.values
         assert (values >= -1e-15).all()
         assert abs(values.sum() - 1.0) < 1e-12
         r = rng.uniform(-1.0, 1.0, dim)
         scores = ad.matmul(Tensor(r[None]), ad.transpose(protos.matrix))
-        kl = confusion_loss(scores, [y], [0], protos, lam, "smooth_to_pred").item()
+        kl = confusion_loss(scores, [y], [0], protos, lam).item()
         assert kl >= -1e-12
         # constructed matching pair
         match = kl_divergence_from_log(
@@ -201,7 +201,7 @@ def test_criterion_4_loss_formula_oracles():
 
         y_src = int(rng.integers(n_src))
         lam = float(rng.uniform(0.0, 1.0))
-        got_kl = confusion_loss(scores, [y_src], [0], protos, lam, "smooth_to_pred").item()
+        got_kl = confusion_loss(scores, [y_src], [0], protos, lam).item()
         target = oracles.mp_smooth_target(matrix, y_src, n_src, lam)
         want_kl = oracles.mp_kl_confusion(r, matrix, target)
         assert abs(got_kl - want_kl) < 1e-10

@@ -16,11 +16,11 @@ from pclc.classifier import (
     PrototypeMatrix,
     build_prototypes,
     confusion_loss,
-    confusion_target,
+    confusion_targets,
     contrastive_loss,
     kl_divergence_from_log,
     predict_slot_type,
-    smooth_distribution,
+    smooth_distributions,
 )
 from pclc.data import SlotSchema, build_vocab, load_corpus, random_embeddings, split_leave_one_out
 from pclc.errors import ConfigError, ShapeError
@@ -231,73 +231,119 @@ def test_contrastive_loss_nonnegative_property():
 
 def test_confusion_target_single_slot_is_one():
     target_block = Tensor(np.array([[0.3, 0.4]]))
-    out = confusion_target(Tensor([1.0, 0.0]), target_block)
-    assert np.allclose(out.values, [1.0])
+    out = confusion_targets(Tensor([[1.0, 0.0]]), target_block)
+    assert np.allclose(out.values, [[1.0]])
 
 
 def test_confusion_target_l1_normalizes_positive_sims():
     # construct rows with known cosines 0.6 and 0.2 against z
-    z = Tensor([1.0, 0.0])
+    z = Tensor([[1.0, 0.0]])
     rows = []
     for c in (0.6, 0.2):
         rows.append([c, math.sqrt(1 - c * c)])
-    out = confusion_target(z, Tensor(np.array(rows)))
-    assert np.allclose(out.values, [0.75, 0.25], atol=1e-12)
+    out = confusion_targets(z, Tensor(np.array(rows)))
+    assert np.allclose(out.values, [[0.75, 0.25]], atol=1e-12)
 
 
 def test_confusion_target_clamps_negatives():
-    z = Tensor([1.0, 0.0])
+    z = Tensor([[1.0, 0.0]])
     rows = [[0.5, math.sqrt(0.75)], [-0.5, math.sqrt(0.75)]]
-    out = confusion_target(z, Tensor(np.array(rows)))
-    assert np.allclose(out.values, [1.0, 0.0], atol=1e-12)
+    out = confusion_targets(z, Tensor(np.array(rows)))
+    assert np.allclose(out.values, [[1.0, 0.0]], atol=1e-12)
 
 
 def test_confusion_target_uniform_fallback_when_all_nonpositive():
-    z = Tensor([1.0, 0.0])
+    z = Tensor([[1.0, 0.0]])
     rows = [[-0.5, math.sqrt(0.75)], [-0.9, math.sqrt(1 - 0.81)]]
-    out = confusion_target(z, Tensor(np.array(rows)))
-    assert np.allclose(out.values, [0.5, 0.5])
+    out = confusion_targets(z, Tensor(np.array(rows)))
+    assert np.allclose(out.values, [[0.5, 0.5]])
 
 
 def test_confusion_target_zero_norm_errors():
+    # a zero row anywhere in either batch is refused
     with pytest.raises(ShapeError):
-        confusion_target(Tensor([0.0, 0.0]), Tensor(np.ones((2, 2))))
+        confusion_targets(Tensor([[1.0, 0.0], [0.0, 0.0]]), Tensor(np.ones((2, 2))))
     with pytest.raises(ShapeError):
-        confusion_target(Tensor([1.0, 0.0]), Tensor(np.array([[1.0, 0.0], [0.0, 0.0]])))
+        confusion_targets(Tensor([[1.0, 0.0]]), Tensor(np.array([[1.0, 0.0], [0.0, 0.0]])))
+    with pytest.raises(ShapeError):
+        confusion_targets(Tensor([[1.0, 0.0]]), Tensor(np.zeros((0, 2))))
+
+
+def _oracle_targets(matrix, ys, n_source):
+    """Rows of `oracles.mp_smooth_target` at lam = 0, target block only."""
+    return np.array([oracles.mp_smooth_target(matrix, y, n_source, 0.0)[n_source:] for y in ys])
+
+
+def test_confusion_targets_match_50_digit_oracle_on_random_batches():
+    rng = make_rng(24)
+    for _ in range(60):
+        n_src, n_tgt, dim = (int(v) for v in rng.integers((1, 1, 2), (7, 6, 6)))
+        matrix = rng.uniform(-1.5, 1.5, (n_src + n_tgt, dim))
+        matrix += 0.1 * np.sign(matrix)
+        ys = [int(y) for y in rng.integers(0, n_src, int(rng.integers(1, 7)))]
+        got = confusion_targets(Tensor(matrix[ys]), Tensor(matrix[n_src:])).values
+        assert np.abs(got - _oracle_targets(matrix, ys, n_src)).max() <= 1e-12
+
+
+def test_confusion_targets_fallback_row_mixed_in_batch_is_constant():
+    # row 0 points away from every target row (uniform fallback); rows 1 and
+    # 2 have positive cosines with some of them
+    matrix = np.array([
+        [-1.0, -1.0, 0.2], [1.0, 0.5, 0.0], [0.3, 1.0, -0.4],
+        [1.0, 0.2, 0.1], [0.4, 1.0, 0.0], [0.5, 0.5, -0.3],
+    ])
+    z = Tensor(matrix[:3], requires_grad=True)
+    target_block = Tensor(matrix[3:], requires_grad=True)
+    with Tape() as tape:
+        out = confusion_targets(z, target_block)
+        weights = Tensor(np.arange(1.0, 10.0).reshape(3, 3))
+        ad.backward(ad.tensor_sum(ad.mul(out, weights)), tape)
+    assert np.array_equal(out.values[0], np.full(3, 1.0 / 3.0))
+    assert np.abs(out.values - _oracle_targets(matrix, [0, 1, 2], 3)).max() <= 1e-12
+    assert np.array_equal(z.grad[0], np.zeros(3))
+    assert np.abs(z.grad[1:]).min() > 0.0
+    assert np.isfinite(target_block.grad).all()
 
 
 def test_smooth_distribution_worked_example():
     # 2 source slots, gold index 1, lambda 0.6, target soft dist [0.75, 0.25]
-    out = smooth_distribution(1, Tensor([0.75, 0.25]), 0.6, n_source=2)
-    assert np.allclose(out.values, [0.0, 0.6, 0.3, 0.1], atol=1e-12)
+    out = smooth_distributions([1], Tensor([[0.75, 0.25]]), 0.6, n_source=2)
+    assert np.allclose(out.values, [[0.0, 0.6, 0.3, 0.1]], atol=1e-12)
 
 
 def test_smooth_distribution_lambda_one_is_extended_one_hot():
-    out = smooth_distribution(0, Tensor([0.5, 0.5]), 1.0, n_source=2)
-    assert np.allclose(out.values, [1.0, 0.0, 0.0, 0.0])
+    out = smooth_distributions([0, 1], Tensor([[0.5, 0.5], [0.2, 0.8]]), 1.0, n_source=2)
+    assert np.allclose(out.values, [[1.0, 0.0, 0.0, 0.0], [0.0, 1.0, 0.0, 0.0]])
 
 
 def test_smooth_distribution_lambda_zero_keeps_only_target():
-    out = smooth_distribution(0, Tensor([0.5, 0.5]), 0.0, n_source=2)
-    assert np.allclose(out.values, [0.0, 0.0, 0.5, 0.5])
+    out = smooth_distributions([0], Tensor([[0.5, 0.5]]), 0.0, n_source=2)
+    assert np.allclose(out.values, [[0.0, 0.0, 0.5, 0.5]])
 
 
 def test_smooth_distribution_index_out_of_range():
+    # every row's index is checked, not only the first
     with pytest.raises(ShapeError):
-        smooth_distribution(2, Tensor([1.0]), 0.5, n_source=2)
+        smooth_distributions([0, 2], Tensor([[1.0], [1.0]]), 0.5, n_source=2)
+    with pytest.raises(ShapeError):
+        smooth_distributions([-1], Tensor([[1.0]]), 0.5, n_source=2)
+    with pytest.raises(ShapeError):
+        smooth_distributions([0], Tensor([[1.0]]), 1.5, n_source=2)
 
 
 @settings(max_examples=100, deadline=None)
 @given(
     st.floats(0.0, 1.0),
-    st.integers(0, 3),
+    st.lists(st.integers(0, 3), min_size=1, max_size=4),
     st.lists(st.floats(0.01, 1.0), min_size=1, max_size=5),
 )
-def test_smooth_distribution_is_distribution(lam, y, raw):
+def test_smooth_distribution_is_distribution(lam, ys, raw):
     d_tgt = np.array(raw) / np.sum(raw)
-    out = smooth_distribution(min(y, 3), Tensor(d_tgt), lam, n_source=4)
+    d_rows = np.array([np.roll(d_tgt, k) for k in range(len(ys))])
+    out = smooth_distributions(ys, Tensor(d_rows), lam, n_source=4)
+    assert out.shape == (len(ys), 4 + len(raw))
     assert (out.values >= -1e-15).all()
-    assert out.values.sum() == pytest.approx(1.0, abs=1e-12)
+    assert np.abs(out.values.sum(axis=1) - 1.0).max() <= 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -378,27 +424,23 @@ def test_contrastive_loss_is_mean_of_per_entity_oracles(n_max, contrast_block):
 
 
 @pytest.mark.parametrize("n_max", [1, 6])
-@pytest.mark.parametrize("kl_direction", ["smooth_to_pred", "pred_to_smooth"])
-def test_confusion_loss_is_mean_of_per_entity_oracles(n_max, kl_direction):
+def test_confusion_loss_is_mean_of_per_entity_oracles(n_max):
     rng = make_rng(22)
-    oracle = {
-        "smooth_to_pred": oracles.mp_kl_confusion,
-        "pred_to_smooth": oracles.mp_reverse_kl_confusion,
-    }[kl_direction]
     for i in range(40):
         protos, reps, rows, from_target = _random_batch(rng, n_max)
         lam = [0.0, 0.3, 0.6, 1.0][i % 4]
         source = [k for k, tgt in enumerate(from_target) if not tgt]
         scores = _scores(reps, protos)
-        got = confusion_loss(scores, rows, source, protos, lam, kl_direction).item()
+        got = confusion_loss(scores, rows, source, protos, lam).item()
         matrix = protos.matrix.values
         per_entity = [
-            oracle(reps[k], matrix, oracles.mp_smooth_target(matrix, rows[k], protos.block_boundary, lam))
+            oracles.mp_kl_confusion(
+                reps[k], matrix, oracles.mp_smooth_target(matrix, rows[k], protos.block_boundary, lam)
+            )
             for k in source
         ]
         assert got == pytest.approx(float(np.mean(per_entity)), abs=1e-10)
-        # restricted to the target's support, the reverse KL can go below 0
-        assert got >= -1e-12 or kl_direction == "pred_to_smooth"
+        assert got >= -1e-12
 
 
 def _explicit_gather_contrastive(scores, rows, from_target, protos, tau, contrast_block):
@@ -438,16 +480,18 @@ def test_contrastive_loss_skips_identity_gathers_bit_for_bit(contrast_block):
             with Tape() as tape:
                 scores = ad.matmul(r, ad.transpose(protos.matrix))
                 pc = pc_fn(scores, rows, from_target, protos, 0.7, contrast_block)
-                kl = confusion_loss(scores, rows, source, protos, 0.6, "smooth_to_pred")
+                kl = confusion_loss(scores, rows, source, protos, 0.6)
                 ad.backward(ad.add(pc, kl), tape)
             results.append((pc.values, r.grad, protos.matrix.grad))
         for got, want in zip(*results):
             assert np.array_equal(got, want)
 
 
-def test_default_batch_step_records_159_ops():
-    # one 64-utterance batch at the criterion-6 dims with default losses: the
-    # contrastive term gathers nothing, since its one group is everything
+def test_default_batch_step_records_68_ops():
+    # 64-utterance batches at the criterion-6 dims with default losses: the
+    # contrastive term gathers nothing, since its one group is everything,
+    # and the label space costs the same number of ops however many
+    # distinct gold slots a batch holds
     corpus, schema = load_corpus(os.path.join(DATA_DIR, "transfer"))
     vocab = build_vocab(corpus, schema)
     split = split_leave_one_out(corpus, schema, "bus", seed=1)
@@ -458,11 +502,17 @@ def test_default_batch_step_records_159_ops():
     assert config.contrast_block == "both"
     word_matrix = random_embeddings(vocab.n_words, config.word_dim, make_rng(1))
     model = PclcModel(schema, "bus", vocab, word_matrix, config.model_dims(), make_rng(2))
-    with Tape() as tape:
-        total_loss(split.train[:64], model, config, make_rng(3))
-    kinds = Counter(rec.kind for rec in tape.records)
-    assert sum(kinds.values()) == 159
-    assert (kinds["transpose"], kinds["take_rows"], kinds["lstm"]) == (1, 11, 3)
+    distinct_slots = set()
+    for lo in (0, 64, 128):
+        batch = split.train[lo : lo + 64]
+        distinct_slots.add(len({s for u in batch for s in u.slot_types if s}))
+        with Tape() as tape:
+            total_loss(batch, model, config, make_rng(3))
+        kinds = Counter(rec.kind for rec in tape.records)
+        assert sum(kinds.values()) == 68
+        assert (kinds["transpose"], kinds["take_rows"], kinds["lstm"]) == (2, 8, 3)
+        assert (kinds["embedding_lookup"], kinds["matmul"]) == (3, 7)
+    assert len(distinct_slots) > 1
 
 
 # ---------------------------------------------------------------------------
@@ -474,42 +524,47 @@ def test_predict_axis_aligned_prototypes():
     matrix[2] = [0.0, 1.0, 0.0]  # first target row
     matrix[3] = [0.0, 0.0, 1.0]
     protos = _protos_from_matrix(matrix, 2, 2)
-    r = Tensor([0.1, 0.9, 0.2])
-    assert predict_slot_type(r, protos, "tgt") == "t0"
+    reps = Tensor([[0.1, 0.9, 0.2], [0.1, 0.2, 0.9]])
+    assert predict_slot_type(reps, protos, ["tgt", "tgt"]) == ["t0", "t1"]
 
 
 def test_predict_tie_breaks_to_first_target_slot():
     protos = _protos_from_matrix(np.zeros((4, 3)), 2, 2)
-    assert predict_slot_type(Tensor([1.0, 1.0, 1.0]), protos, "tgt") == "t0"
+    labels = predict_slot_type(Tensor(np.ones((3, 3))), protos, ["tgt", "src", "tgt"])
+    assert labels == ["t0", "s0", "t0"]
 
 
 def test_predict_agrees_with_direct_scan():
+    # one batch mixing target- and source-domain spans
     rng = make_rng(5)
-    for _ in range(30):
-        matrix = rng.uniform(-1, 1, (6, 4))
-        protos = _protos_from_matrix(matrix, 3, 3)
-        r = rng.uniform(-1, 1, 4)
-        label = predict_slot_type(Tensor(r), protos, "tgt")
-        scores = [float(matrix[i] @ r) for i in range(3, 6)]
+    matrix = rng.uniform(-1, 1, (6, 4))
+    protos = _protos_from_matrix(matrix, 3, 3)
+    reps = rng.uniform(-1, 1, (30, 4))
+    domains = ["tgt" if rng.random() < 0.6 else "src" for _ in range(30)]
+    labels = predict_slot_type(Tensor(reps), protos, domains)
+    for r, domain, label in zip(reps, domains, labels):
+        first = 3 if domain == "tgt" else 0
+        scores = [float(matrix[first + i] @ r) for i in range(3)]
         best = max(range(3), key=lambda i: (scores[i], -i))
-        assert label == f"t{best}"
+        assert label == f"{domain[0]}{best}"
 
 
 def test_predict_scale_invariance():
     rng = make_rng(6)
     matrix = rng.uniform(-1, 1, (5, 4))
-    r = rng.uniform(-1, 1, 4)
+    reps = rng.uniform(-1, 1, (4, 4))
     protos = _protos_from_matrix(matrix, 2, 3)
-    base = predict_slot_type(Tensor(r), protos, "tgt")
+    base = predict_slot_type(Tensor(reps), protos, ["tgt"] * 4)
     for scale in (0.1, 3.0, 1000.0):
         scaled = _protos_from_matrix(matrix * scale, 2, 3)
-        assert predict_slot_type(Tensor(r * scale), scaled, "tgt") == base
+        assert predict_slot_type(Tensor(reps * scale), scaled, ["tgt"] * 4) == base
 
 
 def test_predict_empty_target_block_errors():
+    # a span of a domain without candidates fails the whole batch
     protos = _protos_from_matrix(np.zeros((2, 3)), 2, 0)
     with pytest.raises(ShapeError):
-        predict_slot_type(Tensor([1.0, 0.0, 0.0]), protos, "tgt")
+        predict_slot_type(Tensor(np.ones((2, 3))), protos, ["src", "tgt"])
 
 
 # ---------------------------------------------------------------------------
@@ -544,7 +599,7 @@ def test_stage2_losses_gradient_vs_finite_differences():
         # a source entity of gold row 1 and a target entity of gold row 4
         scores = ad.matmul(r, ad.transpose(protos.matrix))
         pc = contrastive_loss(scores, [1, 4], [False, True], protos, 0.7, "both")
-        kl = confusion_loss(scores, [1, 4], [0], protos, 0.6, "smooth_to_pred")
+        kl = confusion_loss(scores, [1, 4], [0], protos, 0.6)
         return pc, kl, ad.add(pc, ad.mul(kl, Tensor(0.8)))
 
     def losses():

@@ -4,9 +4,9 @@ import sys
 
 import pytest
 
+import oracles
 from conftest import DATA_DIR, REPO_ROOT, damaged_manifest
 from pclc.cli import main
-from pclc.evaluate import read_prototype_export
 
 TOY_FLAGS = [
     "--word-dim", "6", "--char-dim", "2", "--char-hidden", "2",
@@ -117,6 +117,39 @@ def test_eval_target_mismatch_refused(tmp_path, capsys):
     assert "target" in capsys.readouterr().err
 
 
+def test_eval_reads_checkpoint_naming_removed_kl_direction(tmp_path, capsys):
+    # checkpoints written while `kl_direction` existed name its default
+    out = _train(tmp_path)
+    manifest = os.path.join(out, "checkpoint", "manifest.txt")
+    with open(manifest, encoding="utf-8") as fh:
+        text = fh.read()
+    with open(manifest, "w", encoding="utf-8") as fh:
+        fh.write(text.replace("enable_lc=true\n", "enable_lc=true\nkl_direction=smooth_to_pred\n"))
+    assert "kl_direction=smooth_to_pred" in open(manifest).read()
+    rc = main(
+        ["eval", os.path.join(out, "checkpoint"),
+         "--data-dir", os.path.join(DATA_DIR, "overfit"),
+         "--output-dir", os.path.join(out, "eval")]
+    )
+    assert rc == 0
+    assert "seen f1" in capsys.readouterr().out
+
+
+def test_removed_reverse_kl_direction_is_a_config_error(tmp_path, capsys):
+    cfg_path = os.path.join(tmp_path, "old.cfg")
+    with open(cfg_path, "w") as fh:
+        fh.write("kl_direction=pred_to_smooth\n")
+    rc = main(
+        ["train", "--config", cfg_path, "--data-dir", os.path.join(DATA_DIR, "overfit"),
+         "--target", "kitchen", "--output-dir", os.path.join(tmp_path, "x")]
+    )
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: config key 'kl_direction' was removed")
+    assert "pred_to_smooth" in err
+    assert not os.path.exists(os.path.join(tmp_path, "x"))
+
+
 def test_predict_emits_conll(tmp_path):
     out = _train(tmp_path)
     inp = os.path.join(tmp_path, "input.txt")
@@ -162,7 +195,7 @@ def test_export_protos_round_trip(tmp_path):
          "--data-dir", os.path.join(DATA_DIR, "overfit")]
     )
     assert rc == 0
-    labels, blocks, matrix = read_prototype_export(dest)
+    labels, blocks, matrix = oracles.read_prototype_export(dest)
     assert "dish_name" in labels
     assert matrix.shape[1] == 8
     assert set(blocks) == {"source", "target"}

@@ -10,7 +10,6 @@ from pclc.errors import PclcError, ShapeError
 from pclc.evaluate import (
     SpanPrediction,
     export_prototypes,
-    read_prototype_export,
     seen_unseen_report,
     span_f1,
 )
@@ -208,7 +207,7 @@ def test_export_prototypes_round_trip_exact(tmp_path):
     protos.matrix = Tensor(rng_matrix)
     path = os.path.join(tmp_path, "protos.tsv")
     export_prototypes(protos, path)
-    labels, blocks, matrix = read_prototype_export(path)
+    labels, blocks, matrix = oracles.read_prototype_export(path)
     assert labels == ["s0", "s1", "t0"]
     assert blocks == ["source", "source", "target"]
     assert np.array_equal(matrix, rng_matrix)  # repr() round-trips float64 exactly

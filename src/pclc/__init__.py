@@ -25,9 +25,9 @@ from .data import (
     split_leave_one_out,
 )
 from .evaluate import EvalReport, SpanPrediction, export_prototypes, seen_unseen_report, span_f1
-from .model import ModelDims, PclcModel
+from .model import PclcModel
 from .optim import Adam
-from .tagger import CrfLayer, EncoderConfig, crf_nll, extract_spans, viterbi_decode
+from .tagger import CrfLayer, crf_nll_batch, extract_spans, viterbi_decode_batch
 from .trainer import (
     Checkpoint,
     TrainConfig,

@@ -75,7 +75,6 @@ class Tape:
             nid = len(self._tensors)
             self._ids[id(tensor)] = nid
             self._tensors.append(tensor)
-            tensor.node_id = nid
         return nid
 
     def record(self, kind, inputs, output, vjp) -> None:
@@ -95,17 +94,15 @@ class Tensor:
     """Dense float64 array with optional gradient tracking.
 
     `values` is row-major float64; `grad`, once populated by `backward`,
-    has the same shape. `node_id` identifies the tensor on the tape it was
-    last registered with.
+    has the same shape.
     """
 
-    __slots__ = ("values", "grad", "requires_grad", "node_id")
+    __slots__ = ("values", "grad", "requires_grad")
 
     def __init__(self, values, requires_grad: bool = False):
         self.values = np.asarray(values, dtype=np.float64)
         self.grad: np.ndarray | None = None
         self.requires_grad = bool(requires_grad)
-        self.node_id: int | None = None
 
     @property
     def shape(self) -> tuple[int, ...]:

@@ -13,7 +13,6 @@ import concurrent.futures
 import dataclasses
 import os
 import sys
-from dataclasses import dataclass
 
 from .data import (
     DataFormatError,
@@ -38,21 +37,9 @@ from .trainer import (
     save_checkpoint,
     train_run,
 )
-from .trainer import _RULES, _gold_prediction_sets
+from .trainer import _gold_prediction_sets
 
 OUTPUT_ROOT_ENV = "PCLC_OUTPUT_ROOT"
-
-
-@dataclass
-class RunConfig(TrainConfig):
-    data_dir: str = ""
-    embeddings: str = ""  # GloVe-style text file; empty = random init
-    target: str = ""
-    output_dir: str = ""
-    require_pretrained: bool = False
-    validation_size: int = 500
-
-    _rules = _RULES + ((("validation_size",), lambda v: v >= 0, "must be >= 0"),)
 
 
 _ALIASES = {"lambda": "confusion_lambda", "tau": "temperature", "alpha": "kl_weight"}
@@ -75,26 +62,26 @@ def _read_config_file(path: str) -> dict[str, str]:
 
 def _add_override_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", help="key=value config file")
-    for field in dataclasses.fields(RunConfig):
+    for field in dataclasses.fields(TrainConfig):
         flag = "--" + field.name.replace("_", "-")
         parser.add_argument(flag, dest=f"cfg_{field.name}", metavar="V")
     for alias, name in _ALIASES.items():
         parser.add_argument(f"--{alias}", dest=f"cfg_{name}", metavar="V")
 
 
-def _build_config(args: argparse.Namespace) -> RunConfig:
+def _build_config(args: argparse.Namespace) -> TrainConfig:
     pairs: dict[str, str] = {}
     if args.config:
         pairs.update(_read_config_file(args.config))
-    for field in dataclasses.fields(RunConfig):
+    for field in dataclasses.fields(TrainConfig):
         value = getattr(args, f"cfg_{field.name}", None)
         if value is not None:
             pairs[field.name] = value
     renamed = {_ALIASES.get(k, k): v for k, v in pairs.items()}
-    return config_from_kv(RunConfig, renamed)
+    return config_from_kv(TrainConfig, renamed)
 
 
-def _resolve_output_dir(cfg: RunConfig, suffix: str = "") -> str:
+def _resolve_output_dir(cfg: TrainConfig, suffix: str = "") -> str:
     out = cfg.output_dir
     if not out:
         root = os.environ.get(OUTPUT_ROOT_ENV)
@@ -109,12 +96,12 @@ def _resolve_output_dir(cfg: RunConfig, suffix: str = "") -> str:
     return out
 
 
-def _echo_config(cfg: RunConfig, directory: str) -> None:
+def _echo_config(cfg: TrainConfig, directory: str) -> None:
     with open(os.path.join(directory, "effective.cfg"), "w", encoding="utf-8") as fh:
         fh.write("\n".join(config_to_kv(cfg)) + "\n")
 
 
-def _prepare(cfg: RunConfig):
+def _prepare(cfg: TrainConfig):
     if not cfg.data_dir:
         raise ConfigError("data_dir is required")
     if not cfg.target:
@@ -136,7 +123,7 @@ def _prepare(cfg: RunConfig):
     return corpus, schema, split, vocab, table
 
 
-def cmd_train(cfg: RunConfig) -> int:
+def cmd_train(cfg: TrainConfig) -> int:
     out_dir = _resolve_output_dir(cfg)
     _, schema, split, vocab, table = _prepare(cfg)
     _echo_config(cfg, out_dir)
@@ -152,26 +139,22 @@ def cmd_train(cfg: RunConfig) -> int:
     return 0
 
 
-def _load_model_for(cfg: RunConfig, checkpoint_path: str):
+def _load_model_for(cfg: TrainConfig, checkpoint_path: str):
     if not os.path.isdir(checkpoint_path):
         raise CheckpointError(f"checkpoint not found: {checkpoint_path}")
     corpus, schema = load_corpus(cfg.data_dir)
     vocab = build_vocab(corpus, schema)
     ckpt = load_checkpoint(checkpoint_path)
-    model, _ = model_from_checkpoint(ckpt, schema, vocab)
-    return corpus, schema, vocab, ckpt, model
+    model, snapshot = model_from_checkpoint(ckpt, schema, vocab)
+    return corpus, schema, model, snapshot
 
 
-def cmd_eval(cfg: RunConfig, checkpoint_path: str) -> int:
-    corpus, schema, vocab, ckpt, model = _load_model_for(cfg, checkpoint_path)
-    snapshot = config_from_kv(RunConfig, parse_kv(ckpt.config_kv))
-    if cfg.target and cfg.target != ckpt.target_domain:
-        raise CheckpointError(
-            f"checkpoint was trained for target {ckpt.target_domain!r}, not {cfg.target!r}"
-        )
-    split = split_leave_one_out(
-        corpus, schema, ckpt.target_domain, snapshot.seed, snapshot.validation_size
-    )
+def cmd_eval(cfg: TrainConfig, checkpoint_path: str) -> int:
+    corpus, schema, model, snapshot = _load_model_for(cfg, checkpoint_path)
+    target = model.target_domain
+    if cfg.target and cfg.target != target:
+        raise CheckpointError(f"checkpoint was trained for target {target!r}, not {cfg.target!r}")
+    split = split_leave_one_out(corpus, schema, target, snapshot.seed, snapshot.validation_size)
     if snapshot.few_shot > 0:
         split = fewshot_select(split, snapshot.few_shot, snapshot.seed)
     predictions = [set(p) for p in model.predict(split.test, batch_size=cfg.batch_size)]
@@ -179,14 +162,12 @@ def cmd_eval(cfg: RunConfig, checkpoint_path: str) -> int:
     report = span_f1(
         _gold_prediction_sets(split.test),
         predictions,
-        domain=ckpt.target_domain,
+        domain=target,
         setting=setting,
     )
     report = seen_unseen_report(report, split.seen_slots, split.unseen_slots)
     print(report.to_text())
-    out_dir = _resolve_output_dir(
-        dataclasses.replace(cfg, target=cfg.target or ckpt.target_domain)
-    )
+    out_dir = _resolve_output_dir(dataclasses.replace(cfg, target=target))
     with open(os.path.join(out_dir, "report.kv"), "w", encoding="utf-8") as fh:
         fh.write("\n".join(report.to_kv_lines()) + "\n")
     with open(os.path.join(out_dir, "report.txt"), "w", encoding="utf-8") as fh:
@@ -213,11 +194,11 @@ def _read_prediction_input(path: str) -> list[list[str]]:
     return sentences
 
 
-def cmd_predict(cfg: RunConfig, checkpoint_path: str, input_path: str, output_path: str) -> int:
-    _, _, _, ckpt, model = _load_model_for(cfg, checkpoint_path)
+def cmd_predict(cfg: TrainConfig, checkpoint_path: str, input_path: str, output_path: str) -> int:
+    _, _, model, _ = _load_model_for(cfg, checkpoint_path)
     sentences = _read_prediction_input(input_path)
     utterances = [
-        Utterance(toks, ["O"] * len(toks), [None] * len(toks), ckpt.target_domain, f"input:{i}")
+        Utterance(toks, ["O"] * len(toks), [None] * len(toks), model.target_domain, f"input:{i}")
         for i, toks in enumerate(sentences)
     ]
     predictions = model.predict(utterances, batch_size=cfg.batch_size)
@@ -236,7 +217,7 @@ def cmd_predict(cfg: RunConfig, checkpoint_path: str, input_path: str, output_pa
 
 
 def _sweep_one(cfg_kv: list[str], lam: float, out_dir: str) -> tuple[float, float]:
-    cfg = config_from_kv(RunConfig, parse_kv(cfg_kv))
+    cfg = config_from_kv(TrainConfig, parse_kv(cfg_kv))
     cfg = dataclasses.replace(cfg, confusion_lambda=lam, output_dir=out_dir)
     cmd_train(cfg)
     _, schema, split, vocab, _ = _prepare(cfg)
@@ -258,7 +239,7 @@ def _parse_lambdas(raw: str) -> list[float]:
     return values
 
 
-def cmd_sweep_lambda(cfg: RunConfig, lambdas: list[float], parallel: int) -> int:
+def cmd_sweep_lambda(cfg: TrainConfig, lambdas: list[float], parallel: int) -> int:
     seen: list[float] = []
     for lam in lambdas:
         if not 0.0 <= lam <= 1.0:
@@ -286,8 +267,8 @@ def cmd_sweep_lambda(cfg: RunConfig, lambdas: list[float], parallel: int) -> int
     return 0
 
 
-def cmd_export_protos(cfg: RunConfig, checkpoint_path: str, output_path: str) -> int:
-    _, _, _, _, model = _load_model_for(cfg, checkpoint_path)
+def cmd_export_protos(cfg: TrainConfig, checkpoint_path: str, output_path: str) -> int:
+    _, _, model, _ = _load_model_for(cfg, checkpoint_path)
     export_prototypes(model.prototypes(), output_path)
     print(f"exported prototypes -> {output_path}")
     return 0

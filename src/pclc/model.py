@@ -1,12 +1,13 @@
 """Two-stage slot filling model: BIO tagging, then prototype classification.
 
 Holds every trainable tensor under a stable name so the optimizer and the
-checkpoint format can address parameters consistently.
+checkpoint format can address parameters consistently. Its sizes and
+dropout come from the run's `TrainConfig`, the one config record.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -17,31 +18,10 @@ from .data import SlotSchema, Utterance, Vocab
 from .errors import ShapeError
 from .evaluate import SpanPrediction
 from .layers import Linear, Mlp
-from .tagger import (
-    CrfLayer, EncodedBatch, Encoder, EncoderConfig, N_TAGS, extract_spans, viterbi_decode_batch
-)
+from .tagger import CrfLayer, EncodedBatch, Encoder, N_TAGS, extract_spans, viterbi_decode_batch
 
-
-@dataclass
-class ModelDims:
-    word_dim: int = 300
-    char_dim: int = 25
-    char_hidden: int = 25
-    hidden: int = 200
-    layers: int = 2
-    dropout: float = 0.3
-    entity_hidden: int = 200
-    proto_dim: int = 200
-
-    def encoder_config(self) -> EncoderConfig:
-        return EncoderConfig(
-            word_dim=self.word_dim,
-            char_dim=self.char_dim,
-            char_hidden=self.char_hidden,
-            hidden=self.hidden,
-            layers=self.layers,
-            dropout=self.dropout,
-        )
+if TYPE_CHECKING:  # trainer imports this module
+    from .trainer import TrainConfig
 
 
 class PclcModel:
@@ -51,21 +31,20 @@ class PclcModel:
         target_domain: str,
         vocab: Vocab,
         word_matrix: np.ndarray,
-        dims: ModelDims,
+        config: TrainConfig,
         rng,
     ):
         self.schema = schema
         self.target_domain = target_domain
         self.source_domains = [d for d in schema.domains if d != target_domain]
         self.vocab = vocab
-        self.dims = dims
-        self.encoder = Encoder(vocab, word_matrix, dims.encoder_config(), rng)
-        self.emission = Linear(2 * dims.hidden, N_TAGS, rng, "emission")
+        self.encoder = Encoder(vocab, word_matrix, config, rng)
+        self.emission = Linear(2 * config.hidden, N_TAGS, rng, "emission")
         self.crf = CrfLayer(rng)
         self.entity_encoder = EntityEncoder(
-            2 * dims.hidden, dims.entity_hidden, dims.proto_dim, rng
+            2 * config.hidden, config.entity_hidden, config.proto_dim, rng
         )
-        self.proto_mlp = Mlp(dims.word_dim, dims.proto_dim, dims.proto_dim, rng, "proto_mlp")
+        self.proto_mlp = Mlp(config.word_dim, config.proto_dim, config.proto_dim, rng, "proto_mlp")
         params = (
             self.encoder.parameters()
             + self.emission.parameters()

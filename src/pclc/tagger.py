@@ -1,14 +1,17 @@
 """Coarse BIO entity tagging: word+char BiLSTM encoder and a 3-tag CRF.
 
 Tag indices are fixed: O=0, B=1, I=2. The encoder runs over a padded batch
-given by its lengths; `EncodedBatch.hidden` stacks all per-position states
-into one matrix so downstream consumers gather rows by (utterance, position)
-flat index.
+given by its lengths and reads its sizes and dropout from the run's
+`TrainConfig`; `EncodedBatch.hidden` stacks all per-position states into
+one matrix so downstream consumers gather rows by (utterance, position)
+flat index. The CRF loss and Viterbi decoder take whole padded batches; one
+utterance is a batch of one.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -22,22 +25,14 @@ N_TAGS = 3
 O_IDX, B_IDX, I_IDX = 0, 1, 2
 TAG_NAMES = ("O", "B", "I")
 
-
-@dataclass
-class EncoderConfig:
-    word_dim: int = 300
-    char_dim: int = 25
-    char_hidden: int = 25  # per direction
-    hidden: int = 200  # per direction
-    layers: int = 2
-    dropout: float = 0.3
+if TYPE_CHECKING:  # trainer imports this module
+    from .trainer import TrainConfig
 
 
 @dataclass
 class TaggedSpan:
     start: int  # inclusive
     end: int  # inclusive
-    utterance: Utterance | None = None
 
 
 @dataclass
@@ -54,7 +49,7 @@ class EncodedBatch:
 class Encoder:
     """Concatenated word + char-BiLSTM embeddings fed to a stacked BiLSTM."""
 
-    def __init__(self, vocab: Vocab, word_matrix: np.ndarray, config: EncoderConfig, rng):
+    def __init__(self, vocab: Vocab, word_matrix: np.ndarray, config: TrainConfig, rng):
         if word_matrix.shape != (vocab.n_words, config.word_dim):
             raise ShapeError(
                 f"word embedding matrix {word_matrix.shape} does not match "
@@ -227,11 +222,6 @@ def crf_nll_batch(
     return ad.emit("crf_nll", inputs, np.asarray(log_z.sum() - gold_score), vjp)
 
 
-def crf_nll(emissions: Tensor, gold_tags: list[int], crf: CrfLayer) -> Tensor:
-    """Negative log-likelihood of one utterance's (T, 3) emissions (B=1 `crf_nll_batch`)."""
-    return crf_nll_batch(emissions, [emissions.shape[0]], [gold_tags], crf)
-
-
 def viterbi_decode_batch(emissions, lengths: list[int], crf: CrfLayer) -> list[list[int]]:
     """Highest-scoring tag sequence per utterance of a padded batch.
 
@@ -256,13 +246,7 @@ def viterbi_decode_batch(emissions, lengths: list[int], crf: CrfLayer) -> list[l
     return [tags[:n, b].tolist() for b, n in enumerate(lengths)]
 
 
-def viterbi_decode(emissions, crf: CrfLayer) -> list[int]:
-    """Best tag sequence for one utterance's (T, 3) emissions (B=1 `viterbi_decode_batch`)."""
-    values = emissions.values if isinstance(emissions, Tensor) else np.asarray(emissions)
-    return viterbi_decode_batch(values, [values.shape[0]], crf)[0]
-
-
-def extract_spans(bio_sequence, utterance: Utterance | None = None) -> list[TaggedSpan]:
+def extract_spans(bio_sequence) -> list[TaggedSpan]:
     """Maximal B(I)* runs as spans; a leading I or an I after O opens a new B."""
     tags = [TAG_NAMES[t] if isinstance(t, (int, np.integer)) else t for t in bio_sequence]
     if any(t not in TAG_NAMES for t in tags):
@@ -272,17 +256,17 @@ def extract_spans(bio_sequence, utterance: Utterance | None = None) -> list[Tagg
     for i, tag in enumerate(tags):
         if tag == "O":
             if start is not None:
-                spans.append(TaggedSpan(start, i - 1, utterance))
+                spans.append(TaggedSpan(start, i - 1))
                 start = None
         elif tag == "B":
             if start is not None:
-                spans.append(TaggedSpan(start, i - 1, utterance))
+                spans.append(TaggedSpan(start, i - 1))
             start = i
         else:  # I continues a span, or repairs into a new B
             if start is None:
                 start = i
     if start is not None:
-        spans.append(TaggedSpan(start, len(tags) - 1, utterance))
+        spans.append(TaggedSpan(start, len(tags) - 1))
     return spans
 
 

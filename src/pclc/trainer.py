@@ -24,7 +24,7 @@ from .classifier import confusion_loss, contrastive_loss, source_block_order
 from .data import ExperimentSplit, SlotSchema, Utterance, Vocab, text_lines
 from .errors import CheckpointError, ConfigError, TrainingDiverged
 from .evaluate import SpanPrediction, span_f1
-from .model import ModelDims, PclcModel
+from .model import PclcModel
 from .optim import Adam, clip_grad_norm
 from .rng import make_rng
 from .tagger import TAG_NAMES, crf_nll_batch, gold_spans
@@ -38,7 +38,7 @@ _RULES = (
         lambda v: v >= 1, "must be >= 1",
     ),
     (
-        ("seed", "patience", "few_shot", "kl_weight", "crf_weight"),
+        ("seed", "patience", "few_shot", "kl_weight", "crf_weight", "validation_size"),
         lambda v: v >= 0, "must be >= 0",
     ),
     (("max_epochs",), lambda v: v is None or v >= 0, "must be none or >= 0"),
@@ -52,6 +52,9 @@ _RULES = (
 
 @dataclass
 class TrainConfig:
+    """Every setting of a run: training, model dims, then the CLI's run
+    settings. `config_to_kv` writes the fields in this order."""
+
     lr: float = 0.0005
     batch_size: int = 64
     dropout: float = 0.3
@@ -69,16 +72,20 @@ class TrainConfig:
     grad_clip: float = 5.0
     word_dim: int = 300
     char_dim: int = 25
-    char_hidden: int = 25
-    hidden: int = 200
+    char_hidden: int = 25  # per direction
+    hidden: int = 200  # per direction
     layers: int = 2
     entity_hidden: int = 200
     proto_dim: int = 200
-
-    _rules = _RULES  # a subclass with more fields extends these
+    data_dir: str = ""
+    embeddings: str = ""  # GloVe-style text file; empty = random init
+    target: str = ""
+    output_dir: str = ""
+    require_pretrained: bool = False
+    validation_size: int = 500
 
     def __post_init__(self):
-        for keys, valid, rule in self._rules:
+        for keys, valid, rule in _RULES:
             for key in keys:
                 value = getattr(self, key)
                 if not valid(value):
@@ -88,18 +95,6 @@ class TrainConfig:
         if self.max_epochs is not None:
             return self.max_epochs
         return 60 if self.few_shot > 0 else 30
-
-    def model_dims(self) -> ModelDims:
-        return ModelDims(
-            word_dim=self.word_dim,
-            char_dim=self.char_dim,
-            char_hidden=self.char_hidden,
-            hidden=self.hidden,
-            layers=self.layers,
-            dropout=self.dropout,
-            entity_hidden=self.entity_hidden,
-            proto_dim=self.proto_dim,
-        )
 
 
 def _format_value(value) -> str:
@@ -336,9 +331,12 @@ def _keep_freed_heap() -> None:
     2-epoch paper-dims `train_run` of 8 steps took 84k-230k minor page
     faults and 0.2-0.6 s of system time in its 2.1-3.3 s. With the trim
     threshold at 1 GiB and the mmap threshold at glibc's 32 MiB maximum it
-    takes under 100 once the heap has grown. Settings are per process, so
-    one call is enough; a no-op where libc exports no `mallopt` (macOS,
-    Windows), and musl's is a stub.
+    takes under 100 once the heap has grown. `load_checkpoint` applies it
+    too: otherwise whether the 23 MiB paper-dims payload is served from
+    reused heap or faulted in afresh depends on what the process allocated
+    before, and a predict set-up took either about 22k or about 105k minor
+    faults. Settings are per process, so one call is enough; a no-op where
+    libc exports no `mallopt` (macOS, Windows), and musl's is a stub.
     """
     try:
         mallopt = ctypes.CDLL(None).mallopt
@@ -361,9 +359,7 @@ def train_run(
     checkpoint with the best validation span F1; stop early on `patience`."""
     _keep_freed_heap()
     rng = make_rng(config.seed)
-    model = PclcModel(
-        schema, split.target_domain, vocab, word_matrix, config.model_dims(), rng
-    )
+    model = PclcModel(schema, split.target_domain, vocab, word_matrix, config, rng)
     params = model.named_parameters()
     adam = Adam(params, lr=config.lr)
     log_lines: list[str] = []
@@ -445,6 +441,7 @@ def save_checkpoint(ckpt: Checkpoint, directory: str) -> None:
 
 def load_checkpoint(directory: str) -> Checkpoint:
     """Read a checkpoint; each parameter is a view into one read of `params.bin`."""
+    _keep_freed_heap()
     manifest_path = os.path.join(directory, MANIFEST_NAME)
     payload_path = os.path.join(directory, PAYLOAD_NAME)
     if not os.path.exists(manifest_path) or not os.path.exists(payload_path):
@@ -556,11 +553,7 @@ def model_from_checkpoint(
     """Rebuild the model for a checkpoint; refuses on any vocabulary or
     prototype-row-order mismatch with the current experiment. The model takes
     `ckpt.params`' arrays as its own, uncopied: writing to one writes to both."""
-    pairs = parse_kv(ckpt.config_kv)
-    # snapshots may come from an extended config (CLI run settings); only
-    # the training fields matter for rebuilding the model
-    names = {f.name for f in dataclasses.fields(TrainConfig)}
-    config = config_from_kv(TrainConfig, {k: v for k, v in pairs.items() if k in names})
+    config = config_from_kv(TrainConfig, parse_kv(ckpt.config_kv))
     if _vocab_list(vocab.word_index) != ckpt.word_vocab:
         raise CheckpointError("checkpoint word vocabulary does not match the corpus")
     if _vocab_list(vocab.char_index) != ckpt.char_vocab:
@@ -568,9 +561,7 @@ def model_from_checkpoint(
     if ckpt.target_domain not in schema.slots_of:
         raise CheckpointError(f"checkpoint target domain {ckpt.target_domain!r} not in the corpus")
     word_matrix = np.empty((vocab.n_words, config.word_dim))
-    model = PclcModel(
-        schema, ckpt.target_domain, vocab, word_matrix, config.model_dims(), _NoInit()
-    )
+    model = PclcModel(schema, ckpt.target_domain, vocab, word_matrix, config, _NoInit())
     if _proto_rows(model) != ckpt.proto_rows:
         raise CheckpointError(
             "checkpoint prototype row order does not match this experiment"

@@ -4,15 +4,16 @@ import numpy as np
 import pytest
 
 from pclc.data import SlotSchema, build_vocab, random_embeddings, split_leave_one_out
-from pclc.model import ModelDims, PclcModel
+from pclc.model import PclcModel
 from pclc.rng import make_rng
 from pclc.synthetic import overfit_utterances, transfer_utterances
-from pclc.trainer import Checkpoint, save_checkpoint
+from pclc.tagger import crf_nll_batch, viterbi_decode_batch
+from pclc.trainer import Checkpoint, TrainConfig, save_checkpoint
 
 REPO_ROOT = os.path.abspath(os.path.join(os.path.dirname(__file__), ".."))
 DATA_DIR = os.path.join(REPO_ROOT, "data")
 
-TOY_DIMS = ModelDims(
+TOY_CONFIG = TrainConfig(
     word_dim=5,
     char_dim=2,
     char_hidden=2,
@@ -22,6 +23,16 @@ TOY_DIMS = ModelDims(
     entity_hidden=4,
     proto_dim=8,
 )
+
+
+def crf_nll_one(emissions, gold_tags, crf):
+    """`crf_nll_batch` for one utterance's (T, 3) emissions: a batch of one."""
+    return crf_nll_batch(emissions, [emissions.shape[0]], [gold_tags], crf)
+
+
+def viterbi_one(emissions, crf):
+    """`viterbi_decode_batch` for one utterance's (T, 3) emissions."""
+    return viterbi_decode_batch(emissions, [emissions.shape[0]], crf)[0]
 
 
 @pytest.fixture(scope="session")
@@ -38,11 +49,11 @@ def transfer_corpus():
     return corpus, schema
 
 
-def build_toy_model(corpus, schema, target: str, seed: int = 0, dims: ModelDims = TOY_DIMS):
+def build_toy_model(corpus, schema, target: str, seed: int = 0, config: TrainConfig = TOY_CONFIG):
     vocab = build_vocab(corpus, schema)
     rng = make_rng(seed)
-    word_matrix = random_embeddings(vocab.n_words, dims.word_dim, rng)
-    model = PclcModel(schema, target, vocab, word_matrix, dims, make_rng(seed + 1))
+    word_matrix = random_embeddings(vocab.n_words, config.word_dim, rng)
+    model = PclcModel(schema, target, vocab, word_matrix, config, make_rng(seed + 1))
     return model, vocab
 
 

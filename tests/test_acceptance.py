@@ -12,7 +12,7 @@ import time
 import numpy as np
 
 import oracles
-from conftest import DATA_DIR
+from conftest import DATA_DIR, crf_nll_one, viterbi_one
 from pclc import autodiff as ad
 from pclc.autodiff import Tape, Tensor
 from pclc.classifier import (
@@ -25,9 +25,9 @@ from pclc.classifier import (
 from pclc.cli import main
 from pclc.data import SlotSchema, Utterance, build_vocab, load_corpus, random_embeddings, split_leave_one_out
 from pclc.evaluate import seen_unseen_report, span_f1
-from pclc.model import ModelDims, PclcModel
+from pclc.model import PclcModel
 from pclc.rng import make_rng
-from pclc.tagger import CrfLayer, crf_nll, viterbi_decode
+from pclc.tagger import CrfLayer
 from pclc.trainer import (
     TrainConfig,
     _gold_prediction_sets,
@@ -56,7 +56,7 @@ def test_criterion_1_crf_oracle_equivalence():
         crf.end.values = rng.uniform(-1.5, 1.5, 3)
         gold = [int(g) for g in rng.integers(0, 3, T)]
 
-        nll = crf_nll(Tensor(emis), gold, crf).item()
+        nll = crf_nll_one(Tensor(emis), gold, crf).item()
         log_z = oracles.brute_force_log_partition(
             emis, crf.transitions.values, crf.start.values, crf.end.values
         )
@@ -65,7 +65,7 @@ def test_criterion_1_crf_oracle_equivalence():
         )
         assert abs(nll - (log_z - gold_score)) < 1e-9, f"instance {i}"
 
-        best = viterbi_decode(emis, crf)
+        best = viterbi_one(emis, crf)
         brute = oracles.brute_force_best_path(
             emis, crf.transitions.values, crf.start.values, crf.end.values
         )
@@ -91,17 +91,13 @@ def _toy_gradcheck_setup():
     schema = SlotSchema.from_corpus(corpus)
     vocab = build_vocab(corpus, schema)
     assert vocab.n_words == 20, vocab.n_words
-    dims = ModelDims(
-        word_dim=5, char_dim=2, char_hidden=2, hidden=3, layers=1,
-        dropout=0.0, entity_hidden=3, proto_dim=8,
-    )
     config = TrainConfig(
         dropout=0.0, temperature=0.7, confusion_lambda=0.6, kl_weight=0.8,
         word_dim=5, char_dim=2, char_hidden=2, hidden=3, layers=1,
         entity_hidden=3, proto_dim=8,
     )
-    word_matrix = random_embeddings(vocab.n_words, dims.word_dim, make_rng(11))
-    model = PclcModel(schema, "beta", vocab, word_matrix, dims, make_rng(12))
+    word_matrix = random_embeddings(vocab.n_words, config.word_dim, make_rng(11))
+    model = PclcModel(schema, "beta", vocab, word_matrix, config, make_rng(12))
     protos = model.prototypes()
     assert len(protos.source_labels) == 3
     assert len(protos.target_labels) == 2

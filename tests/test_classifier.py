@@ -501,7 +501,7 @@ def test_default_batch_step_records_68_ops():
     )
     assert config.contrast_block == "both"
     word_matrix = random_embeddings(vocab.n_words, config.word_dim, make_rng(1))
-    model = PclcModel(schema, "bus", vocab, word_matrix, config.model_dims(), make_rng(2))
+    model = PclcModel(schema, "bus", vocab, word_matrix, config, make_rng(2))
     distinct_slots = set()
     for lo in (0, 64, 128):
         batch = split.train[lo : lo + 64]

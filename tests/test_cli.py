@@ -135,6 +135,25 @@ def test_eval_reads_checkpoint_naming_removed_kl_direction(tmp_path, capsys):
     assert "seen f1" in capsys.readouterr().out
 
 
+def test_eval_refuses_checkpoint_with_unknown_config_key(tmp_path, capsys):
+    out = _train(tmp_path)
+    manifest = os.path.join(out, "checkpoint", "manifest.txt")
+    with open(manifest, encoding="utf-8") as fh:
+        text = fh.read()
+    with open(manifest, "w", encoding="utf-8") as fh:
+        fh.write(text.replace("seed=3\n", "seed=3\nlearning_rate=0.1\n"))
+    rc = main(
+        ["eval", os.path.join(out, "checkpoint"),
+         "--data-dir", os.path.join(DATA_DIR, "overfit"),
+         "--output-dir", os.path.join(out, "eval")]
+    )
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert "unknown config key 'learning_rate'" in err
+    assert not os.path.exists(os.path.join(out, "eval"))
+
+
 def test_removed_reverse_kl_direction_is_a_config_error(tmp_path, capsys):
     cfg_path = os.path.join(tmp_path, "old.cfg")
     with open(cfg_path, "w") as fh:

@@ -11,7 +11,7 @@ from pclc.autodiff import Tape, Tensor
 from pclc.data import build_vocab, load_corpus, random_embeddings, split_leave_one_out
 from pclc.errors import ShapeError
 from pclc.layers import BiLstm, _sigmoid_, final_states, run_lstm
-from pclc.model import ModelDims, PclcModel
+from pclc.model import PclcModel
 from pclc.rng import make_rng
 from pclc.trainer import TrainConfig, total_loss
 
@@ -240,7 +240,7 @@ def test_batch_loss_records_one_lstm_op_per_bilstm():
         entity_hidden=24, proto_dim=24, dropout=0.1,
     )
     word_matrix = random_embeddings(vocab.n_words, config.word_dim, make_rng(1))
-    model = PclcModel(schema, "bus", vocab, word_matrix, config.model_dims(), make_rng(2))
+    model = PclcModel(schema, "bus", vocab, word_matrix, config, make_rng(2))
     with Tape() as tape:
         total_loss(split.train[:64], model, config, make_rng(3))
     kinds = [rec.kind for rec in tape.records]
@@ -265,10 +265,10 @@ def test_two_layer_model_parameter_names_and_order():
     # optimizer's and the rng's, so seeded runs depend on it too
     corpus, schema = load_corpus(os.path.join(DATA_DIR, "transfer"))
     vocab = build_vocab(corpus, schema)
-    dims = ModelDims(word_dim=6, char_dim=3, char_hidden=3, hidden=4, layers=2,
-                     entity_hidden=4, proto_dim=5)
-    word_matrix = random_embeddings(vocab.n_words, dims.word_dim, make_rng(1))
-    model = PclcModel(schema, "bus", vocab, word_matrix, dims, make_rng(2))
+    config = TrainConfig(word_dim=6, char_dim=3, char_hidden=3, hidden=4, layers=2,
+                         entity_hidden=4, proto_dim=5)
+    word_matrix = random_embeddings(vocab.n_words, config.word_dim, make_rng(1))
+    model = PclcModel(schema, "bus", vocab, word_matrix, config, make_rng(2))
     lstm = [f"{name}_{d}.{p}" for name in ("char", "lstm0", "lstm1")
             for d in ("fwd", "bwd") for p in ("w", "b")]
     entity = [f"entity_{d}.{p}" for d in ("fwd", "bwd") for p in ("w", "b")]

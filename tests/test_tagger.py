@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import oracles
-from conftest import DATA_DIR
+from conftest import DATA_DIR, crf_nll_one, viterbi_one
 from pclc import autodiff as ad
 from pclc import tagger
 from pclc.autodiff import Tape, Tensor
@@ -24,12 +24,9 @@ from pclc.rng import make_rng
 from pclc.tagger import (
     CrfLayer,
     Encoder,
-    EncoderConfig,
-    crf_nll,
     crf_nll_batch,
     extract_spans,
     gold_spans,
-    viterbi_decode,
     viterbi_decode_batch,
 )
 from pclc.trainer import TrainConfig, total_loss
@@ -53,7 +50,7 @@ def test_crf_nll_single_step_analytic():
     emis = rng.uniform(-1, 1, (1, 3))
     crf = _zero_crf()
     for gold in range(3):
-        nll = crf_nll(Tensor(emis), [gold], crf).item()
+        nll = crf_nll_one(Tensor(emis), [gold], crf).item()
         expected = oracles.mp_log_sum_exp(emis[0]) - emis[0][gold]
         assert nll == pytest.approx(expected, abs=1e-12)
 
@@ -61,7 +58,7 @@ def test_crf_nll_single_step_analytic():
 @pytest.mark.parametrize("T", [1, 2, 3, 5])
 def test_crf_nll_all_zero_scores_is_t_ln3(T):
     crf = _zero_crf()
-    nll = crf_nll(Tensor(np.zeros((T, 3))), [0] * T, crf).item()
+    nll = crf_nll_one(Tensor(np.zeros((T, 3))), [0] * T, crf).item()
     assert nll == pytest.approx(T * math.log(3.0), abs=1e-12)
 
 
@@ -72,7 +69,7 @@ def test_crf_nll_matches_exhaustive_enumeration():
         emis = rng.uniform(-2, 2, (T, 3))
         crf = _random_crf(rng)
         gold = [int(g) for g in rng.integers(0, 3, T)]
-        nll = crf_nll(Tensor(emis), gold, crf).item()
+        nll = crf_nll_one(Tensor(emis), gold, crf).item()
         log_z = oracles.brute_force_log_partition(
             emis, crf.transitions.values, crf.start.values, crf.end.values
         )
@@ -89,7 +86,7 @@ def test_crf_gold_probability_in_unit_interval():
         emis = rng.uniform(-3, 3, (T, 3))
         crf = _random_crf(rng)
         gold = [int(g) for g in rng.integers(0, 3, T)]
-        nll = crf_nll(Tensor(emis), gold, crf).item()
+        nll = crf_nll_one(Tensor(emis), gold, crf).item()
         assert nll >= -1e-12
         assert 0.0 < math.exp(-nll) <= 1.0
 
@@ -97,9 +94,9 @@ def test_crf_gold_probability_in_unit_interval():
 def test_crf_nll_shape_mismatch_errors():
     crf = _zero_crf()
     with pytest.raises(ShapeError):
-        crf_nll(Tensor(np.zeros((2, 3))), [0], crf)
+        crf_nll_one(Tensor(np.zeros((2, 3))), [0], crf)
     with pytest.raises(ShapeError):
-        crf_nll(Tensor(np.zeros((2, 2))), [0, 0], crf)
+        crf_nll_one(Tensor(np.zeros((2, 2))), [0, 0], crf)
 
 
 def test_crf_gradients_match_finite_differences():
@@ -118,7 +115,7 @@ def test_crf_gradients_match_finite_differences():
         crf.start = Tensor(start, requires_grad=True)
         crf.end = Tensor(end, requires_grad=True)
         with Tape():
-            return (crf_nll(Tensor(emis), gold, crf).item(),)
+            return (crf_nll_one(Tensor(emis), gold, crf).item(),)
 
     fd = oracles.finite_difference_grads(loss_value, arrays)[0]
 
@@ -128,7 +125,7 @@ def test_crf_gradients_match_finite_differences():
     crf.end = Tensor(end, requires_grad=True)
     emis_t = Tensor(emis, requires_grad=True)
     with Tape() as tape:
-        loss = crf_nll(emis_t, gold, crf)
+        loss = crf_nll_one(emis_t, gold, crf)
         ad.backward(loss, tape)
     analytics = [emis_t.grad, crf.transitions.grad, crf.start.grad, crf.end.grad]
     for analytic, numeric in zip(analytics, fd):
@@ -247,7 +244,7 @@ def test_batch_loss_tape_records_at_most_1200():
         entity_hidden=24, proto_dim=24, dropout=0.1,
     )
     word_matrix = random_embeddings(vocab.n_words, config.word_dim, make_rng(1))
-    model = PclcModel(schema, "bus", vocab, word_matrix, config.model_dims(), make_rng(2))
+    model = PclcModel(schema, "bus", vocab, word_matrix, config, make_rng(2))
     with Tape() as tape:
         total_loss(split.train[:64], model, config, make_rng(3))
     kinds = [rec.kind for rec in tape.records]
@@ -263,7 +260,7 @@ def test_viterbi_decoupled_tokens_take_per_token_argmax():
     rng = make_rng(4)
     emis = rng.uniform(-1, 1, (6, 3))
     crf = _zero_crf()
-    assert viterbi_decode(emis, crf) == list(emis.argmax(axis=1))
+    assert viterbi_one(emis, crf) == list(emis.argmax(axis=1))
 
 
 def test_viterbi_matches_brute_force():
@@ -272,7 +269,7 @@ def test_viterbi_matches_brute_force():
         T = int(rng.integers(1, 7))
         emis = rng.uniform(-2, 2, (T, 3))
         crf = _random_crf(rng)
-        got = viterbi_decode(emis, crf)
+        got = viterbi_one(emis, crf)
         want = oracles.brute_force_best_path(
             emis, crf.transitions.values, crf.start.values, crf.end.values
         )
@@ -281,7 +278,7 @@ def test_viterbi_matches_brute_force():
 
 def test_viterbi_all_zero_scores_gives_all_o():
     crf = _zero_crf()
-    assert viterbi_decode(np.zeros((4, 3)), crf) == [0, 0, 0, 0]
+    assert viterbi_one(np.zeros((4, 3)), crf) == [0, 0, 0, 0]
 
 
 def test_viterbi_score_at_least_gold_score():
@@ -291,7 +288,7 @@ def test_viterbi_score_at_least_gold_score():
         emis = rng.uniform(-2, 2, (T, 3))
         crf = _random_crf(rng)
         gold = [int(g) for g in rng.integers(0, 3, T)]
-        best = viterbi_decode(emis, crf)
+        best = viterbi_one(emis, crf)
         args = (emis, crf.transitions.values, crf.start.values, crf.end.values)
         assert oracles.crf_path_score(*args, best) >= oracles.crf_path_score(*args, gold) - 1e-12
 
@@ -359,7 +356,7 @@ def _encode_one(encoder, utt, vocab, training=False):
 
 
 def test_encode_utterance_default_dims_give_400(overfit_corpus):
-    config = EncoderConfig()  # stock defaults: hidden 200 per direction
+    config = TrainConfig()  # stock defaults: hidden 200 per direction
     corpus, vocab, encoder = _encoder_inputs(overfit_corpus, config)
     utt = next(u for u in corpus if len(u.tokens) == 5)
     hidden = _encode_one(encoder, utt, vocab)
@@ -367,7 +364,7 @@ def test_encode_utterance_default_dims_give_400(overfit_corpus):
 
 
 def test_encode_utterance_eval_mode_deterministic(overfit_corpus):
-    config = EncoderConfig(word_dim=8, char_dim=3, char_hidden=3, hidden=6, layers=2, dropout=0.5)
+    config = TrainConfig(word_dim=8, char_dim=3, char_hidden=3, hidden=6, layers=2, dropout=0.5)
     corpus, vocab, encoder = _encoder_inputs(overfit_corpus, config)
     utt = corpus[0]
     h1 = _encode_one(encoder, utt, vocab, training=False)
@@ -376,7 +373,7 @@ def test_encode_utterance_eval_mode_deterministic(overfit_corpus):
 
 
 def test_encode_single_token_utterance(overfit_corpus):
-    config = EncoderConfig(word_dim=8, char_dim=3, char_hidden=3, hidden=6, layers=1)
+    config = TrainConfig(word_dim=8, char_dim=3, char_hidden=3, hidden=6, layers=1)
     corpus, vocab, encoder = _encoder_inputs(overfit_corpus, config)
     utt = Utterance(["play"], ["O"], [None], "music", "music:x")
     hidden = _encode_one(encoder, utt, vocab)
@@ -386,7 +383,7 @@ def test_encode_single_token_utterance(overfit_corpus):
 
 def test_encode_batch_matches_single_utterance_eval(overfit_corpus):
     # padding and masking must not change per-utterance results
-    config = EncoderConfig(word_dim=8, char_dim=3, char_hidden=3, hidden=6, layers=2, dropout=0.0)
+    config = TrainConfig(word_dim=8, char_dim=3, char_hidden=3, hidden=6, layers=2, dropout=0.0)
     corpus, vocab, encoder = _encoder_inputs(overfit_corpus, config)
     batch = [corpus[0], corpus[7], corpus[31]]
     assert len({len(u.tokens) for u in batch}) > 1
@@ -408,7 +405,7 @@ def _char_grads(encoder, features, weights):
 
 
 def test_char_features_run_once_per_distinct_token(overfit_corpus, monkeypatch):
-    config = EncoderConfig(word_dim=8, char_dim=3, char_hidden=3, hidden=6, layers=1)
+    config = TrainConfig(word_dim=8, char_dim=3, char_hidden=3, hidden=6, layers=1)
     corpus, vocab, encoder = _encoder_inputs(overfit_corpus, config)
     assert vocab.char_id("\u0436") == UNK_INDEX
     batch = [
@@ -459,14 +456,14 @@ def test_char_features_run_once_per_distinct_token(overfit_corpus, monkeypatch):
 
 
 def test_encode_empty_batch_errors(overfit_corpus):
-    config = EncoderConfig(word_dim=8, char_dim=3, char_hidden=3, hidden=6, layers=1)
+    config = TrainConfig(word_dim=8, char_dim=3, char_hidden=3, hidden=6, layers=1)
     _, vocab, encoder = _encoder_inputs(overfit_corpus, config)
     with pytest.raises(ShapeError):
         encoder.encode_batch([], vocab, training=False)
 
 
 def test_encode_empty_utterance_errors(overfit_corpus):
-    config = EncoderConfig(word_dim=8, char_dim=3, char_hidden=3, hidden=6, layers=1)
+    config = TrainConfig(word_dim=8, char_dim=3, char_hidden=3, hidden=6, layers=1)
     _, vocab, encoder = _encoder_inputs(overfit_corpus, config)
     empty = Utterance([], [], [], "music", "music:e")
     with pytest.raises(ShapeError):

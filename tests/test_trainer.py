@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import DATA_DIR, TOY_DIMS, build_toy_model, damaged_manifest
+from conftest import DATA_DIR, TOY_CONFIG, build_toy_model, damaged_manifest
 from pclc import autodiff as ad
 from pclc.autodiff import Tape
 from pclc.data import build_vocab, load_corpus, random_embeddings, split_leave_one_out
@@ -32,23 +32,8 @@ from pclc.trainer import (
 
 
 def _toy_config(**overrides):
-    base = dict(
-        lr=0.01,
-        batch_size=8,
-        dropout=0.0,
-        patience=50,
-        max_epochs=3,
-        seed=0,
-        word_dim=TOY_DIMS.word_dim,
-        char_dim=TOY_DIMS.char_dim,
-        char_hidden=TOY_DIMS.char_hidden,
-        hidden=TOY_DIMS.hidden,
-        layers=TOY_DIMS.layers,
-        entity_hidden=TOY_DIMS.entity_hidden,
-        proto_dim=TOY_DIMS.proto_dim,
-    )
-    base.update(overrides)
-    return TrainConfig(**base)
+    base = dict(lr=0.01, batch_size=8, patience=50, max_epochs=3, seed=0)
+    return dataclasses.replace(TOY_CONFIG, **{**base, **overrides})
 
 
 # ---------------------------------------------------------------------------
@@ -60,6 +45,18 @@ def test_config_kv_round_trip():
     pairs = dict(kv.split("=", 1) for kv in config_to_kv(cfg))
     again = config_from_kv(TrainConfig, pairs)
     assert again == cfg
+
+
+def test_config_keys_keep_their_order():
+    # effective.cfg files and checkpoint manifests list the keys in this
+    # order, the run settings last, so older files stay byte-identical
+    assert [kv.split("=", 1)[0] for kv in config_to_kv(TrainConfig())] == [
+        "lr", "batch_size", "dropout", "patience", "max_epochs", "few_shot",
+        "confusion_lambda", "temperature", "kl_weight", "seed", "enable_pcl", "enable_lc",
+        "contrast_block", "crf_weight", "grad_clip", "word_dim", "char_dim", "char_hidden",
+        "hidden", "layers", "entity_hidden", "proto_dim",
+        "data_dir", "embeddings", "target", "output_dir", "require_pretrained", "validation_size",
+    ]
 
 
 def test_config_rejects_unknown_key():
@@ -435,9 +432,7 @@ def test_loaded_model_predicts_as_an_initialised_model_given_its_values(
     save_checkpoint(ckpt, directory)
     loaded, config = model_from_checkpoint(load_checkpoint(directory), schema, vocab)
     word_matrix = random_embeddings(vocab.n_words, config.word_dim, make_rng(0))
-    reference = PclcModel(
-        schema, ckpt.target_domain, vocab, word_matrix, config.model_dims(), make_rng(0)
-    )
+    reference = PclcModel(schema, ckpt.target_domain, vocab, word_matrix, config, make_rng(0))
     for name, p in reference.named_parameters().items():
         p.values = ckpt.params[name].copy()
     # the labels-only row order that loading checks is the computed one
@@ -446,6 +441,34 @@ def test_loaded_model_predicts_as_an_initialised_model_given_its_values(
         ("target", s) for s in protos.target_labels
     ]
     assert loaded.predict(overfit_split.test) == reference.predict(overfit_split.test)
+
+
+def test_checkpoint_without_run_keys_loads_with_their_defaults(
+    tmp_path, overfit_corpus, overfit_split
+):
+    run_keys = ("data_dir", "embeddings", "target", "output_dir", "require_pretrained",
+                "validation_size")
+    ckpt, schema, vocab = _trained_checkpoint(
+        overfit_corpus, overfit_split, target="kitchen", validation_size=7
+    )
+    older = [kv for kv in ckpt.config_kv if kv.split("=", 1)[0] not in run_keys]
+    assert len(older) == len(ckpt.config_kv) - len(run_keys)
+    directory = os.path.join(tmp_path, "ckpt")
+    save_checkpoint(dataclasses.replace(ckpt, config_kv=older), directory)
+    _, config = model_from_checkpoint(load_checkpoint(directory), schema, vocab)
+    assert config == _toy_config(max_epochs=2, batch_size=16)
+    assert (config.target, config.validation_size) == ("", 500)
+
+
+def test_load_checkpoint_keeps_freed_heap(tmp_path, monkeypatch):
+    # a load's payload allocation must not depend on what the process
+    # allocated before, so loading applies train_run's malloc policy
+    calls = []
+    monkeypatch.setattr("pclc.trainer._keep_freed_heap", lambda: calls.append(1))
+    directory = os.path.join(tmp_path, "ckpt")
+    damaged_manifest(directory, "epoch=2", "epoch=2")
+    load_checkpoint(directory)
+    assert calls == [1]
 
 
 def test_checkpoint_unknown_target_domain_refused(tmp_path, overfit_corpus, overfit_split):

@@ -108,17 +108,10 @@ class Tensor:
     def shape(self) -> tuple[int, ...]:
         return self.values.shape
 
-    @property
-    def size(self) -> int:
-        return self.values.size
-
     def item(self) -> float:
         if self.values.size != 1:
             raise ShapeError(f"item() on tensor of shape {self.shape}")
         return float(self.values.reshape(()))
-
-    def zero_grad(self) -> None:
-        self.grad = None
 
     def __repr__(self):
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
@@ -259,11 +252,13 @@ def _scatter_rows(shape, idx, g) -> np.ndarray:
 
 
 def take_rows(a: Tensor, indices) -> Tensor:
-    """Row gather; gradient scatter-adds back into the source rows."""
-    idx = np.asarray(indices, dtype=np.intp)
+    """Row gather by integer index, an embedding lookup included; the
+    gradient scatter-adds back into the source rows."""
     if a.values.ndim != 2:
         raise ShapeError(f"take_rows: expects 2-d operand, got {a.shape}")
-
+    idx = np.asarray(indices, dtype=np.intp)
+    if idx.size and (idx.min() < 0 or idx.max() >= a.shape[0]):
+        raise ShapeError(f"take_rows: index out of range for {a.shape[0]} rows")
     return emit("take_rows", [a], a.values[idx], lambda g: (_scatter_rows(a.shape, idx, g),))
 
 
@@ -304,24 +299,6 @@ def xlogx(a: Tensor) -> Tensor:
     out = np.where(pos, v * np.log(np.where(pos, v, 1.0)), 0.0)
     dout = np.where(pos, np.log(np.where(pos, v, 1.0)) + 1.0, 0.0)
     return _elementwise("xlogx", a, out, dout)
-
-
-def embedding_lookup(table: Tensor, indices) -> Tensor:
-    """Gather rows of an embedding table by integer index."""
-    if table.values.ndim != 2:
-        raise ShapeError(f"embedding_lookup: table must be 2-d, got {table.shape}")
-    idx = np.asarray(indices, dtype=np.intp)
-    if idx.size and (idx.min() < 0 or idx.max() >= table.shape[0]):
-        raise ShapeError(
-            f"embedding_lookup: index out of range for table with {table.shape[0]} rows"
-        )
-
-    return emit(
-        "embedding_lookup",
-        [table],
-        table.values[idx],
-        lambda g: (_scatter_rows(table.shape, idx, g),),
-    )
 
 
 def dropout(a: Tensor, rate: float, rng=None, training: bool = False) -> Tensor:

@@ -102,7 +102,7 @@ def build_prototypes(
         counts.append(len(tokens))
     membership = np.zeros((len(counts), len(ids)))
     membership[np.repeat(np.arange(len(counts)), counts), np.arange(len(ids))] = 1.0
-    looked = ad.embedding_lookup(word_table, np.asarray(ids, dtype=np.intp))
+    looked = ad.take_rows(word_table, ids)
     sums = ad.matmul(Tensor(membership), looked)
     means = ad.mul(sums, Tensor(1.0 / np.asarray(counts, dtype=np.float64)[:, None]))
     matrix = mlp(means)
@@ -183,50 +183,15 @@ def kl_divergence_from_log(pred_log: Tensor, target: Tensor) -> Tensor:
     return ad.sub(entropy_part, cross_part)
 
 
-def contrastive_loss(
-    scores: Tensor,
-    rows: list[int],
-    from_target: list[bool],
-    protos: PrototypeMatrix,
-    tau: float,
-    contrast_block: str,
-) -> Tensor:
-    """Mean over entities of -log softmax(score/tau)[gold row].
-
-    With `contrast_block == "source"`, source-domain entities contrast only
-    against the source block; target-domain (few-shot) entities always use
-    every row so their gold stays in the candidate set.
-    """
-    n, n_rows = scores.shape
-    groups: list[tuple[list[int], list[int]]] = []  # (entity idx, candidate cols)
-    if contrast_block == "source":
-        src_cols = list(range(protos.block_boundary))
-        all_cols = list(range(n_rows))
-        src_entities = [i for i in range(n) if not from_target[i]]
-        tgt_entities = [i for i in range(n) if from_target[i]]
-        if src_entities:
-            groups.append((src_entities, src_cols))
-        if tgt_entities:
-            groups.append((tgt_entities, all_cols))
-    else:
-        groups.append((list(range(n)), list(range(n_rows))))
-
-    acc = None
-    for entities, cols in groups:
-        # both lists are ascending without repeats: a full-length one is the identity
-        sub = scores
-        if len(cols) < n_rows:
-            sub = ad.transpose(ad.take_rows(ad.transpose(sub), cols))
-        if len(entities) < n:
-            sub = ad.take_rows(sub, entities)
-        lp = ad.log_softmax(ad.mul(sub, Tensor(1.0 / tau)), axis=1)
-        pick = np.zeros((len(entities), len(cols)))
-        col_of = {c: j for j, c in enumerate(cols)}
-        for out_i, i in enumerate(entities):
-            pick[out_i, col_of[rows[i]]] = 1.0
-        part = ad.mul(ad.tensor_sum(ad.mul(lp, Tensor(pick))), Tensor(-1.0))
-        acc = part if acc is None else ad.add(acc, part)
-    return ad.mul(acc, Tensor(1.0 / n))
+def contrastive_loss(scores: Tensor, rows: list[int], tau: float) -> Tensor:
+    """Mean over entities of -log softmax(score/tau)[gold row], each entity
+    contrasted with every prototype row of both blocks."""
+    n = scores.shape[0]
+    lp = ad.log_softmax(ad.mul(scores, Tensor(1.0 / tau)), axis=1)
+    pick = np.zeros(scores.shape)
+    pick[np.arange(n), rows] = 1.0
+    total = ad.mul(ad.tensor_sum(ad.mul(lp, Tensor(pick))), Tensor(-1.0))
+    return ad.mul(total, Tensor(1.0 / n))
 
 
 def confusion_loss(

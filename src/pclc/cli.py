@@ -33,7 +33,6 @@ from .trainer import (
     config_to_kv,
     load_checkpoint,
     model_from_checkpoint,
-    parse_kv,
     save_checkpoint,
     train_run,
 )
@@ -101,18 +100,22 @@ def _echo_config(cfg: TrainConfig, directory: str) -> None:
         fh.write("\n".join(config_to_kv(cfg)) + "\n")
 
 
-def _prepare(cfg: TrainConfig):
+def _corpus_and_vocab(cfg: TrainConfig):
     if not cfg.data_dir:
         raise ConfigError("data_dir is required")
+    corpus, schema = load_corpus(cfg.data_dir)
+    return corpus, schema, build_vocab(corpus, schema)
+
+
+def _prepare(cfg: TrainConfig):
+    corpus, schema, vocab = _corpus_and_vocab(cfg)
     if not cfg.target:
         raise ConfigError("target domain is required")
-    corpus, schema = load_corpus(cfg.data_dir)
     split = split_leave_one_out(
         corpus, schema, cfg.target, cfg.seed, validation_size=cfg.validation_size
     )
     if cfg.few_shot > 0:
         split = fewshot_select(split, cfg.few_shot, cfg.seed)
-    vocab = build_vocab(corpus, schema)
     table = load_embeddings(
         cfg.embeddings or None,
         vocab,
@@ -142,8 +145,7 @@ def cmd_train(cfg: TrainConfig) -> int:
 def _load_model_for(cfg: TrainConfig, checkpoint_path: str):
     if not os.path.isdir(checkpoint_path):
         raise CheckpointError(f"checkpoint not found: {checkpoint_path}")
-    corpus, schema = load_corpus(cfg.data_dir)
-    vocab = build_vocab(corpus, schema)
+    corpus, schema, vocab = _corpus_and_vocab(cfg)
     ckpt = load_checkpoint(checkpoint_path)
     model, snapshot = model_from_checkpoint(ckpt, schema, vocab)
     return corpus, schema, model, snapshot
@@ -216,8 +218,7 @@ def cmd_predict(cfg: TrainConfig, checkpoint_path: str, input_path: str, output_
     return 0
 
 
-def _sweep_one(cfg_kv: list[str], lam: float, out_dir: str) -> tuple[float, float]:
-    cfg = config_from_kv(TrainConfig, parse_kv(cfg_kv))
+def _sweep_one(cfg: TrainConfig, lam: float, out_dir: str) -> tuple[float, float]:
     cfg = dataclasses.replace(cfg, confusion_lambda=lam, output_dir=out_dir)
     cmd_train(cfg)
     _, schema, split, vocab, _ = _prepare(cfg)
@@ -250,14 +251,13 @@ def cmd_sweep_lambda(cfg: TrainConfig, lambdas: list[float], parallel: int) -> i
             seen.append(lam)
     base_dir = _resolve_output_dir(cfg)
     jobs = [(lam, os.path.join(base_dir, f"lambda_{lam:g}")) for lam in seen]
-    cfg_kv = config_to_kv(cfg)
     results: list[tuple[float, float]] = []
     if parallel > 1:
         with concurrent.futures.ProcessPoolExecutor(max_workers=parallel) as pool:
-            futures = [pool.submit(_sweep_one, cfg_kv, lam, d) for lam, d in jobs]
+            futures = [pool.submit(_sweep_one, cfg, lam, d) for lam, d in jobs]
             results = [f.result() for f in futures]
     else:
-        results = [_sweep_one(cfg_kv, lam, d) for lam, d in jobs]
+        results = [_sweep_one(cfg, lam, d) for lam, d in jobs]
     tsv_path = os.path.join(base_dir, "lambda_sweep.tsv")
     with open(tsv_path, "w", encoding="utf-8") as fh:
         fh.write("lambda\tf1\n")

@@ -88,7 +88,7 @@ class Encoder:
         char_ids = np.full((max(char_lengths), len(tokens)), PAD_INDEX, dtype=np.intp)
         for j, token in enumerate(tokens):
             char_ids[: len(token), j] = [vocab.char_id(c) for c in token]
-        x = ad.embedding_lookup(self.char_table, char_ids.reshape(-1))
+        x = ad.take_rows(self.char_table, char_ids.reshape(-1))
         char_final = final_states(run_lstm(self.char_lstm, x, char_lengths), char_lengths)
         zero_row = Tensor(np.zeros((1, 2 * self.config.char_hidden)))
         return ad.concat([char_final, zero_row], axis=0), row_of
@@ -113,7 +113,7 @@ class Encoder:
                 word_ids[t, b] = vocab.word_id(token)
                 char_row_ids[t, b] = char_rows[b][t]
 
-        word_x = ad.embedding_lookup(self.word_table, word_ids.reshape(-1))
+        word_x = ad.take_rows(self.word_table, word_ids.reshape(-1))
         char_x = ad.take_rows(char_mat, char_row_ids.reshape(-1))
         x = ad.dropout(ad.concat([word_x, char_x], axis=1), cfg.dropout, rng=rng, training=training)
 

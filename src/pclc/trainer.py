@@ -46,7 +46,6 @@ _RULES = (
     (("temperature", "grad_clip"), lambda v: v > 0.0, "must be > 0"),
     (("dropout",), lambda v: 0.0 <= v < 1.0, "must be in [0, 1)"),
     (("confusion_lambda",), lambda v: 0.0 <= v <= 1.0, "must be in [0, 1]"),
-    (("contrast_block",), lambda v: v in ("both", "source"), "must be both or source"),
 )
 
 
@@ -67,7 +66,6 @@ class TrainConfig:
     seed: int = 1
     enable_pcl: bool = True
     enable_lc: bool = True
-    contrast_block: str = "both"  # candidate prototypes during training; or "source"
     crf_weight: float = 1.0
     grad_clip: float = 5.0
     word_dim: int = 300
@@ -137,20 +135,32 @@ def parse_kv(lines: list[str]) -> dict[str, str]:
     return dict(kv.split("=", 1) for kv in lines)
 
 
+# removed config keys: (the value every run still computes, why the others
+# went). Older checkpoints and effective.cfg files name the kept value.
+_REMOVED = {
+    "kl_direction": (
+        "smooth_to_pred",
+        "the label-confusion term is always KL(smoothed || predicted); pred_to_smooth rewarded "
+        "predicted mass off the smoothed target's support",
+    ),
+    "contrast_block": (
+        "both",
+        "the contrastive term always contrasts each entity with every prototype row; source "
+        "contrasted source-domain entities with the source block alone, an ablation no run "
+        "selected",
+    ),
+}
+
+
 def config_from_kv(cls, pairs: dict[str, str]):
     fields = {f.name: f for f in dataclasses.fields(cls)}
     kwargs = {}
     for key, raw in pairs.items():
-        if key == "kl_direction":
-            # removed; older checkpoints and effective.cfg files name the one
-            # direction every run still computes
-            if raw.strip() == "smooth_to_pred":
+        if key in _REMOVED:
+            kept, why = _REMOVED[key]
+            if raw.strip() == kept:
                 continue
-            raise ConfigError(
-                f"config key 'kl_direction' was removed, got {raw.strip()!r}: the label-confusion "
-                "term is always KL(smoothed || predicted); pred_to_smooth rewarded predicted "
-                "mass off the smoothed target's support"
-            )
+            raise ConfigError(f"config key {key!r} was removed, got {raw.strip()!r}: {why}")
         if key not in fields:
             raise ConfigError(f"unknown config key {key!r}")
         kwargs[key] = _coerce(key, str(fields[key].type), raw)
@@ -206,7 +216,7 @@ def loss_components(
     l_pc = zero
     if classification_needed:
         tau = config.temperature if config.enable_pcl else 1.0
-        l_pc = contrastive_loss(scores, rows, from_target, protos, tau, config.contrast_block)
+        l_pc = contrastive_loss(scores, rows, tau)
 
     l_kl = zero
     if config.enable_lc:

@@ -161,7 +161,7 @@ def per_occurrence_char_features(encoder, utterances, vocab):
     ids = np.full((max(lengths), len(tokens)), PAD_INDEX, dtype=np.intp)
     for j, token in enumerate(tokens):
         ids[: len(token), j] = [vocab.char_id(c) for c in token]
-    x = ad.embedding_lookup(encoder.char_table, ids.reshape(-1))
+    x = ad.take_rows(encoder.char_table, ids.reshape(-1))
     return final_states(run_lstm(encoder.char_lstm, x, lengths), lengths)
 
 

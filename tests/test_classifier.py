@@ -45,10 +45,8 @@ def _scores(reps, protos):
     return ad.matmul(Tensor(np.atleast_2d(reps)), ad.transpose(protos.matrix))
 
 
-def _pc(reps, protos, rows, tau=1.0, from_target=None, contrast_block="both"):
-    if from_target is None:
-        from_target = [row >= protos.block_boundary for row in rows]
-    return contrastive_loss(_scores(reps, protos), rows, from_target, protos, tau, contrast_block)
+def _pc(reps, protos, rows, tau=1.0):
+    return contrastive_loss(_scores(reps, protos), rows, tau)
 
 
 # ---------------------------------------------------------------------------
@@ -407,19 +405,14 @@ def _random_batch(rng, n_max):
 
 
 @pytest.mark.parametrize("n_max", [1, 6])
-@pytest.mark.parametrize("contrast_block", ["both", "source"])
-def test_contrastive_loss_is_mean_of_per_entity_oracles(n_max, contrast_block):
+def test_contrastive_loss_is_mean_of_per_entity_oracles(n_max):
     rng = make_rng(21)
     for _ in range(30):
-        protos, reps, rows, from_target = _random_batch(rng, n_max)
+        protos, reps, rows, _ = _random_batch(rng, n_max)
         tau = float(rng.uniform(0.2, 2.0))
         matrix = protos.matrix.values
-        got = _pc(reps, protos, rows, tau, from_target, contrast_block).item()
-        per_entity = []
-        for r, y, tgt in zip(reps, rows, from_target):
-            # "source" contrasts source entities with the source block only
-            block = matrix if tgt or contrast_block == "both" else matrix[: protos.block_boundary]
-            per_entity.append(oracles.mp_proto_contrastive(r, block, y, tau))
+        got = _pc(reps, protos, rows, tau).item()
+        per_entity = [oracles.mp_proto_contrastive(r, matrix, y, tau) for r, y in zip(reps, rows)]
         assert got == pytest.approx(float(np.mean(per_entity)), abs=1e-10)
 
 
@@ -443,55 +436,10 @@ def test_confusion_loss_is_mean_of_per_entity_oracles(n_max):
         assert got >= -1e-12
 
 
-def _explicit_gather_contrastive(scores, rows, from_target, protos, tau, contrast_block):
-    """`contrastive_loss` with every group's columns and entities gathered,
-    also when a group selects all of them."""
-    n, n_rows = scores.shape
-    groups = [(list(range(n)), list(range(n_rows)))]
-    if contrast_block == "source":
-        src = [i for i in range(n) if not from_target[i]]
-        tgt = [i for i in range(n) if from_target[i]]
-        groups = [(src, list(range(protos.block_boundary)))] if src else []
-        if tgt:
-            groups.append((tgt, list(range(n_rows))))
-    acc = None
-    for entities, cols in groups:
-        sub = ad.take_rows(ad.transpose(ad.take_rows(ad.transpose(scores), cols)), entities)
-        lp = ad.log_softmax(ad.mul(sub, Tensor(1.0 / tau)), axis=1)
-        pick = np.zeros((len(entities), len(cols)))
-        pick[np.arange(len(entities)), [rows[i] for i in entities]] = 1.0
-        part = ad.mul(ad.tensor_sum(ad.mul(lp, Tensor(pick))), Tensor(-1.0))
-        acc = part if acc is None else ad.add(acc, part)
-    return ad.mul(acc, Tensor(1.0 / n))
-
-
-@pytest.mark.parametrize("contrast_block", ["both", "source"])
-def test_contrastive_loss_skips_identity_gathers_bit_for_bit(contrast_block):
-    # values and gradients equal the explicit-gather form exactly, with the
-    # confusion term as a second consumer of the same scores
-    rng = make_rng(23)
-    for _ in range(30):
-        protos, reps, rows, from_target = _random_batch(rng, 6)
-        source = [k for k, tgt in enumerate(from_target) if not tgt]
-        results = []
-        for pc_fn in (contrastive_loss, _explicit_gather_contrastive):
-            r = Tensor(reps, requires_grad=True)
-            protos.matrix = Tensor(protos.matrix.values, requires_grad=True)
-            with Tape() as tape:
-                scores = ad.matmul(r, ad.transpose(protos.matrix))
-                pc = pc_fn(scores, rows, from_target, protos, 0.7, contrast_block)
-                kl = confusion_loss(scores, rows, source, protos, 0.6)
-                ad.backward(ad.add(pc, kl), tape)
-            results.append((pc.values, r.grad, protos.matrix.grad))
-        for got, want in zip(*results):
-            assert np.array_equal(got, want)
-
-
 def test_default_batch_step_records_68_ops():
     # 64-utterance batches at the criterion-6 dims with default losses: the
-    # contrastive term gathers nothing, since its one group is everything,
-    # and the label space costs the same number of ops however many
-    # distinct gold slots a batch holds
+    # label space costs the same number of ops however many distinct gold
+    # slots a batch holds
     corpus, schema = load_corpus(os.path.join(DATA_DIR, "transfer"))
     vocab = build_vocab(corpus, schema)
     split = split_leave_one_out(corpus, schema, "bus", seed=1)
@@ -499,7 +447,6 @@ def test_default_batch_step_records_68_ops():
         word_dim=24, char_dim=8, char_hidden=8, hidden=24, layers=1,
         entity_hidden=24, proto_dim=24, dropout=0.1,
     )
-    assert config.contrast_block == "both"
     word_matrix = random_embeddings(vocab.n_words, config.word_dim, make_rng(1))
     model = PclcModel(schema, "bus", vocab, word_matrix, config, make_rng(2))
     distinct_slots = set()
@@ -510,8 +457,8 @@ def test_default_batch_step_records_68_ops():
             total_loss(batch, model, config, make_rng(3))
         kinds = Counter(rec.kind for rec in tape.records)
         assert sum(kinds.values()) == 68
-        assert (kinds["transpose"], kinds["take_rows"], kinds["lstm"]) == (2, 8, 3)
-        assert (kinds["embedding_lookup"], kinds["matmul"]) == (3, 7)
+        assert (kinds["transpose"], kinds["take_rows"], kinds["lstm"]) == (2, 11, 3)
+        assert kinds["matmul"] == 7
     assert len(distinct_slots) > 1
 
 
@@ -598,7 +545,7 @@ def test_stage2_losses_gradient_vs_finite_differences():
     def terms(protos, r):
         # a source entity of gold row 1 and a target entity of gold row 4
         scores = ad.matmul(r, ad.transpose(protos.matrix))
-        pc = contrastive_loss(scores, [1, 4], [False, True], protos, 0.7, "both")
+        pc = contrastive_loss(scores, [1, 4], 0.7)
         kl = confusion_loss(scores, [1, 4], [0], protos, 0.6)
         return pc, kl, ad.add(pc, ad.mul(kl, Tensor(0.8)))
 

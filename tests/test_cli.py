@@ -118,14 +118,16 @@ def test_eval_target_mismatch_refused(tmp_path, capsys):
 
 
 def test_eval_reads_checkpoint_naming_removed_kl_direction(tmp_path, capsys):
-    # checkpoints written while `kl_direction` existed name its default
+    # checkpoints written while `kl_direction` and `contrast_block` existed
+    # name the value every run still computes
     out = _train(tmp_path)
     manifest = os.path.join(out, "checkpoint", "manifest.txt")
+    removed = "kl_direction=smooth_to_pred\ncontrast_block=both\n"
     with open(manifest, encoding="utf-8") as fh:
         text = fh.read()
     with open(manifest, "w", encoding="utf-8") as fh:
-        fh.write(text.replace("enable_lc=true\n", "enable_lc=true\nkl_direction=smooth_to_pred\n"))
-    assert "kl_direction=smooth_to_pred" in open(manifest).read()
+        fh.write(text.replace("enable_lc=true\n", "enable_lc=true\n" + removed))
+    assert removed in open(manifest).read()
     rc = main(
         ["eval", os.path.join(out, "checkpoint"),
          "--data-dir", os.path.join(DATA_DIR, "overfit"),
@@ -156,17 +158,29 @@ def test_eval_refuses_checkpoint_with_unknown_config_key(tmp_path, capsys):
 
 def test_removed_reverse_kl_direction_is_a_config_error(tmp_path, capsys):
     cfg_path = os.path.join(tmp_path, "old.cfg")
-    with open(cfg_path, "w") as fh:
-        fh.write("kl_direction=pred_to_smooth\n")
-    rc = main(
-        ["train", "--config", cfg_path, "--data-dir", os.path.join(DATA_DIR, "overfit"),
-         "--target", "kitchen", "--output-dir", os.path.join(tmp_path, "x")]
-    )
-    assert rc == 1
-    err = capsys.readouterr().err
-    assert err.startswith("error: config key 'kl_direction' was removed")
-    assert "pred_to_smooth" in err
-    assert not os.path.exists(os.path.join(tmp_path, "x"))
+    for key, value in (("kl_direction", "pred_to_smooth"), ("contrast_block", "source")):
+        with open(cfg_path, "w") as fh:
+            fh.write(f"{key}={value}\n")
+        rc = main(
+            ["train", "--config", cfg_path, "--data-dir", os.path.join(DATA_DIR, "overfit"),
+             "--target", "kitchen", "--output-dir", os.path.join(tmp_path, "x")]
+        )
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: config key '{key}' was removed")
+        assert value in err
+        assert not os.path.exists(os.path.join(tmp_path, "x"))
+
+
+def test_checkpoint_commands_without_data_dir_are_config_errors(tmp_path, capsys):
+    out = _train(tmp_path)
+    checkpoint = os.path.join(out, "checkpoint")
+    for argv in (
+        ["eval", checkpoint, "--output-dir", os.path.join(out, "eval")],
+        ["export-protos", checkpoint, os.path.join(tmp_path, "protos.tsv")],
+    ):
+        assert main(argv) == 1
+        assert capsys.readouterr().err == "error: data_dir is required\n"
 
 
 def test_predict_emits_conll(tmp_path):
@@ -302,7 +316,6 @@ def test_sweep_lambda_rejects_non_numeric_value(tmp_path, capsys):
         ("--batch-size", "0", "config key 'batch_size': must be >= 1, got 0"),
         ("--lr", "abc", "config key 'lr': expected float, got 'abc'"),
         ("--dropout", "1.5", "config key 'dropout': must be in [0, 1), got 1.5"),
-        ("--contrast-block", "sourc", "config key 'contrast_block': must be both or source, got 'sourc'"),
         ("--hidden", "0", "config key 'hidden': must be >= 1, got 0"),
         ("--word-dim", "0", "config key 'word_dim': must be >= 1, got 0"),
         ("--proto-dim", "0", "config key 'proto_dim': must be >= 1, got 0"),

@@ -398,7 +398,7 @@ def _char_grads(encoder, features, weights):
     """Gradients of sum(weights * features()) on the encoder's char parameters."""
     char_params = [(n, p) for n, p in encoder.parameters() if n.startswith("char_")]
     for _, p in char_params:
-        p.zero_grad()
+        p.grad = None
     with Tape() as tape:
         ad.backward(ad.tensor_sum(ad.mul(features(), Tensor(weights))), tape)
     return {n: p.grad.copy() for n, p in char_params}

@@ -53,7 +53,7 @@ def test_config_keys_keep_their_order():
     assert [kv.split("=", 1)[0] for kv in config_to_kv(TrainConfig())] == [
         "lr", "batch_size", "dropout", "patience", "max_epochs", "few_shot",
         "confusion_lambda", "temperature", "kl_weight", "seed", "enable_pcl", "enable_lc",
-        "contrast_block", "crf_weight", "grad_clip", "word_dim", "char_dim", "char_hidden",
+        "crf_weight", "grad_clip", "word_dim", "char_dim", "char_hidden",
         "hidden", "layers", "entity_hidden", "proto_dim",
         "data_dir", "embeddings", "target", "output_dir", "require_pretrained", "validation_size",
     ]
@@ -70,7 +70,6 @@ def test_hyperparams_validation():
         ("temperature", 0.0, "must be > 0, got 0.0"),
         ("confusion_lambda", 1.5, "must be in [0, 1], got 1.5"),
         ("kl_weight", -0.1, "must be >= 0, got -0.1"),
-        ("contrast_block", "sourc", "must be both or source, got 'sourc'"),
         ("lr", 0.0, "must be finite and > 0, got 0.0"),
         ("lr", float("nan"), "must be finite and > 0, got nan"),
         ("lr", float("inf"), "must be finite and > 0, got inf"),
@@ -174,15 +173,6 @@ def test_total_loss_nan_diagnostic_names_term(toy_model, overfit_split):
     assert "crf" in str(err.value)
 
 
-def test_source_only_contrast_block(toy_model, overfit_split):
-    model, vocab, corpus, schema = toy_model
-    cfg = _toy_config(contrast_block="source")
-    with Tape() as tape:
-        loss, parts = total_loss(overfit_split.train[:4], model, cfg, make_rng(0))
-        ad.backward(loss, tape)
-    assert parts["pc"] > 0.0
-
-
 def _fewshot_batch(corpus, schema, overfit_split):
     from pclc.data import fewshot_select
 
@@ -212,17 +202,6 @@ def test_fewshot_target_entities_train_without_confusion_loss(overfit_corpus, ov
         ad.backward(loss, tape)
     assert parts["kl"] == 0.0
     assert parts["pc"] > 0.0
-
-
-def test_fewshot_with_source_contrast_keeps_target_gold_reachable(overfit_corpus, overfit_split):
-    corpus, schema = overfit_corpus
-    model, vocab = build_toy_model(corpus, schema, "kitchen", seed=2)
-    _, batch = _fewshot_batch(corpus, schema, overfit_split)
-    cfg = _toy_config(few_shot=4, contrast_block="source")
-    with Tape() as tape:
-        loss, parts = total_loss(batch, model, cfg, make_rng(0))
-        ad.backward(loss, tape)
-    assert np.isfinite(parts["pc"]) and parts["pc"] > 0.0
 
 
 def test_fewshot_train_run_end_to_end(overfit_corpus, overfit_split):

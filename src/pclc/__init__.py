@@ -32,6 +32,7 @@ from .trainer import (
     Checkpoint,
     TrainConfig,
     early_stop_check,
+    evaluate_split,
     load_checkpoint,
     save_checkpoint,
     total_loss,

@@ -9,10 +9,10 @@ a run can be reproduced bit for bit.
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import dataclasses
 import os
 import sys
+from concurrent.futures import ProcessPoolExecutor
 
 from .data import (
     DataFormatError,
@@ -26,17 +26,17 @@ from .data import (
     write_split_manifest,
 )
 from .errors import CheckpointError, ConfigError, PclcError
-from .evaluate import export_prototypes, seen_unseen_report, span_f1
+from .evaluate import EvalReport, export_prototypes
 from .trainer import (
     TrainConfig,
     config_from_kv,
     config_to_kv,
+    evaluate_split,
     load_checkpoint,
     model_from_checkpoint,
     save_checkpoint,
     train_run,
 )
-from .trainer import _gold_prediction_sets
 
 OUTPUT_ROOT_ENV = "PCLC_OUTPUT_ROOT"
 
@@ -48,14 +48,19 @@ def _read_config_file(path: str) -> dict[str, str]:
     if not os.path.exists(path):
         raise ConfigError(f"config file not found: {path}")
     pairs: dict[str, str] = {}
+    line_of: dict[str, int] = {}
     for lineno, line in enumerate(text_lines(path, ConfigError), start=1):
         line = line.strip()
         if not line or line.startswith("#"):
             continue
         if "=" not in line:
             raise ConfigError(f"{path}:{lineno}: expected key=value, got {line!r}")
-        key, value = line.split("=", 1)
-        pairs[key.strip()] = value.strip()
+        key, value = (part.strip() for part in line.split("=", 1))
+        key = _ALIASES.get(key, key)
+        if key in line_of:
+            raise ConfigError(f"{path}:{lineno}: config key {key!r} repeats line {line_of[key]}")
+        line_of[key] = lineno
+        pairs[key] = value
     return pairs
 
 
@@ -76,11 +81,10 @@ def _build_config(args: argparse.Namespace) -> TrainConfig:
         value = getattr(args, f"cfg_{field.name}", None)
         if value is not None:
             pairs[field.name] = value
-    renamed = {_ALIASES.get(k, k): v for k, v in pairs.items()}
-    return config_from_kv(TrainConfig, renamed)
+    return config_from_kv(TrainConfig, pairs)
 
 
-def _resolve_output_dir(cfg: TrainConfig, suffix: str = "") -> str:
+def _resolve_output_dir(cfg: TrainConfig) -> str:
     out = cfg.output_dir
     if not out:
         root = os.environ.get(OUTPUT_ROOT_ENV)
@@ -89,15 +93,13 @@ def _resolve_output_dir(cfg: TrainConfig, suffix: str = "") -> str:
                 f"no output directory: pass --output-dir or set {OUTPUT_ROOT_ENV}"
             )
         out = os.path.join(root, cfg.target or "run")
-    if suffix:
-        out = os.path.join(out, suffix)
     os.makedirs(out, exist_ok=True)
     return out
 
 
-def _echo_config(cfg: TrainConfig, directory: str) -> None:
-    with open(os.path.join(directory, "effective.cfg"), "w", encoding="utf-8") as fh:
-        fh.write("\n".join(config_to_kv(cfg)) + "\n")
+def _write_lines(path: str, lines: list[str]) -> None:
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("\n".join(lines) + "\n")
 
 
 def _corpus_and_vocab(cfg: TrainConfig):
@@ -107,38 +109,38 @@ def _corpus_and_vocab(cfg: TrainConfig):
     return corpus, schema, build_vocab(corpus, schema)
 
 
-def _prepare(cfg: TrainConfig):
-    corpus, schema, vocab = _corpus_and_vocab(cfg)
+def _split(corpus, schema, cfg: TrainConfig):
+    """The run's leave-one-out split of `cfg.target`, after its few-shot draw."""
     if not cfg.target:
         raise ConfigError("target domain is required")
-    split = split_leave_one_out(
-        corpus, schema, cfg.target, cfg.seed, validation_size=cfg.validation_size
-    )
-    if cfg.few_shot > 0:
-        split = fewshot_select(split, cfg.few_shot, cfg.seed)
+    split = split_leave_one_out(corpus, schema, cfg.target, cfg.seed, cfg.validation_size)
+    return fewshot_select(split, cfg.few_shot, cfg.seed)
+
+
+def _train_and_write(cfg: TrainConfig):
+    """Train one run and write its directory; returns the result with the
+    split, schema and vocab it was trained on."""
+    out_dir = _resolve_output_dir(cfg)
+    corpus, schema, vocab = _corpus_and_vocab(cfg)
+    split = _split(corpus, schema, cfg)
     table = load_embeddings(
-        cfg.embeddings or None,
-        vocab,
-        cfg.word_dim,
-        cfg.seed,
+        cfg.embeddings or None, vocab, cfg.word_dim, cfg.seed,
         require_pretrained=cfg.require_pretrained,
     )
-    return corpus, schema, split, vocab, table
-
-
-def cmd_train(cfg: TrainConfig) -> int:
-    out_dir = _resolve_output_dir(cfg)
-    _, schema, split, vocab, table = _prepare(cfg)
-    _echo_config(cfg, out_dir)
+    _write_lines(os.path.join(out_dir, "effective.cfg"), config_to_kv(cfg))
     write_split_manifest(split, os.path.join(out_dir, "split_manifest.txt"))
     result = train_run(split, schema, vocab, table.matrix, cfg)
     save_checkpoint(result.checkpoint, os.path.join(out_dir, "checkpoint"))
-    with open(os.path.join(out_dir, "train_log.txt"), "w", encoding="utf-8") as fh:
-        fh.write("\n".join(result.log_lines) + "\n")
+    _write_lines(os.path.join(out_dir, "train_log.txt"), result.log_lines)
     print(
         f"trained target={cfg.target} epochs={result.checkpoint.epoch} "
         f"best_val_f1={result.checkpoint.best_val_f1:.4f} -> {out_dir}"
     )
+    return result, split, schema, vocab
+
+
+def cmd_train(cfg: TrainConfig) -> int:
+    _train_and_write(cfg)
     return 0
 
 
@@ -156,24 +158,12 @@ def cmd_eval(cfg: TrainConfig, checkpoint_path: str) -> int:
     target = model.target_domain
     if cfg.target and cfg.target != target:
         raise CheckpointError(f"checkpoint was trained for target {target!r}, not {cfg.target!r}")
-    split = split_leave_one_out(corpus, schema, target, snapshot.seed, snapshot.validation_size)
-    if snapshot.few_shot > 0:
-        split = fewshot_select(split, snapshot.few_shot, snapshot.seed)
-    predictions = [set(p) for p in model.predict(split.test, batch_size=cfg.batch_size)]
-    setting = f"few-shot-{snapshot.few_shot}" if snapshot.few_shot else "zero-shot"
-    report = span_f1(
-        _gold_prediction_sets(split.test),
-        predictions,
-        domain=target,
-        setting=setting,
-    )
-    report = seen_unseen_report(report, split.seen_slots, split.unseen_slots)
-    print(report.to_text())
     out_dir = _resolve_output_dir(dataclasses.replace(cfg, target=target))
-    with open(os.path.join(out_dir, "report.kv"), "w", encoding="utf-8") as fh:
-        fh.write("\n".join(report.to_kv_lines()) + "\n")
-    with open(os.path.join(out_dir, "report.txt"), "w", encoding="utf-8") as fh:
-        fh.write(report.to_text() + "\n")
+    split = _split(corpus, schema, dataclasses.replace(snapshot, target=target))
+    report = evaluate_split(model, split, cfg.batch_size)
+    print(report.to_text())
+    _write_lines(os.path.join(out_dir, "report.kv"), report.to_kv_lines())
+    _write_lines(os.path.join(out_dir, "report.txt"), [report.to_text()])
     return 0
 
 
@@ -218,15 +208,11 @@ def cmd_predict(cfg: TrainConfig, checkpoint_path: str, input_path: str, output_
     return 0
 
 
-def _sweep_one(cfg: TrainConfig, lam: float, out_dir: str) -> tuple[float, float]:
+def _sweep_one(cfg: TrainConfig, lam: float, out_dir: str) -> tuple[float, EvalReport]:
     cfg = dataclasses.replace(cfg, confusion_lambda=lam, output_dir=out_dir)
-    cmd_train(cfg)
-    _, schema, split, vocab, _ = _prepare(cfg)
-    ckpt = load_checkpoint(os.path.join(out_dir, "checkpoint"))
-    model, _ = model_from_checkpoint(ckpt, schema, vocab)
-    predictions = [set(p) for p in model.predict(split.test, batch_size=cfg.batch_size)]
-    report = span_f1(_gold_prediction_sets(split.test), predictions)
-    return lam, report.f1
+    result, split, schema, vocab = _train_and_write(cfg)
+    model, _ = model_from_checkpoint(result.checkpoint, schema, vocab)
+    return lam, evaluate_split(model, split, cfg.batch_size)
 
 
 def _parse_lambdas(raw: str) -> list[float]:
@@ -241,6 +227,8 @@ def _parse_lambdas(raw: str) -> list[float]:
 
 
 def cmd_sweep_lambda(cfg: TrainConfig, lambdas: list[float], parallel: int) -> int:
+    if parallel < 1:
+        raise ConfigError(f"--parallel must be >= 1, got {parallel}")
     seen: list[float] = []
     for lam in lambdas:
         if not 0.0 <= lam <= 1.0:
@@ -251,18 +239,16 @@ def cmd_sweep_lambda(cfg: TrainConfig, lambdas: list[float], parallel: int) -> i
             seen.append(lam)
     base_dir = _resolve_output_dir(cfg)
     jobs = [(lam, os.path.join(base_dir, f"lambda_{lam:g}")) for lam in seen]
-    results: list[tuple[float, float]] = []
-    if parallel > 1:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=parallel) as pool:
+    workers = min(parallel, len(jobs))  # a pool forks all its workers at once
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             futures = [pool.submit(_sweep_one, cfg, lam, d) for lam, d in jobs]
             results = [f.result() for f in futures]
     else:
         results = [_sweep_one(cfg, lam, d) for lam, d in jobs]
     tsv_path = os.path.join(base_dir, "lambda_sweep.tsv")
-    with open(tsv_path, "w", encoding="utf-8") as fh:
-        fh.write("lambda\tf1\n")
-        for lam, f1 in results:
-            fh.write(f"{lam!r}\t{f1!r}\n")
+    rows = [f"{lam!r}\t{r.f1!r}\t{r.seen_f1!r}\t{r.unseen_f1!r}" for lam, r in results]
+    _write_lines(tsv_path, ["lambda\tf1\tseen_f1\tunseen_f1"] + rows)
     print(f"sweep complete -> {tsv_path}")
     return 0
 

@@ -23,7 +23,7 @@ from .autodiff import Tape, Tensor
 from .classifier import confusion_loss, contrastive_loss, source_block_order
 from .data import ExperimentSplit, SlotSchema, Utterance, Vocab, text_lines
 from .errors import CheckpointError, ConfigError, TrainingDiverged
-from .evaluate import SpanPrediction, span_f1
+from .evaluate import EvalReport, SpanPrediction, seen_unseen_report, span_f1
 from .model import PclcModel
 from .optim import Adam, clip_grad_norm
 from .rng import make_rng
@@ -281,18 +281,24 @@ class TrainResult:
     val_history: list[float]
 
 
-def _gold_prediction_sets(utterances: list[Utterance]) -> list[set[SpanPrediction]]:
-    return [
-        {SpanPrediction(start, end, slot) for start, end, slot in gold_spans(u)}
-        for u in utterances
-    ]
+def _score(model: PclcModel, utterances: list[Utterance], batch_size: int, **labels) -> EvalReport:
+    """The one place where predictions and gold spans meet `span_f1`."""
+    predicted = [set(p) for p in model.predict(utterances, batch_size=batch_size)]
+    gold = [{SpanPrediction(s, e, slot) for s, e, slot in gold_spans(u)} for u in utterances]
+    return span_f1(gold, predicted, **labels)
 
 
 def validation_f1(model: PclcModel, utterances: list[Utterance], batch_size: int) -> float:
     if not utterances:
         return 0.0
-    predicted = [set(p) for p in model.predict(utterances, batch_size=batch_size)]
-    return span_f1(_gold_prediction_sets(utterances), predicted).f1
+    return _score(model, utterances, batch_size).f1
+
+
+def evaluate_split(model: PclcModel, split: ExperimentSplit, batch_size: int) -> EvalReport:
+    """Span F1 on `split.test`, overall and over its seen and unseen slots."""
+    setting = f"few-shot-{split.few_shot}" if split.few_shot else "zero-shot"
+    report = _score(model, split.test, batch_size, domain=split.target_domain, setting=setting)
+    return seen_unseen_report(report, split.seen_slots, split.unseen_slots)
 
 
 def _ensure_grads(params: dict[str, Tensor]) -> None:

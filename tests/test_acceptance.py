@@ -24,13 +24,13 @@ from pclc.classifier import (
 )
 from pclc.cli import main
 from pclc.data import SlotSchema, Utterance, build_vocab, load_corpus, random_embeddings, split_leave_one_out
-from pclc.evaluate import seen_unseen_report, span_f1
+from pclc.evaluate import span_f1
 from pclc.model import PclcModel
 from pclc.rng import make_rng
 from pclc.tagger import CrfLayer
 from pclc.trainer import (
     TrainConfig,
-    _gold_prediction_sets,
+    evaluate_split,
     loss_components,
     model_from_checkpoint,
     train_run,
@@ -249,10 +249,7 @@ def _transfer_unseen_f1(corpus, schema, vocab, seed, enable_pcl, enable_lc):
     wm = random_embeddings(vocab.n_words, cfg.word_dim, make_rng(cfg.seed))
     result = train_run(split, schema, vocab, wm, cfg)
     model, _ = model_from_checkpoint(result.checkpoint, schema, vocab)
-    predictions = [set(p) for p in model.predict(split.test)]
-    report = span_f1(_gold_prediction_sets(split.test), predictions)
-    report = seen_unseen_report(report, split.seen_slots, split.unseen_slots)
-    return report.unseen_f1
+    return evaluate_split(model, split, cfg.batch_size).unseen_f1
 
 
 def test_criterion_6_directional_transfer():

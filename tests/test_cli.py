@@ -1,3 +1,4 @@
+import concurrent.futures
 import os
 import subprocess
 import sys
@@ -46,7 +47,7 @@ def test_effective_config_echoes_overrides(tmp_path):
 def test_config_file_plus_override_precedence(tmp_path):
     cfg_path = os.path.join(tmp_path, "base.cfg")
     with open(cfg_path, "w") as fh:
-        fh.write("# base config\nconfusion_lambda=0.2\nseed=3\n")
+        fh.write("# base config\nconfusion_lambda=0.2\nseed=3\ntau=0.5\n")
     out = os.path.join(tmp_path, "run")
     rc = main(
         ["train", "--config", cfg_path, "--data-dir", os.path.join(DATA_DIR, "overfit"),
@@ -55,6 +56,7 @@ def test_config_file_plus_override_precedence(tmp_path):
     assert rc == 0
     text = open(os.path.join(out, "effective.cfg")).read()
     assert "confusion_lambda=0.9" in text  # command line wins
+    assert "temperature=0.5" in text  # an alias in the file names its key
 
 
 def test_unknown_config_key_rejected(tmp_path, capsys):
@@ -67,6 +69,24 @@ def test_unknown_config_key_rejected(tmp_path, capsys):
     )
     assert rc == 1
     assert "not_a_real_key" in capsys.readouterr().err
+
+
+def test_repeated_config_key_is_config_error(tmp_path, capsys):
+    cfg_path = os.path.join(tmp_path, "twice.cfg")
+    for text, message in (
+        ("seed=3\n# comment\nlr=0.01\nseed=4\n", "config key 'seed' repeats line 1"),
+        ("lambda=0.2\nconfusion_lambda=0.3\n", "config key 'confusion_lambda' repeats line 1"),
+    ):
+        with open(cfg_path, "w") as fh:
+            fh.write(text)
+        lineno = len(text.splitlines())
+        rc = main(
+            ["train", "--config", cfg_path, "--data-dir", os.path.join(DATA_DIR, "overfit"),
+             "--target", "kitchen", "--output-dir", os.path.join(tmp_path, "x")]
+        )
+        assert rc == 1
+        assert capsys.readouterr().err == f"error: {cfg_path}:{lineno}: {message}\n"
+        assert not os.path.exists(os.path.join(tmp_path, "x"))
 
 
 def test_train_determinism_byte_identical(tmp_path):
@@ -94,6 +114,25 @@ def test_eval_prints_report_and_writes_kv(tmp_path, capsys):
     assert "f1=" in kv
     assert "unseen_f1=" in kv
     assert "type." in kv
+
+
+def test_eval_without_output_dir_fails_before_predicting(tmp_path, monkeypatch, capsys):
+    from pclc.model import PclcModel
+
+    out = _train(tmp_path)
+    capsys.readouterr()
+    monkeypatch.delenv("PCLC_OUTPUT_ROOT", raising=False)
+    predicted = []
+    monkeypatch.setattr(PclcModel, "predict", lambda self, *a, **k: predicted.append(a))
+    rc = main(
+        ["eval", os.path.join(out, "checkpoint"),
+         "--data-dir", os.path.join(DATA_DIR, "overfit")]
+    )
+    assert rc == 1
+    shown = capsys.readouterr()
+    assert shown.out == ""
+    assert shown.err.startswith("error: no output directory")
+    assert predicted == []
 
 
 def test_eval_missing_checkpoint_fails(tmp_path, capsys):
@@ -267,12 +306,11 @@ def test_sweep_lambda_writes_tsv_and_dedupes(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "duplicate lambda" in err
     lines = open(os.path.join(out, "lambda_sweep.tsv")).read().strip().splitlines()
-    assert lines[0] == "lambda\tf1"
+    assert lines[0] == "lambda\tf1\tseen_f1\tunseen_f1"
     assert len(lines) == 3  # header + two distinct values
     for line in lines[1:]:
-        lam, f1 = line.split("\t")
-        assert 0.0 <= float(lam) <= 1.0
-        assert 0.0 <= float(f1) <= 1.0
+        for value in line.split("\t"):
+            assert 0.0 <= float(value) <= 1.0
 
 
 def test_sweep_lambda_parallel_processes(tmp_path):
@@ -288,6 +326,89 @@ def test_sweep_lambda_parallel_processes(tmp_path):
     assert len(lines) == 3
     assert os.path.isdir(os.path.join(out, "lambda_0.3", "checkpoint"))
     assert os.path.isdir(os.path.join(out, "lambda_0.7", "checkpoint"))
+
+
+def test_sweep_lambda_reads_inputs_once_per_lambda_and_matches_eval(tmp_path, monkeypatch):
+    import pclc.cli
+
+    calls = {"load_corpus": 0, "load_embeddings": 0}
+    for name in calls:
+        def counted(*args, _real=getattr(pclc.cli, name), _name=name, **kwargs):
+            calls[_name] += 1
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(pclc.cli, name, counted)
+    out = os.path.join(tmp_path, "sweep")
+    rc = main(
+        ["sweep-lambda", "--lambdas", "0.2,0.8",
+         "--data-dir", os.path.join(DATA_DIR, "overfit"),
+         "--target", "kitchen", "--seed", "3", "--output-dir", out]
+        + TOY_FLAGS
+    )
+    assert rc == 0
+    assert calls == {"load_corpus": 2, "load_embeddings": 2}
+    rows = open(os.path.join(out, "lambda_sweep.tsv")).read().strip().splitlines()[1:]
+    for row in rows:
+        lam, f1, seen_f1, unseen_f1 = row.split("\t")
+        run = os.path.join(out, f"lambda_{float(lam):g}")
+        rc = main(
+            ["eval", os.path.join(run, "checkpoint"),
+             "--data-dir", os.path.join(DATA_DIR, "overfit"),
+             "--batch-size", "16", "--output-dir", os.path.join(run, "eval")]
+        )
+        assert rc == 0
+        kv = open(os.path.join(run, "eval", "report.kv")).read().splitlines()
+        assert f"f1={f1}" in kv
+        assert f"seen_f1={seen_f1}" in kv
+        assert f"unseen_f1={unseen_f1}" in kv
+
+
+class _InlinePool:
+    """A `ProcessPoolExecutor` stand-in that records its size and runs each
+    job in the calling process."""
+
+    sizes: list[int] = []
+
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def submit(self, fn, *args):
+        future = concurrent.futures.Future()
+        future.set_result(fn(*args))
+        return future
+
+
+def test_sweep_lambda_parallel_is_checked_and_bounded(tmp_path, monkeypatch, capsys):
+    import pclc.cli
+
+    monkeypatch.setattr(pclc.cli, "ProcessPoolExecutor", _InlinePool)
+    monkeypatch.setattr(_InlinePool, "sizes", [])
+    base = ["--data-dir", os.path.join(DATA_DIR, "overfit"), "--target", "kitchen",
+            "--seed", "3"] + TOY_FLAGS
+    for parallel in ("0", "-3"):
+        out = os.path.join(tmp_path, f"p{parallel}")
+        rc = main(["sweep-lambda", "--lambdas", "0.5", "--parallel", parallel,
+                   "--output-dir", out] + base)
+        assert rc == 1
+        assert capsys.readouterr().err == f"error: --parallel must be >= 1, got {parallel}\n"
+        assert not os.path.exists(out)
+    # one worker per distinct lambda at most; a single lambda runs without a pool
+    out = os.path.join(tmp_path, "many")
+    rc = main(["sweep-lambda", "--lambdas", "0.2,0.8,0.2", "--parallel", "5000",
+               "--output-dir", out] + base)
+    assert rc == 0
+    assert _InlinePool.sizes == [2]
+    assert len(open(os.path.join(out, "lambda_sweep.tsv")).read().splitlines()) == 3
+    rc = main(["sweep-lambda", "--lambdas", "0.5", "--parallel", "4",
+               "--output-dir", os.path.join(tmp_path, "one")] + base)
+    assert rc == 0
+    assert _InlinePool.sizes == [2]
 
 
 def test_sweep_lambda_rejects_out_of_range(tmp_path, capsys):

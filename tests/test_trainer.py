@@ -23,11 +23,13 @@ from pclc.trainer import (
     config_from_kv,
     config_to_kv,
     early_stop_check,
+    evaluate_split,
     load_checkpoint,
     model_from_checkpoint,
     save_checkpoint,
     total_loss,
     train_run,
+    validation_f1,
 )
 
 
@@ -326,6 +328,21 @@ def _trained_checkpoint(overfit_corpus, overfit_split, **cfg_overrides):
     wm = random_embeddings(vocab.n_words, cfg.word_dim, make_rng(cfg.seed))
     result = train_run(overfit_split, schema, vocab, wm, cfg)
     return result.checkpoint, schema, vocab
+
+
+def test_evaluate_split_labels_and_scores_the_test_set(overfit_corpus, overfit_split):
+    from pclc.data import fewshot_select
+
+    ckpt, schema, vocab = _trained_checkpoint(overfit_corpus, overfit_split)
+    model, _ = model_from_checkpoint(ckpt, schema, vocab)
+    shot = fewshot_select(overfit_split, 4, seed=2)
+    for split, setting in ((overfit_split, "zero-shot"), (shot, "few-shot-4")):
+        report = evaluate_split(model, split, 16)
+        assert (report.domain, report.setting) == ("kitchen", setting)
+        assert report.f1 == validation_f1(model, split.test, 16)
+        seen, unseen = report.seen_counts, report.unseen_counts
+        assert sum(c.tp for c in report.per_type.values()) == seen.tp + unseen.tp
+        assert report.seen_f1 is not None and report.unseen_f1 is not None
 
 
 def test_checkpoint_save_load_bit_identical(tmp_path, overfit_corpus, overfit_split):

@@ -161,16 +161,6 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     )
 
 
-def sub(a: Tensor, b: Tensor) -> Tensor:
-    _check_broadcast("sub", a, b)
-    return emit(
-        "sub",
-        [a, b],
-        a.values - b.values,
-        lambda g: (_unbroadcast(g, a.shape), _unbroadcast(-g, b.shape)),
-    )
-
-
 def mul(a: Tensor, b: Tensor) -> Tensor:
     _check_broadcast("mul", a, b)
     av, bv = a.values, b.values
@@ -179,18 +169,6 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
         [a, b],
         av * bv,
         lambda g: (_unbroadcast(g * bv, a.shape), _unbroadcast(g * av, b.shape)),
-    )
-
-
-def div(a: Tensor, b: Tensor) -> Tensor:
-    _check_broadcast("div", a, b)
-    av, bv = a.values, b.values
-    out = av / bv
-    return emit(
-        "div",
-        [a, b],
-        out,
-        lambda g: (_unbroadcast(g / bv, a.shape), _unbroadcast(-g * out / bv, b.shape)),
     )
 
 
@@ -273,32 +251,10 @@ def tensor_sum(a: Tensor, axis: int | None = None, keepdims: bool = False) -> Te
     return emit("sum", [a], a.values.sum(axis=axis, keepdims=keepdims), vjp)
 
 
-def _elementwise(kind, a, out, dout):
-    return emit(kind, [a], out, lambda g: (g * dout,))
-
-
 def tanh(a: Tensor) -> Tensor:
     out = np.tanh(a.values)
-    return _elementwise("tanh", a, out, 1.0 - out * out)
-
-
-def relu(a: Tensor) -> Tensor:
-    out = np.maximum(a.values, 0.0)
-    return _elementwise("relu", a, out, (a.values > 0.0).astype(np.float64))
-
-
-def sqrt(a: Tensor) -> Tensor:
-    out = np.sqrt(a.values)
-    return _elementwise("sqrt", a, out, 0.5 / out)
-
-
-def xlogx(a: Tensor) -> Tensor:
-    """x*log(x) with the 0*log(0) := 0 convention (subgradient 0 at x=0)."""
-    v = a.values
-    pos = v > 0.0
-    out = np.where(pos, v * np.log(np.where(pos, v, 1.0)), 0.0)
-    dout = np.where(pos, np.log(np.where(pos, v, 1.0)) + 1.0, 0.0)
-    return _elementwise("xlogx", a, out, dout)
+    dout = 1.0 - out * out
+    return emit("tanh", [a], out, lambda g: (g * dout,))
 
 
 def dropout(a: Tensor, rate: float, rng=None, training: bool = False) -> Tensor:

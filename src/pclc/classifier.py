@@ -9,10 +9,10 @@ each block.
 The label space is handled as whole matrices, so the number of taped ops
 does not grow with the number of slots, gold labels or spans:
 `build_prototypes` averages every label's description tokens with one
-constant membership matmul, `confusion_targets` builds the label-confusion
-targets of all distinct gold slots from one cosine matrix, and
-`predict_slot_type` scores a chunk of spans with one product against the
-prototype matrix.
+constant membership matmul, `confusion_loss` builds the label-confusion
+targets of all distinct gold slots from one cosine matrix and is a single
+tape record with a hand-derived vjp, and `predict_slot_type` scores a chunk
+of spans with one product against the prototype matrix.
 """
 
 from __future__ import annotations
@@ -63,9 +63,6 @@ class PrototypeMatrix:
             return rows, list(self.target_labels)
         labels = self.slots_of[domain]
         return [self.source_row(s) for s in labels], list(labels)
-
-    def target_block(self) -> Tensor:
-        return ad.take_rows(self.matrix, list(range(self.block_boundary, self.n_rows)))
 
 
 def source_block_order(schema: SlotSchema, source_domains: list[str]) -> list[str]:
@@ -136,32 +133,33 @@ class EntityEncoder:
 # dotted with every prototype row
 
 
-def confusion_targets(z: Tensor, target_block: Tensor) -> Tensor:
-    """Soft distributions over target slots, one row per gold prototype row
-    of `z` (K, dim), by cosine similarity to every target prototype.
-
-    Cosines are clamped at zero before L1 normalization so each row is a
-    valid distribution. A row with nothing positive falls back to uniform:
-    its zeros become ones, so it is never divided by a zero sum, and its
-    cosines are all <= 0, so relu passes it exactly zero gradient.
-    """
-    if target_block.shape[0] == 0:
+def _clamped_cosines(z: np.ndarray, t: np.ndarray):
+    """The (K, T) cosines of the rows of `z` (K, dim) with those of `t`
+    (T, dim), the norms of both, and the cosines clamped at zero, where a
+    row with nothing positive becomes all ones (the uniform fallback)."""
+    if t.shape[0] == 0:
         raise ShapeError("confusion_targets: empty target block")
-    z_norms_sq = ad.tensor_sum(ad.mul(z, z), axis=1, keepdims=True)
-    if float(z_norms_sq.values.min()) == 0.0:
+    z_norms_sq = (z * z).sum(axis=1, keepdims=True)
+    if float(z_norms_sq.min()) == 0.0:
         raise ShapeError("confusion_targets: zero-norm gold prototype row")
-    t_norms_sq = ad.tensor_sum(ad.mul(target_block, target_block), axis=1)
-    if float(t_norms_sq.values.min()) == 0.0:
+    t_norms_sq = (t * t).sum(axis=1)
+    if float(t_norms_sq.min()) == 0.0:
         raise ShapeError("confusion_targets: zero-norm target prototype row")
-    dots = ad.matmul(z, ad.transpose(target_block))
-    sims = ad.div(dots, ad.mul(ad.sqrt(t_norms_sq), ad.sqrt(z_norms_sq)))
-    clamped = ad.relu(sims)
-    fallback = (clamped.values.sum(axis=1, keepdims=True) == 0.0).astype(np.float64)
-    weights = ad.add(clamped, Tensor(fallback))
-    return ad.div(weights, ad.tensor_sum(weights, axis=1, keepdims=True))
+    z_norms, t_norms = np.sqrt(z_norms_sq), np.sqrt(t_norms_sq)
+    cos = z @ t.T.copy() / (t_norms * z_norms)
+    clamped = np.maximum(cos, 0.0)
+    return cos, z_norms, t_norms, clamped + (clamped.sum(axis=1, keepdims=True) == 0.0)
 
 
-def smooth_distributions(ys: list[int], d_tgt: Tensor, lam: float, n_source: int) -> Tensor:
+def confusion_targets(z: np.ndarray, target_block: np.ndarray) -> np.ndarray:
+    """Soft distributions over target slots, one row per gold prototype row
+    of `z` (K, dim): the cosines to every target prototype, clamped at zero
+    and L1-normalised, or uniform where no cosine is positive."""
+    weights = _clamped_cosines(z, target_block)[3]
+    return weights / weights.sum(axis=1, keepdims=True)
+
+
+def smooth_distributions(ys: list[int], d_tgt: np.ndarray, lam: float, n_source: int) -> np.ndarray:
     """Row k is lam * one_hot(ys[k]) over the source block followed by
     (1 - lam) * d_tgt[k] over the target block."""
     if not 0.0 <= lam <= 1.0:
@@ -171,16 +169,7 @@ def smooth_distributions(ys: list[int], d_tgt: Tensor, lam: float, n_source: int
             raise ShapeError(f"source label index {y} out of range for {n_source} slots")
     src = np.zeros((len(ys), n_source))
     src[np.arange(len(ys)), ys] = lam
-    return ad.concat([Tensor(src), ad.mul(d_tgt, Tensor(1.0 - lam))], axis=1)
-
-
-def kl_divergence_from_log(pred_log: Tensor, target: Tensor) -> Tensor:
-    """KL(target || exp(pred_log)) with the 0*log(0) := 0 convention."""
-    if pred_log.shape != target.shape:
-        raise ShapeError(f"kl: shapes {pred_log.shape} vs {target.shape} disagree")
-    entropy_part = ad.tensor_sum(ad.xlogx(target))
-    cross_part = ad.tensor_sum(ad.mul(target, pred_log))
-    return ad.sub(entropy_part, cross_part)
+    return np.concatenate([src, d_tgt * (1.0 - lam)], axis=1)
 
 
 def contrastive_loss(scores: Tensor, rows: list[int], tau: float) -> Tensor:
@@ -201,19 +190,52 @@ def confusion_loss(
     protos: PrototypeMatrix,
     lam: float,
 ) -> Tensor:
-    """Mean KL(smoothed || predicted) between smoothed label targets and
-    prototype predictions, over source-domain entities (confusion maps a
-    source gold label onto the target block, so target-domain entities
-    carry no such term). The targets of all distinct gold slots are built
-    in one batch."""
+    """Mean KL(smoothed || softmax(scores)) over source-domain entities, as
+    one tape record over `scores` and `protos.matrix` (confusion maps a
+    source gold label onto the target block, so target-domain entities carry
+    no such term). The targets of all distinct gold slots are built in one
+    batch. The vjp runs back through the log-softmax, the KL (0*log(0) :=
+    0), the smoothing, the L1 normalisation, the clamp and the cosine."""
+    n_source = protos.block_boundary
+    matrix = protos.matrix.values
     distinct = sorted({rows[i] for i in source_entities})
-    d_tgt = confusion_targets(ad.take_rows(protos.matrix, distinct), protos.target_block())
-    smooth = smooth_distributions(distinct, d_tgt, lam, protos.block_boundary)
+    z, t = matrix[distinct], matrix[n_source:]
+    d_tgt = confusion_targets(z, t)
+    smooth = smooth_distributions(distinct, d_tgt, lam, n_source)
     index_of = {y: i for i, y in enumerate(distinct)}
-    targets = ad.take_rows(smooth, [index_of[rows[i]] for i in source_entities])
-    pred_log = ad.log_softmax(ad.take_rows(scores, source_entities), axis=1)
-    kl_sum = kl_divergence_from_log(pred_log, targets)
-    return ad.mul(kl_sum, Tensor(1.0 / len(source_entities)))
+    gather = [index_of[rows[i]] for i in source_entities]
+    targets = smooth[gather]
+    picked = scores.values[source_entities]
+    shifted = picked - picked.max(axis=1, keepdims=True)
+    pred_log = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+    support = targets > 0.0
+    log_targets = np.log(np.where(support, targets, 1.0))
+    entropy = np.where(support, targets * log_targets, 0.0).sum()
+    scale = 1.0 / len(source_entities)
+
+    def vjp(g):
+        g = g * scale
+        g_scores = np.zeros(scores.shape)
+        # -sum(targets * log_softmax) gives softmax - targets: each target row sums to 1
+        np.add.at(g_scores, source_entities, g * (np.exp(pred_log) - targets))
+        g_targets = g * (np.where(support, log_targets + 1.0, 0.0) - pred_log)
+        g_d = np.zeros(d_tgt.shape)
+        np.add.at(g_d, gather, g_targets[:, n_source:] * (1.0 - lam))
+        # through d_tgt = weights / sum(weights), then the clamp
+        cos, z_norms, t_norms, weights = _clamped_cosines(z, t)
+        g_w = (g_d - (g_d * d_tgt).sum(axis=1, keepdims=True)) / weights.sum(axis=1, keepdims=True)
+        g_cos = np.where(cos > 0.0, g_w, 0.0)  # exactly 0 on a uniform-fallback row
+        # cos = z.t / (|z| |t|). A row of d_tgt is unchanged when all its
+        # cosines scale together, as they do with 1/|z|, so the |z| term of
+        # d cos/dz sums to zero and is left out.
+        g_dots = g_cos / (t_norms * z_norms)
+        g_matrix = np.zeros(matrix.shape)
+        g_matrix[distinct] = g_dots @ t
+        g_matrix[n_source:] = g_dots.T @ z - ((g_cos * cos).sum(axis=0) / t_norms**2)[:, None] * t
+        return g_scores, g_matrix
+
+    value = (entropy - (targets * pred_log).sum()) * scale
+    return ad.emit("confusion", [scores, protos.matrix], value, vjp)
 
 
 def predict_slot_type(reps: Tensor, protos: PrototypeMatrix, domains: list[str]) -> list[str]:

@@ -173,14 +173,17 @@ def _read_prediction_input(path: str) -> list[list[str]]:
         raise DataFormatError(f"input file not found: {path}")
     sentences: list[list[str]] = []
     current: list[str] = []
-    for line in text_lines(path):
+    for lineno, line in enumerate(text_lines(path), start=1):
         line = line.rstrip("\n")
         if not line.strip():
             if current:
                 sentences.append(current)
                 current = []
             continue
-        current.append(line.split("\t")[0])
+        token = line.split("\t")[0]
+        if not token:
+            raise DataFormatError(f"{path}:{lineno}: empty token in {line!r}")
+        current.append(token)
     if current:
         sentences.append(current)
     return sentences
@@ -237,8 +240,14 @@ def cmd_sweep_lambda(cfg: TrainConfig, lambdas: list[float], parallel: int) -> i
             print(f"warning: duplicate lambda {lam} ignored", file=sys.stderr)
         else:
             seen.append(lam)
+    lam_of: dict[str, float] = {}  # run directory name -> lambda
+    for lam in seen:
+        name = f"lambda_{lam:g}"
+        if name in lam_of:
+            raise ConfigError(f"lambdas {lam_of[name]!r} and {lam!r} would both train into {name}")
+        lam_of[name] = lam
     base_dir = _resolve_output_dir(cfg)
-    jobs = [(lam, os.path.join(base_dir, f"lambda_{lam:g}")) for lam in seen]
+    jobs = [(lam, os.path.join(base_dir, name)) for name, lam in lam_of.items()]
     workers = min(parallel, len(jobs))  # a pool forks all its workers at once
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:

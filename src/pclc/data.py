@@ -245,15 +245,19 @@ def load_embeddings(
     """Read GloVe-style text vectors for in-vocab words.
 
     Missing words draw uniform [-0.1, 0.1] rows from the seeded generator;
-    the padding row is all zeros. With no file (and require_pretrained off)
-    the whole table is random.
+    the padding row is all zeros. With no path (and require_pretrained off)
+    the whole table is random. A named path must exist and hold at least
+    one `word v1 .. v<dim>` line; lines without a space are skipped.
     """
     rng = make_rng(seed)
     matrix = random_embeddings(vocab.n_words, dim, rng)
-    if path is None or not os.path.exists(path):
+    if path is None:
         if require_pretrained:
             raise DataFormatError(f"pretrained embeddings required but not found: {path}")
         return EmbeddingTable(matrix, dim)
+    if not os.path.exists(path):
+        raise DataFormatError(f"embeddings file not found: {path}")
+    vectors = 0
     for lineno, line in enumerate(text_lines(path), start=1):
         parts = line.rstrip("\n").split(" ")
         if len(parts) < 2:
@@ -261,9 +265,15 @@ def load_embeddings(
         word, values = parts[0], parts[1:]
         if len(values) != dim:
             raise DataFormatError(f"{path}:{lineno}: expected {dim} values, got {len(values)}")
+        vectors += 1
         idx = vocab.word_index.get(word)
         if idx is not None and idx != PAD_INDEX:
-            matrix[idx] = [float(v) for v in values]
+            try:
+                matrix[idx] = [float(v) for v in values]
+            except ValueError:
+                raise DataFormatError(f"{path}:{lineno}: non-numeric value after {word!r}") from None
+    if not vectors:
+        raise DataFormatError(f"{path}: no line parses as 'word v1 .. v{dim}'")
     matrix[PAD_INDEX] = 0.0
     return EmbeddingTable(matrix, dim)
 

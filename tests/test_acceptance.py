@@ -19,7 +19,6 @@ from pclc.classifier import (
     confusion_loss,
     confusion_targets,
     contrastive_loss,
-    kl_divergence_from_log,
     smooth_distributions,
 )
 from pclc.cli import main
@@ -160,20 +159,18 @@ def test_criterion_3_distribution_invariants():
         protos = _protos_from_matrix(matrix, n_src, n_tgt)
         y = int(rng.integers(n_src))
         # the batched target and smoothing functions on a batch of one gold row
-        d_tgt = confusion_targets(Tensor(matrix[[y]]), protos.target_block())
+        d_tgt = confusion_targets(matrix[[y]], matrix[n_src:])
         lam = lambdas[i % 4]
-        d_smooth = smooth_distributions([y], d_tgt, lam, n_src)
-        values = d_smooth.values
+        values = smooth_distributions([y], d_tgt, lam, n_src)
         assert (values >= -1e-15).all()
         assert abs(values.sum() - 1.0) < 1e-12
         r = rng.uniform(-1.0, 1.0, dim)
         scores = ad.matmul(Tensor(r[None]), ad.transpose(protos.matrix))
         kl = confusion_loss(scores, [y], [0], protos, lam).item()
         assert kl >= -1e-12
-        # constructed matching pair
-        match = kl_divergence_from_log(
-            Tensor(np.log(np.maximum(values, 1e-300))), d_smooth
-        ).item()
+        # constructed matching pair: scores are the log of the smoothed target
+        matching = Tensor(np.log(np.maximum(values, 1e-300)))
+        match = confusion_loss(matching, [y], [0], protos, lam).item()
         assert abs(match) < 1e-12
     _report("criterion 3 (smoothed distributions valid, KL nonneg / zero on match, 1000 configs)")
 

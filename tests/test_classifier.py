@@ -18,7 +18,6 @@ from pclc.classifier import (
     confusion_loss,
     confusion_targets,
     contrastive_loss,
-    kl_divergence_from_log,
     predict_slot_type,
     smooth_distributions,
 )
@@ -228,43 +227,42 @@ def test_contrastive_loss_nonnegative_property():
 
 
 def test_confusion_target_single_slot_is_one():
-    target_block = Tensor(np.array([[0.3, 0.4]]))
-    out = confusion_targets(Tensor([[1.0, 0.0]]), target_block)
-    assert np.allclose(out.values, [[1.0]])
+    out = confusion_targets(np.array([[1.0, 0.0]]), np.array([[0.3, 0.4]]))
+    assert np.allclose(out, [[1.0]])
 
 
 def test_confusion_target_l1_normalizes_positive_sims():
     # construct rows with known cosines 0.6 and 0.2 against z
-    z = Tensor([[1.0, 0.0]])
+    z = np.array([[1.0, 0.0]])
     rows = []
     for c in (0.6, 0.2):
         rows.append([c, math.sqrt(1 - c * c)])
-    out = confusion_targets(z, Tensor(np.array(rows)))
-    assert np.allclose(out.values, [[0.75, 0.25]], atol=1e-12)
+    out = confusion_targets(z, np.array(rows))
+    assert np.allclose(out, [[0.75, 0.25]], atol=1e-12)
 
 
 def test_confusion_target_clamps_negatives():
-    z = Tensor([[1.0, 0.0]])
+    z = np.array([[1.0, 0.0]])
     rows = [[0.5, math.sqrt(0.75)], [-0.5, math.sqrt(0.75)]]
-    out = confusion_targets(z, Tensor(np.array(rows)))
-    assert np.allclose(out.values, [[1.0, 0.0]], atol=1e-12)
+    out = confusion_targets(z, np.array(rows))
+    assert np.allclose(out, [[1.0, 0.0]], atol=1e-12)
 
 
 def test_confusion_target_uniform_fallback_when_all_nonpositive():
-    z = Tensor([[1.0, 0.0]])
+    z = np.array([[1.0, 0.0]])
     rows = [[-0.5, math.sqrt(0.75)], [-0.9, math.sqrt(1 - 0.81)]]
-    out = confusion_targets(z, Tensor(np.array(rows)))
-    assert np.allclose(out.values, [[0.5, 0.5]])
+    out = confusion_targets(z, np.array(rows))
+    assert np.allclose(out, [[0.5, 0.5]])
 
 
 def test_confusion_target_zero_norm_errors():
     # a zero row anywhere in either batch is refused
     with pytest.raises(ShapeError):
-        confusion_targets(Tensor([[1.0, 0.0], [0.0, 0.0]]), Tensor(np.ones((2, 2))))
+        confusion_targets(np.array([[1.0, 0.0], [0.0, 0.0]]), np.ones((2, 2)))
     with pytest.raises(ShapeError):
-        confusion_targets(Tensor([[1.0, 0.0]]), Tensor(np.array([[1.0, 0.0], [0.0, 0.0]])))
+        confusion_targets(np.array([[1.0, 0.0]]), np.array([[1.0, 0.0], [0.0, 0.0]]))
     with pytest.raises(ShapeError):
-        confusion_targets(Tensor([[1.0, 0.0]]), Tensor(np.zeros((0, 2))))
+        confusion_targets(np.array([[1.0, 0.0]]), np.zeros((0, 2)))
 
 
 def _oracle_targets(matrix, ys, n_source):
@@ -279,54 +277,57 @@ def test_confusion_targets_match_50_digit_oracle_on_random_batches():
         matrix = rng.uniform(-1.5, 1.5, (n_src + n_tgt, dim))
         matrix += 0.1 * np.sign(matrix)
         ys = [int(y) for y in rng.integers(0, n_src, int(rng.integers(1, 7)))]
-        got = confusion_targets(Tensor(matrix[ys]), Tensor(matrix[n_src:])).values
+        got = confusion_targets(matrix[ys], matrix[n_src:])
         assert np.abs(got - _oracle_targets(matrix, ys, n_src)).max() <= 1e-12
 
 
 def test_confusion_targets_fallback_row_mixed_in_batch_is_constant():
-    # row 0 points away from every target row (uniform fallback); rows 1 and
-    # 2 have positive cosines with some of them
+    # gold row 0 points away from every target row (uniform fallback); gold
+    # rows 1 and 2 have positive cosines with some of them
     matrix = np.array([
         [-1.0, -1.0, 0.2], [1.0, 0.5, 0.0], [0.3, 1.0, -0.4],
         [1.0, 0.2, 0.1], [0.4, 1.0, 0.0], [0.5, 0.5, -0.3],
     ])
-    z = Tensor(matrix[:3], requires_grad=True)
-    target_block = Tensor(matrix[3:], requires_grad=True)
+    out = confusion_targets(matrix[:3], matrix[3:])
+    assert np.array_equal(out[0], np.full(3, 1.0 / 3.0))
+    assert np.abs(out - _oracle_targets(matrix, [0, 1, 2], 3)).max() <= 1e-12
+    # the fused loss: the fallback gold row gets exactly zero gradient, the
+    # others do not; `scores` is a leaf of its own, not a product of `matrix`
+    protos = _protos_from_matrix(matrix, 3, 3)
+    protos.matrix.requires_grad = True
+    scores = Tensor(make_rng(12).uniform(-1, 1, (5, 6)), requires_grad=True)
     with Tape() as tape:
-        out = confusion_targets(z, target_block)
-        weights = Tensor(np.arange(1.0, 10.0).reshape(3, 3))
-        ad.backward(ad.tensor_sum(ad.mul(out, weights)), tape)
-    assert np.array_equal(out.values[0], np.full(3, 1.0 / 3.0))
-    assert np.abs(out.values - _oracle_targets(matrix, [0, 1, 2], 3)).max() <= 1e-12
-    assert np.array_equal(z.grad[0], np.zeros(3))
-    assert np.abs(z.grad[1:]).min() > 0.0
-    assert np.isfinite(target_block.grad).all()
+        ad.backward(confusion_loss(scores, [0, 1, 2, 0, 1], [0, 1, 2, 3, 4], protos, 0.4), tape)
+    grad = protos.matrix.grad
+    assert np.array_equal(grad[0], np.zeros(3))
+    assert (np.abs(grad[1:]).max(axis=1) > 0.0).all()
+    assert np.isfinite(grad).all() and np.isfinite(scores.grad).all()
 
 
 def test_smooth_distribution_worked_example():
     # 2 source slots, gold index 1, lambda 0.6, target soft dist [0.75, 0.25]
-    out = smooth_distributions([1], Tensor([[0.75, 0.25]]), 0.6, n_source=2)
-    assert np.allclose(out.values, [[0.0, 0.6, 0.3, 0.1]], atol=1e-12)
+    out = smooth_distributions([1], np.array([[0.75, 0.25]]), 0.6, n_source=2)
+    assert np.allclose(out, [[0.0, 0.6, 0.3, 0.1]], atol=1e-12)
 
 
 def test_smooth_distribution_lambda_one_is_extended_one_hot():
-    out = smooth_distributions([0, 1], Tensor([[0.5, 0.5], [0.2, 0.8]]), 1.0, n_source=2)
-    assert np.allclose(out.values, [[1.0, 0.0, 0.0, 0.0], [0.0, 1.0, 0.0, 0.0]])
+    out = smooth_distributions([0, 1], np.array([[0.5, 0.5], [0.2, 0.8]]), 1.0, n_source=2)
+    assert np.allclose(out, [[1.0, 0.0, 0.0, 0.0], [0.0, 1.0, 0.0, 0.0]])
 
 
 def test_smooth_distribution_lambda_zero_keeps_only_target():
-    out = smooth_distributions([0], Tensor([[0.5, 0.5]]), 0.0, n_source=2)
-    assert np.allclose(out.values, [[0.0, 0.0, 0.5, 0.5]])
+    out = smooth_distributions([0], np.array([[0.5, 0.5]]), 0.0, n_source=2)
+    assert np.allclose(out, [[0.0, 0.0, 0.5, 0.5]])
 
 
 def test_smooth_distribution_index_out_of_range():
     # every row's index is checked, not only the first
     with pytest.raises(ShapeError):
-        smooth_distributions([0, 2], Tensor([[1.0], [1.0]]), 0.5, n_source=2)
+        smooth_distributions([0, 2], np.array([[1.0], [1.0]]), 0.5, n_source=2)
     with pytest.raises(ShapeError):
-        smooth_distributions([-1], Tensor([[1.0]]), 0.5, n_source=2)
+        smooth_distributions([-1], np.array([[1.0]]), 0.5, n_source=2)
     with pytest.raises(ShapeError):
-        smooth_distributions([0], Tensor([[1.0]]), 1.5, n_source=2)
+        smooth_distributions([0], np.array([[1.0]]), 1.5, n_source=2)
 
 
 @settings(max_examples=100, deadline=None)
@@ -338,10 +339,10 @@ def test_smooth_distribution_index_out_of_range():
 def test_smooth_distribution_is_distribution(lam, ys, raw):
     d_tgt = np.array(raw) / np.sum(raw)
     d_rows = np.array([np.roll(d_tgt, k) for k in range(len(ys))])
-    out = smooth_distributions(ys, Tensor(d_rows), lam, n_source=4)
+    out = smooth_distributions(ys, d_rows, lam, n_source=4)
     assert out.shape == (len(ys), 4 + len(raw))
-    assert (out.values >= -1e-15).all()
-    assert np.abs(out.values.sum(axis=1) - 1.0).max() <= 1e-12
+    assert (out >= -1e-15).all()
+    assert np.abs(out.sum(axis=1) - 1.0).max() <= 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -349,39 +350,25 @@ def test_smooth_distribution_is_distribution(lam, ys, raw):
 
 
 def test_kl_zero_when_prediction_matches_target():
-    target = Tensor([0.2, 0.3, 0.5, 0.0])
-    pred_log = Tensor(np.log(np.maximum(target.values, 1e-300)))
-    assert kl_divergence_from_log(pred_log, target).item() == pytest.approx(0.0, abs=1e-15)
+    # scores are the log of the smoothed target of gold row 1
+    matrix = np.array([[0.4, -0.2], [1.0, 0.3], [0.9, 0.5], [-0.2, 1.0]])
+    protos = _protos_from_matrix(matrix, 2, 2)
+    target = smooth_distributions([1], confusion_targets(matrix[[1]], matrix[2:]), 0.6, 2)
+    scores = Tensor(np.log(np.maximum(target, 1e-300)))
+    assert confusion_loss(scores, [1], [0], protos, 0.6).item() == pytest.approx(0.0, abs=1e-15)
 
 
 def test_kl_zero_support_entries_contribute_nothing():
-    target = Tensor([1.0, 0.0])
-    pred_log_a = Tensor([0.0, -50.0])
-    pred_log_b = Tensor([0.0, -2.0])
-    a = kl_divergence_from_log(pred_log_a, target).item()
-    b = kl_divergence_from_log(pred_log_b, target).item()
-    assert a == b
-
-
-def test_kl_divergence_from_log_matches_extended_precision():
-    rng = make_rng(4)
+    # at lam = 1 the target is the gold one-hot, so the KL is the
+    # cross-entropy: 0 * log(0) adds nothing, whatever the other scores are
+    rng = make_rng(14)
     for _ in range(10):
-        matrix = rng.uniform(-1, 1, (5, 3))
-        r = rng.uniform(-1, 1, 3)
-        protos = _protos_from_matrix(matrix, 3, 2)
-        raw = rng.uniform(0, 1, 5)
-        raw[int(rng.integers(5))] = 0.0
-        target = raw / raw.sum()
-        pred_log = ad.log_softmax(_scores(r, protos), axis=1)
-        got = kl_divergence_from_log(pred_log, Tensor(target[None])).item()
-        want = oracles.mp_kl_confusion(r, matrix, target)
-        assert got == pytest.approx(want, abs=1e-10)
-        assert got >= -1e-12
-
-
-def test_kl_divergence_shape_mismatch_errors():
-    with pytest.raises(ShapeError):
-        kl_divergence_from_log(Tensor(np.zeros((1, 3))), Tensor([[0.5, 0.5]]))
+        protos, reps, rows, from_target = _random_batch(rng, 6)
+        source = [k for k, tgt in enumerate(from_target) if not tgt]
+        scores = _scores(reps[source], protos)
+        got = confusion_loss(scores, [rows[k] for k in source], list(range(len(source))), protos, 1.0)
+        want = contrastive_loss(scores, [rows[k] for k in source], 1.0)
+        assert got.item() == pytest.approx(want.item(), abs=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -436,7 +423,7 @@ def test_confusion_loss_is_mean_of_per_entity_oracles(n_max):
         assert got >= -1e-12
 
 
-def test_default_batch_step_records_68_ops():
+def test_default_batch_step_records_42_ops():
     # 64-utterance batches at the criterion-6 dims with default losses: the
     # label space costs the same number of ops however many distinct gold
     # slots a batch holds
@@ -456,9 +443,12 @@ def test_default_batch_step_records_68_ops():
         with Tape() as tape:
             total_loss(batch, model, config, make_rng(3))
         kinds = Counter(rec.kind for rec in tape.records)
-        assert sum(kinds.values()) == 68
-        assert (kinds["transpose"], kinds["take_rows"], kinds["lstm"]) == (2, 11, 3)
-        assert kinds["matmul"] == 7
+        assert sum(kinds.values()) == 42
+        assert kinds == {
+            "add": 6, "concat": 2, "confusion": 1, "crf_nll": 1, "dropout": 1,
+            "log_softmax": 1, "lstm": 3, "matmul": 6, "mul": 7, "reshape": 4,
+            "sum": 1, "take_rows": 7, "tanh": 1, "transpose": 1,
+        }
     assert len(distinct_slots) > 1
 
 
@@ -528,7 +518,7 @@ def test_stage2_losses_gradient_vs_finite_differences():
     b1 = rng.uniform(-0.5, 0.5, dim)
     w2 = rng.uniform(-0.5, 0.5, (dim, dim))
     b2 = rng.uniform(-0.5, 0.5, dim)
-    r_arr = rng.uniform(-0.5, 0.5, (2, dim))
+    r_arr = rng.uniform(-0.5, 0.5, (3, dim))
     arrays = [table_arr, w1, b1, w2, b2, r_arr]
 
     def build(protos_needed=True):
@@ -543,10 +533,10 @@ def test_stage2_losses_gradient_vs_finite_differences():
         return table, mlp, protos, r
 
     def terms(protos, r):
-        # a source entity of gold row 1 and a target entity of gold row 4
+        # two source entities of gold row 1 and a target entity of gold row 4
         scores = ad.matmul(r, ad.transpose(protos.matrix))
-        pc = contrastive_loss(scores, [1, 4], 0.7)
-        kl = confusion_loss(scores, [1, 4], [0], protos, 0.6)
+        pc = contrastive_loss(scores, [1, 4, 1], 0.7)
+        kl = confusion_loss(scores, [1, 4, 1], [0, 2], protos, 0.6)
         return pc, kl, ad.add(pc, ad.mul(kl, Tensor(0.8)))
 
     def losses():

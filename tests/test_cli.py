@@ -259,6 +259,41 @@ def test_non_utf8_input_files_are_errors_not_tracebacks(tmp_path, capsys):
     assert capsys.readouterr().err == f"error: {inp}: byte 0xe9 at offset 12 is not UTF-8\n"
 
 
+def test_predict_input_with_empty_token_names_its_line(tmp_path, capsys):
+    out = _train(tmp_path)
+    inp = os.path.join(tmp_path, "input.txt")
+    with open(inp, "w") as fh:
+        fh.write("stop\tO\n\tB-x\n")
+    dest = os.path.join(tmp_path, "tagged.conll")
+    rc = main(
+        ["predict", os.path.join(out, "checkpoint"), inp, dest,
+         "--data-dir", os.path.join(DATA_DIR, "overfit")]
+    )
+    assert rc == 1
+    assert capsys.readouterr().err == f"error: {inp}:2: empty token in '\\tB-x'\n"
+    assert not os.path.exists(dest)
+
+
+@pytest.mark.parametrize("embeddings, extra", [
+    ("no_such_file.txt", []),
+    (os.path.join(DATA_DIR, "overfit", "kitchen.conll"), ["--require-pretrained", "true"]),
+], ids=["missing", "not_vectors"])
+def test_named_embeddings_file_is_used_or_refused(tmp_path, capsys, embeddings, extra):
+    path = os.path.join(tmp_path, embeddings)  # an absolute second part wins
+    out = os.path.join(tmp_path, "run")
+    rc = main(
+        ["train", "--data-dir", os.path.join(DATA_DIR, "overfit"), "--target", "kitchen",
+         "--output-dir", out, "--embeddings", path] + TOY_FLAGS + extra
+    )
+    assert rc == 1
+    err = capsys.readouterr().err
+    if extra:
+        assert err == f"error: {path}: no line parses as 'word v1 .. v6'\n"
+    else:
+        assert err == f"error: embeddings file not found: {path}\n"
+    assert not os.path.exists(os.path.join(out, "checkpoint"))
+
+
 def test_export_protos_round_trip(tmp_path):
     out = _train(tmp_path)
     dest = os.path.join(tmp_path, "protos.tsv")
@@ -409,6 +444,26 @@ def test_sweep_lambda_parallel_is_checked_and_bounded(tmp_path, monkeypatch, cap
                "--output-dir", os.path.join(tmp_path, "one")] + base)
     assert rc == 0
     assert _InlinePool.sizes == [2]
+
+
+def test_sweep_lambda_refuses_lambdas_sharing_a_run_directory(tmp_path, monkeypatch, capsys):
+    import pclc.cli
+
+    calls = []
+    monkeypatch.setattr(pclc.cli, "_sweep_one", lambda *args: calls.append(args))
+    out = os.path.join(tmp_path, "sweep")
+    rc = main(
+        ["sweep-lambda", "--lambdas", "0.1234567,0.1234568",
+         "--data-dir", os.path.join(DATA_DIR, "overfit"),
+         "--target", "kitchen", "--seed", "3", "--output-dir", out]
+        + TOY_FLAGS
+    )
+    assert rc == 1
+    assert calls == []
+    assert capsys.readouterr().err == (
+        "error: lambdas 0.1234567 and 0.1234568 would both train into lambda_0.123457\n"
+    )
+    assert not os.path.exists(out)
 
 
 def test_sweep_lambda_rejects_out_of_range(tmp_path, capsys):

@@ -246,11 +246,28 @@ def test_load_embeddings_non_utf8_byte_names_its_offset(tmp_path, transfer_corpu
 
 
 def test_load_embeddings_absent_file_random_unless_required(tmp_path):
+    # no path given: random vectors, or an error when pretrained ones are required
     vocab = build_vocab(_mini_corpus(), _mini_schema())
-    table = load_embeddings(os.path.join(tmp_path, "nope.txt"), vocab, dim=3, seed=1)
+    table = load_embeddings(None, vocab, dim=3, seed=1)
     assert table.matrix.shape == (vocab.n_words, 3)
     with pytest.raises(DataFormatError):
-        load_embeddings(os.path.join(tmp_path, "nope.txt"), vocab, dim=3, seed=1, require_pretrained=True)
+        load_embeddings(None, vocab, dim=3, seed=1, require_pretrained=True)
+
+
+def test_load_embeddings_named_file_is_used_or_refused(tmp_path):
+    vocab = build_vocab(_mini_corpus(), _mini_schema())
+    missing = os.path.join(tmp_path, "nope.txt")
+    with pytest.raises(DataFormatError) as err:
+        load_embeddings(missing, vocab, dim=3, seed=1)
+    assert str(err.value) == f"embeddings file not found: {missing}"
+    conll = _write(tmp_path, "corpus.conll", "play\tO\nmusic\tB-x\n\n")
+    with pytest.raises(DataFormatError) as err:
+        load_embeddings(conll, vocab, dim=3, seed=1)
+    assert str(err.value) == f"{conll}: no line parses as 'word v1 .. v3'"
+    words = _write(tmp_path, "words.txt", "cat 0.1 0.2\nb 0.5 x\n")
+    with pytest.raises(DataFormatError) as err:
+        load_embeddings(words, vocab, dim=2, seed=1)
+    assert str(err.value) == f"{words}:2: non-numeric value after 'b'"
 
 
 # ---------------------------------------------------------------------------

@@ -7,9 +7,11 @@ import pytest
 import oracles
 from pclc import autodiff as ad
 from pclc.autodiff import Tape, Tensor
+from pclc.classifier import confusion_loss
 from pclc.layers import BiLstm, final_states, run_lstm
 from pclc.rng import make_rng
 from pclc.tagger import CrfLayer, crf_nll_batch, viterbi_decode_batch
+from test_classifier import _protos_from_matrix
 
 SCALES = (1.0, 1e2, 1e4)
 LENGTHS = [3, 1, 4, 2, 4]
@@ -113,3 +115,22 @@ def test_take_rows_scatter_stays_finite(scale):
     want = np.zeros((5, 3))
     np.add.at(want, idx, weights)
     assert np.array_equal(grad, want)
+
+
+@pytest.mark.parametrize("scale", SCALES)
+def test_confusion_loss_stays_finite(scale):
+    rng = make_rng(45)
+    protos = _protos_from_matrix(rng.uniform(-scale, scale, (7, 5)), 4, 3)
+    protos.matrix.requires_grad = True
+    scores = Tensor(rng.uniform(-scale, scale, (6, 7)), requires_grad=True)
+    scores.values[0, :2] = (scale, -scale)  # exp(-2 * scale) underflows to 0 at 1e4
+    rows = [int(y) for y in rng.integers(0, 4, 6)]
+    kl, grads = _grads_of(
+        lambda: confusion_loss(scores, rows, list(range(6)), protos, 0.6), [scores, protos.matrix]
+    )
+    assert np.isfinite(kl.item())
+    assert kl.item() >= -1e-12 * scale
+    for grad in grads:
+        assert np.all(np.isfinite(grad))
+    # softmax minus target, scaled: each scores row's gradient sums to 0
+    assert np.abs(grads[0].sum(axis=1)).max() <= 1e-12 * scale

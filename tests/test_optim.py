@@ -57,7 +57,7 @@ def test_hundred_steps_on_quadratic_approaches_minimum():
     adam = Adam({"p": p}, lr=0.1)
     for _ in range(100):
         with Tape() as tape:
-            diff = ad.sub(p, Tensor([3.0]))
+            diff = ad.add(p, Tensor([-3.0]))
             loss = ad.tensor_sum(ad.mul(diff, diff))
             ad.backward(loss, tape)
         adam.step()

@@ -35,29 +35,28 @@ def active_tape():
 
 
 class TapeRecord:
-    """One recorded primitive application."""
+    """One recorded primitive application; it holds its input and output
+    tensors, so every tensor on a tape lives as long as the tape."""
 
-    __slots__ = ("kind", "input_ids", "output_id", "vjp")
+    __slots__ = ("kind", "inputs", "output", "vjp")
 
-    def __init__(self, kind, input_ids, output_id, vjp):
+    def __init__(self, kind, inputs, output, vjp):
         self.kind = kind
-        self.input_ids = input_ids
-        self.output_id = output_id
+        self.inputs = inputs
+        self.output = output
         self.vjp = vjp  # out_grad -> tuple of per-input grads (or None)
 
 
 class Tape:
     """Ordered record of primitive applications for one forward pass.
 
-    Node ids are assigned in first-use order, so every record's inputs
-    precede its output and a single reverse sweep visits each node once.
+    A record's inputs exist before its output does, so every consumer of a
+    tensor comes after the record that produced it, and a single reverse
+    sweep has a tensor's whole gradient by the time it reaches its producer.
     """
 
     def __init__(self):
         self.records: list[TapeRecord] = []
-        self._ids: dict[int, int] = {}
-        self._tensors: list[Tensor] = []
-        self._output_ids: set[int] = set()
 
     def __enter__(self) -> "Tape":
         _tape_stack().append(self)
@@ -69,25 +68,8 @@ class Tape:
             raise AutodiffError("tape stack corrupted: exiting a tape that is not innermost")
         stack.pop()
 
-    def node_id(self, tensor: "Tensor") -> int:
-        nid = self._ids.get(id(tensor))
-        if nid is None:
-            nid = len(self._tensors)
-            self._ids[id(tensor)] = nid
-            self._tensors.append(tensor)
-        return nid
-
     def record(self, kind, inputs, output, vjp) -> None:
-        input_ids = [self.node_id(t) for t in inputs]
-        output_id = self.node_id(output)
-        self._output_ids.add(output_id)
-        self.records.append(TapeRecord(kind, input_ids, output_id, vjp))
-
-    def leaves(self):
-        """Registered tensors that are not the output of any record."""
-        for nid, t in enumerate(self._tensors):
-            if nid not in self._output_ids:
-                yield nid, t
+        self.records.append(TapeRecord(kind, inputs, output, vjp))
 
 
 class Tensor:
@@ -240,17 +222,6 @@ def take_rows(a: Tensor, indices) -> Tensor:
     return emit("take_rows", [a], a.values[idx], lambda g: (_scatter_rows(a.shape, idx, g),))
 
 
-def tensor_sum(a: Tensor, axis: int | None = None, keepdims: bool = False) -> Tensor:
-    shape = a.shape
-
-    def vjp(g):
-        if axis is not None and not keepdims:
-            g = np.expand_dims(g, axis)
-        return (np.broadcast_to(g, shape).copy(),)
-
-    return emit("sum", [a], a.values.sum(axis=axis, keepdims=keepdims), vjp)
-
-
 def tanh(a: Tensor) -> Tensor:
     out = np.tanh(a.values)
     dout = 1.0 - out * out
@@ -274,21 +245,6 @@ def dropout(a: Tensor, rate: float, rng=None, training: bool = False) -> Tensor:
     return emit("dropout", [a], a.values * mask, lambda g: (g * mask,))
 
 
-def log_softmax(a: Tensor, axis: int) -> Tensor:
-    if a.shape[axis] == 0:
-        raise ShapeError(f"log_softmax: empty axis {axis} for shape {a.shape}")
-    m = a.values.max(axis=axis, keepdims=True)
-    shifted = a.values - m
-    lse = np.log(np.exp(shifted).sum(axis=axis, keepdims=True))
-    out = shifted - lse
-    softmax = np.exp(out)
-
-    def vjp(g):
-        return (g - softmax * g.sum(axis=axis, keepdims=True),)
-
-    return emit("log_softmax", [a], out, vjp)
-
-
 # ---------------------------------------------------------------------------
 # backward
 
@@ -307,29 +263,25 @@ def backward(loss: Tensor, tape: Tape | None = None) -> None:
         raise AutodiffError("backward: tape is empty")
     if loss.values.size != 1:
         raise AutodiffError(f"backward: loss must be scalar, got shape {loss.shape}")
-    if not loss.requires_grad or id(loss) not in tape._ids:
+    if not loss.requires_grad or not any(rec.output is loss for rec in reversed(tape.records)):
         raise AutodiffError("backward: loss is not connected to this tape")
 
-    grads: dict[int, np.ndarray] = {
-        tape.node_id(loss): np.ones_like(loss.values)
-    }
+    # keyed by the tensor itself (identity hash); only requires-grad inputs
+    # are entered, and a record's output is popped when the sweep reaches it,
+    # so what is left at the end are the requires-grad leaves
+    grads: dict[Tensor, np.ndarray] = {loss: np.ones_like(loss.values)}
     for rec in reversed(tape.records):
-        g = grads.pop(rec.output_id, None)
+        g = grads.pop(rec.output, None)
         if g is None:
             continue
-        for nid, gi in zip(rec.input_ids, rec.vjp(g)):
-            if gi is None:
+        for t, gi in zip(rec.inputs, rec.vjp(g)):
+            if gi is None or not t.requires_grad:
                 continue
-            acc = grads.get(nid)
+            acc = grads.get(t)
             # non-inplace accumulation: vjps may hand back aliased arrays
-            grads[nid] = gi if acc is None else acc + gi
+            grads[t] = gi if acc is None else acc + gi
     held: set[int] = set()  # ids of arrays a leaf took as its own .grad
-    for nid, t in tape.leaves():
-        if not t.requires_grad:
-            continue
-        g = grads.get(nid)
-        if g is None:
-            continue
+    for t, g in grads.items():
         if t.grad is not None:
             t.grad += g
         elif g.base is None and g.flags.c_contiguous and id(g) not in held:

@@ -9,10 +9,11 @@ each block.
 The label space is handled as whole matrices, so the number of taped ops
 does not grow with the number of slots, gold labels or spans:
 `build_prototypes` averages every label's description tokens with one
-constant membership matmul, `confusion_loss` builds the label-confusion
-targets of all distinct gold slots from one cosine matrix and is a single
-tape record with a hand-derived vjp, and `predict_slot_type` scores a chunk
-of spans with one product against the prototype matrix.
+constant membership matmul, `contrastive_loss` and `confusion_loss` are one
+tape record each with a hand-derived vjp (the latter builds the
+label-confusion targets of all distinct gold slots from one cosine matrix),
+and `predict_slot_type` scores a chunk of spans with one product against the
+prototype matrix.
 """
 
 from __future__ import annotations
@@ -172,15 +173,27 @@ def smooth_distributions(ys: list[int], d_tgt: np.ndarray, lam: float, n_source:
     return np.concatenate([src, d_tgt * (1.0 - lam)], axis=1)
 
 
+def _log_softmax(x: np.ndarray) -> np.ndarray:
+    """Row-wise log-softmax, shifted by each row's max."""
+    shifted = x - x.max(axis=1, keepdims=True)
+    return shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+
+
 def contrastive_loss(scores: Tensor, rows: list[int], tau: float) -> Tensor:
     """Mean over entities of -log softmax(score/tau)[gold row], each entity
-    contrasted with every prototype row of both blocks."""
+    contrasted with every prototype row of both blocks, as one tape record
+    over `scores`; its vjp is (softmax - one_hot) / (tau * n)."""
     n = scores.shape[0]
-    lp = ad.log_softmax(ad.mul(scores, Tensor(1.0 / tau)), axis=1)
+    inv_tau, scale = 1.0 / tau, 1.0 / n
+    log_p = _log_softmax(scores.values * inv_tau)
     pick = np.zeros(scores.shape)
     pick[np.arange(n), rows] = 1.0
-    total = ad.mul(ad.tensor_sum(ad.mul(lp, Tensor(pick))), Tensor(-1.0))
-    return ad.mul(total, Tensor(1.0 / n))
+
+    def vjp(g):
+        g_log_p = g * scale * -1.0 * pick
+        return ((g_log_p - np.exp(log_p) * g_log_p.sum(axis=1, keepdims=True)) * inv_tau,)
+
+    return ad.emit("contrastive", [scores], (log_p * pick).sum() * -1.0 * scale, vjp)
 
 
 def confusion_loss(
@@ -205,9 +218,7 @@ def confusion_loss(
     index_of = {y: i for i, y in enumerate(distinct)}
     gather = [index_of[rows[i]] for i in source_entities]
     targets = smooth[gather]
-    picked = scores.values[source_entities]
-    shifted = picked - picked.max(axis=1, keepdims=True)
-    pred_log = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+    pred_log = _log_softmax(scores.values[source_entities])
     support = targets > 0.0
     log_targets = np.log(np.where(support, targets, 1.0))
     entropy = np.where(support, targets * log_targets, 0.0).sum()

@@ -1,7 +1,9 @@
 """Command-line entry point: train / eval / predict / sweep-lambda / export-protos.
 
 Hyperparameters come from a key=value config file plus command-line
-overrides (override wins); unknown keys are rejected. Every run directory
+overrides (override wins); unknown keys are rejected. `train` and
+`sweep-lambda` take every config flag; `eval`, `predict` and
+`export-protos` take only the flags they read. Every run directory
 receives the effective config, the split manifest, and the training log, so
 a run can be reproduced bit for bit.
 """
@@ -21,6 +23,7 @@ from .data import (
     fewshot_select,
     load_corpus,
     load_embeddings,
+    output_file,
     split_leave_one_out,
     text_lines,
     write_split_manifest,
@@ -64,18 +67,21 @@ def _read_config_file(path: str) -> dict[str, str]:
     return pairs
 
 
-def _add_override_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--config", help="key=value config file")
-    for field in dataclasses.fields(TrainConfig):
-        flag = "--" + field.name.replace("_", "-")
-        parser.add_argument(flag, dest=f"cfg_{field.name}", metavar="V")
-    for alias, name in _ALIASES.items():
-        parser.add_argument(f"--{alias}", dest=f"cfg_{name}", metavar="V")
+def _add_override_flags(parser: argparse.ArgumentParser, names: tuple[str, ...] = ()) -> None:
+    """A flag for each config field in `names`; with none named, a flag for
+    every field and alias, and `--config`."""
+    if not names:
+        parser.add_argument("--config", help="key=value config file")
+        names = tuple(field.name for field in dataclasses.fields(TrainConfig))
+        for alias, name in _ALIASES.items():
+            parser.add_argument(f"--{alias}", dest=f"cfg_{name}", metavar="V")
+    for name in names:
+        parser.add_argument("--" + name.replace("_", "-"), dest=f"cfg_{name}", metavar="V")
 
 
 def _build_config(args: argparse.Namespace) -> TrainConfig:
     pairs: dict[str, str] = {}
-    if args.config:
+    if getattr(args, "config", None):
         pairs.update(_read_config_file(args.config))
     for field in dataclasses.fields(TrainConfig):
         value = getattr(args, f"cfg_{field.name}", None)
@@ -93,12 +99,15 @@ def _resolve_output_dir(cfg: TrainConfig) -> str:
                 f"no output directory: pass --output-dir or set {OUTPUT_ROOT_ENV}"
             )
         out = os.path.join(root, cfg.target or "run")
-    os.makedirs(out, exist_ok=True)
+    try:
+        os.makedirs(out, exist_ok=True)
+    except OSError as err:
+        raise ConfigError(f"cannot create output directory {out}: {err.strerror}") from None
     return out
 
 
 def _write_lines(path: str, lines: list[str]) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    with output_file(path) as fh:
         fh.write("\n".join(lines) + "\n")
 
 
@@ -196,8 +205,8 @@ def cmd_predict(cfg: TrainConfig, checkpoint_path: str, input_path: str, output_
         Utterance(toks, ["O"] * len(toks), [None] * len(toks), model.target_domain, f"input:{i}")
         for i, toks in enumerate(sentences)
     ]
-    predictions = model.predict(utterances, batch_size=cfg.batch_size)
-    with open(output_path, "w", encoding="utf-8") as fh:
+    with output_file(output_path) as fh:
+        predictions = model.predict(utterances, batch_size=cfg.batch_size)
         for toks, spans in zip(sentences, predictions):
             tags = ["O"] * len(toks)
             for span in spans:
@@ -282,13 +291,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_eval = sub.add_parser("eval", help="score a checkpoint on the target test set")
     p_eval.add_argument("checkpoint", help="checkpoint directory")
-    _add_override_flags(p_eval)
+    _add_override_flags(p_eval, ("data_dir", "target", "output_dir", "batch_size"))
 
     p_pred = sub.add_parser("predict", help="tag raw utterances with a checkpoint")
     p_pred.add_argument("checkpoint")
     p_pred.add_argument("input", help="token-per-line file, blank-line separated")
     p_pred.add_argument("output", help="where to write tagged CoNLL output")
-    _add_override_flags(p_pred)
+    _add_override_flags(p_pred, ("data_dir", "batch_size"))
 
     p_sweep = sub.add_parser("sweep-lambda", help="train/eval across confusion factors")
     p_sweep.add_argument("--lambdas", required=True, help="comma-separated values in [0,1]")
@@ -298,7 +307,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_export = sub.add_parser("export-protos", help="dump prototype vectors as TSV")
     p_export.add_argument("checkpoint")
     p_export.add_argument("output")
-    _add_override_flags(p_export)
+    _add_override_flags(p_export, ("data_dir",))
     return parser
 
 

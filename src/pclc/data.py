@@ -12,7 +12,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import DataFormatError, PclcError
+from .errors import ConfigError, DataFormatError, PclcError
 from .rng import make_rng
 
 PAD_TOKEN = "<pad>"
@@ -88,6 +88,15 @@ def text_lines(path: str, error_type: type[PclcError] = DataFormatError):
         raise error_type(f"{path}: byte 0x{raw[at]:02x} at offset {at} is not UTF-8") from None
 
 
+def output_file(path: str):
+    """`path` opened for writing UTF-8 text; a path that cannot be written
+    (its directory missing, or itself a directory) is a ConfigError naming it."""
+    try:
+        return open(path, "w", encoding="utf-8")
+    except OSError as err:
+        raise ConfigError(f"cannot write {path}: {err.strerror}") from None
+
+
 # ---------------------------------------------------------------------------
 # CoNLL parsing
 
@@ -159,7 +168,7 @@ def format_conll(utterances: list[Utterance]) -> str:
 
 
 def write_conll(utterances: list[Utterance], path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    with output_file(path) as fh:
         fh.write(format_conll(utterances))
 
 
@@ -352,7 +361,7 @@ def fewshot_select(split: ExperimentSplit, k: int, seed: int) -> ExperimentSplit
 
 
 def write_split_manifest(split: ExperimentSplit, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    with output_file(path) as fh:
         fh.write(f"target\t{split.target_domain}\n")
         fh.write(f"few_shot\t{split.few_shot}\n")
         for name, part in (

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .data import output_file
 from .errors import PclcError, ShapeError
 
 
@@ -156,7 +157,7 @@ def export_prototypes(protos, path: str) -> None:
     """Tab-separated rows: slot label, block, then the prototype coordinates
     (shortest round-trip float formatting)."""
     boundary = protos.block_boundary
-    with open(path, "w", encoding="utf-8") as fh:
+    with output_file(path) as fh:
         for i, label in enumerate(protos.labels):
             block = "source" if i < boundary else "target"
             row = protos.matrix.values[i]

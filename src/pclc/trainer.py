@@ -488,6 +488,8 @@ def load_checkpoint(directory: str) -> Checkpoint:
     for lineno, line in sections.get("meta", []):
         if "=" in line:
             key, value = line.split("=", 1)
+            if key in meta:
+                raise bad(lineno, f"meta key {key!r} repeats line {meta[key][0]}")
             meta[key] = (lineno, value)
 
     def meta_number(key: str, kind):
@@ -498,9 +500,14 @@ def load_checkpoint(directory: str) -> Checkpoint:
             wanted = "an integer" if kind is int else "a number"
             raise bad(lineno, f"{key}={value!r} is not {wanted}") from None
 
+    config_line: dict[str, int] = {}  # key -> line number
     for lineno, line in sections.get("config", []):
         if "=" not in line:
             raise bad(lineno, f"config entry needs key=value, got {line!r}")
+        key = line.split("=", 1)[0]
+        if key in config_line:
+            raise bad(lineno, f"config key {key!r} repeats line {config_line[key]}")
+        config_line[key] = lineno
     proto_rows: list[tuple[str, str]] = []
     for lineno, line in sections.get("proto_rows", []):
         if "\t" not in line:

@@ -3,6 +3,8 @@ import os
 import numpy as np
 import pytest
 
+from pclc import autodiff as ad
+from pclc.autodiff import Tensor
 from pclc.data import SlotSchema, build_vocab, random_embeddings, split_leave_one_out
 from pclc.model import PclcModel
 from pclc.rng import make_rng
@@ -23,6 +25,13 @@ TOY_CONFIG = TrainConfig(
     entity_hidden=4,
     proto_dim=8,
 )
+
+
+def sum_all(t):
+    """The sum of every element of `t` as a (1, 1) tensor, built from kept
+    primitives: `t` flattened to one row, times a column of ones."""
+    row = ad.reshape(t, (1, -1))
+    return ad.matmul(row, Tensor(np.ones((row.shape[1], 1))))
 
 
 def crf_nll_one(emissions, gold_tags, crf):

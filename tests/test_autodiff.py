@@ -7,8 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from conftest import sum_all
 from pclc import autodiff as ad
 from pclc.autodiff import Tape, Tensor
+from pclc.classifier import _log_softmax, contrastive_loss
 from pclc.errors import AutodiffError, ShapeError
 from pclc.rng import make_rng
 from pclc.tagger import _log_sum_exp
@@ -53,7 +55,7 @@ def test_matmul_shape_error_names_op_and_shapes():
 
 
 # ---------------------------------------------------------------------------
-# log_sum_exp (the CRF's numpy helper) / log_softmax
+# log_sum_exp (the CRF's numpy helper) / log_softmax (the losses' numpy helper)
 
 
 def test_log_sum_exp_two_zeros():
@@ -83,28 +85,28 @@ def test_log_sum_exp_bounds(xs):
 
 
 def test_log_softmax_uniform():
-    out = ad.log_softmax(Tensor([1.0, 1.0, 1.0]), axis=0)
-    assert np.allclose(out.values, -math.log(3.0), atol=1e-15)
+    out = _log_softmax(np.array([[1.0, 1.0, 1.0]]))
+    assert np.allclose(out, -math.log(3.0), atol=1e-15)
 
 
 def test_log_softmax_single_element():
-    out = ad.log_softmax(Tensor([4.2]), axis=0)
-    assert out.values[0] == 0.0
+    out = _log_softmax(np.array([[4.2]]))
+    assert out[0, 0] == 0.0
 
 
 def test_log_softmax_frozen_oracle_values():
     # mpmath (50 digits) on [0.6, 0.2, 0.2]
     expected = [-0.8504244355835798, -1.2504244355835799, -1.2504244355835799]
-    out = ad.log_softmax(Tensor([0.6, 0.2, 0.2]), axis=0)
-    assert np.allclose(out.values, expected, atol=1e-12)
+    out = _log_softmax(np.array([[0.6, 0.2, 0.2]]))
+    assert np.allclose(out[0], expected, atol=1e-12)
 
 
 @settings(max_examples=100, deadline=None)
 @given(st.lists(st.floats(-50, 50), min_size=1, max_size=6))
 def test_log_softmax_exponentials_sum_to_one(xs):
-    out = ad.log_softmax(Tensor(xs), axis=0)
-    assert np.exp(out.values).sum() == pytest.approx(1.0, abs=1e-12)
-    assert (out.values <= 1e-15).all()
+    out = _log_softmax(np.array([xs]))
+    assert np.exp(out).sum() == pytest.approx(1.0, abs=1e-12)
+    assert (out <= 1e-15).all()
 
 
 # ---------------------------------------------------------------------------
@@ -114,7 +116,7 @@ def test_log_softmax_exponentials_sum_to_one(xs):
 def test_backward_sum_of_squares():
     x = Tensor([1.0, 2.0], requires_grad=True)
     with Tape() as tape:
-        loss = ad.tensor_sum(ad.mul(x, x))
+        loss = sum_all(ad.mul(x, x))
         ad.backward(loss, tape)
     assert np.allclose(x.grad, [2.0, 4.0])
 
@@ -122,7 +124,7 @@ def test_backward_sum_of_squares():
 def test_backward_tanh_derivative_at_zero():
     x = Tensor([0.0], requires_grad=True)
     with Tape() as tape:
-        loss = ad.tensor_sum(ad.tanh(x))
+        loss = sum_all(ad.tanh(x))
         ad.backward(loss, tape)
     assert x.grad[0] == pytest.approx(1.0, abs=1e-15)
 
@@ -133,6 +135,20 @@ def test_backward_rejects_non_scalar_loss():
         y = ad.mul(x, x)
         with pytest.raises(AutodiffError):
             ad.backward(y, tape)
+
+
+def test_backward_refuses_a_loss_no_record_produced():
+    # a leaf used on the tape, and a loss recorded on another tape
+    p = Tensor([[2.0]], requires_grad=True)
+    with Tape() as other:
+        elsewhere = ad.tanh(p)
+    with Tape() as tape:
+        ad.mul(p, p)
+        for loss in (p, elsewhere):
+            with pytest.raises(AutodiffError) as err:
+                ad.backward(loss, tape)
+            assert str(err.value) == "backward: loss is not connected to this tape"
+    assert p.grad is None and other.records
 
 
 def test_backward_rejects_empty_tape():
@@ -146,7 +162,7 @@ def test_backward_accumulates_into_existing_grad():
     x = Tensor([1.0, 2.0], requires_grad=True)
     for _ in range(2):
         with Tape() as tape:
-            loss = ad.tensor_sum(ad.mul(x, x))
+            loss = sum_all(ad.mul(x, x))
             ad.backward(loss, tape)
     assert np.allclose(x.grad, [4.0, 8.0])
 
@@ -155,7 +171,7 @@ def test_backward_shared_input_fanout():
     # f(x) = sum(x * x) + sum(x): both consumers must accumulate
     x = Tensor([3.0], requires_grad=True)
     with Tape() as tape:
-        loss = ad.add(ad.tensor_sum(ad.mul(x, x)), ad.tensor_sum(x))
+        loss = ad.add(sum_all(ad.mul(x, x)), sum_all(x))
         ad.backward(loss, tape)
     assert x.grad[0] == pytest.approx(7.0)
 
@@ -167,7 +183,7 @@ def test_row_gather_gradient_equals_add_at_reference():
     idx = rng.integers(10, 15, size=400)
     weights = rng.normal(size=(400, 7)) * 10.0 ** rng.integers(-8, 8, size=(400, 1))
     with Tape() as tape:
-        loss = ad.tensor_sum(ad.mul(ad.take_rows(table, idx), Tensor(weights)))
+        loss = sum_all(ad.mul(ad.take_rows(table, idx), Tensor(weights)))
         ad.backward(loss, tape)
     want = np.zeros((50, 7))
     np.add.at(want, idx, weights)
@@ -200,7 +216,7 @@ def test_backward_leaves_joined_by_add_own_their_gradients():
     b = Tensor(np.ones((2, 3)), requires_grad=True)
     w = np.arange(6.0).reshape(2, 3)
     with Tape() as tape:
-        loss = ad.tensor_sum(ad.mul(ad.add(a, b), Tensor(w)))
+        loss = sum_all(ad.mul(ad.add(a, b), Tensor(w)))
         ad.backward(loss, tape)
     assert np.array_equal(a.grad, w) and np.array_equal(b.grad, w)
     _assert_own_buffers([a.grad, b.grad])
@@ -215,7 +231,7 @@ def test_backward_reshaped_leaf_owns_its_gradient():
     w = np.arange(6.0)
     with Tape() as tape:
         r = ad.add(ad.reshape(ad.add(a, b), (6,)), c)
-        loss = ad.tensor_sum(ad.mul(r, Tensor(w)))
+        loss = sum_all(ad.mul(r, Tensor(w)))
         ad.backward(loss, tape)
     assert np.array_equal(c.grad, w)
     assert np.array_equal(a.grad, w.reshape(2, 3)) and np.array_equal(b.grad, w.reshape(2, 3))
@@ -224,55 +240,47 @@ def test_backward_reshaped_leaf_owns_its_gradient():
 
 def test_full_composite_loss_gradient_vs_finite_differences():
     # 10-parameter toy: 2x2 entity map, 2 prototypes of dim 2, temperature mix,
-    # exercising matmul / transpose / log_softmax / tanh / mul / add
+    # exercising matmul / transpose / contrastive / tanh / mul / add
     rng = make_rng(7)
     w = rng.uniform(-1, 1, (2, 2))
     protos = rng.uniform(-1, 1, (2, 2))
     bias = rng.uniform(-1, 1, 2)
     arrays = [w, protos, bias]
 
-    def loss_value() -> tuple[float]:
-        with Tape():
-            wt = Tensor(w, requires_grad=True)
-            pt = Tensor(protos, requires_grad=True)
-            bt = Tensor(bias, requires_grad=True)
-            r = ad.tanh(ad.add(ad.matmul(Tensor([[0.3, -0.7]]), wt), bt))
-            scores = ad.matmul(r, ad.transpose(pt))
-            lp = ad.log_softmax(scores, axis=1)
-            pick = ad.tensor_sum(ad.mul(lp, Tensor(np.array([[1.0, 0.0]]))))
-            lp2 = ad.log_softmax(ad.mul(scores, Tensor(2.0)), axis=1)
-            reg = ad.tensor_sum(ad.tanh(ad.add(ad.mul(pt, pt), Tensor(0.1))))
-            loss = ad.add(ad.add(ad.mul(pick, Tensor(-1.0)), ad.tensor_sum(lp2)), reg)
-            return (loss.item(),)
-
-    fd = oracles.finite_difference_grads(loss_value, arrays)[0]
-
-    with Tape() as tape:
+    def build():
         wt = Tensor(w, requires_grad=True)
         pt = Tensor(protos, requires_grad=True)
         bt = Tensor(bias, requires_grad=True)
         r = ad.tanh(ad.add(ad.matmul(Tensor([[0.3, -0.7]]), wt), bt))
         scores = ad.matmul(r, ad.transpose(pt))
-        lp = ad.log_softmax(scores, axis=1)
-        pick = ad.tensor_sum(ad.mul(lp, Tensor(np.array([[1.0, 0.0]]))))
-        lp2 = ad.log_softmax(ad.mul(scores, Tensor(2.0)), axis=1)
-        reg = ad.tensor_sum(ad.tanh(ad.add(ad.mul(pt, pt), Tensor(0.1))))
-        loss = ad.add(ad.add(ad.mul(pick, Tensor(-1.0)), ad.tensor_sum(lp2)), reg)
+        pick = contrastive_loss(scores, [0], 1.0)
+        sharp = contrastive_loss(ad.mul(scores, Tensor(2.0)), [1], 1.0)
+        reg = sum_all(ad.tanh(ad.add(ad.mul(pt, pt), Tensor(0.1))))
+        return ad.add(ad.add(pick, sharp), reg), [wt, pt, bt]
+
+    def loss_value() -> tuple[float]:
+        with Tape():
+            return (build()[0].item(),)
+
+    fd = oracles.finite_difference_grads(loss_value, arrays)[0]
+
+    with Tape() as tape:
+        loss, tensors = build()
         ad.backward(loss, tape)
 
-    for analytic, numeric in zip([wt.grad, pt.grad, bt.grad], fd):
-        assert oracles.relative_error(analytic, numeric) < 1e-6
+    for tensor, numeric in zip(tensors, fd):
+        assert oracles.relative_error(tensor.grad, numeric) < 1e-6
 
 
 PRIMITIVE_CASES = [
-    ("add", lambda t: ad.tensor_sum(ad.add(t[0], t[1])), 2, (3, 2)),
-    ("mul", lambda t: ad.tensor_sum(ad.mul(t[0], t[1])), 2, (3, 2)),
-    ("matmul", lambda t: ad.tensor_sum(ad.matmul(t[0], ad.transpose(t[1]))), 2, (3, 2)),
-    ("concat", lambda t: ad.tensor_sum(ad.mul(ad.concat([t[0], t[1]], axis=0), ad.concat([t[1], t[0]], axis=0))), 2, (3, 2)),
-    ("take_rows", lambda t: ad.tensor_sum(ad.take_rows(t[0], [0, 2, 2])), 1, (3, 2)),
-    ("reshape", lambda t: ad.tensor_sum(ad.mul(ad.reshape(t[0], (2, 3)), Tensor(np.arange(6.0).reshape(2, 3)))), 1, (3, 2)),
-    ("tanh", lambda t: ad.tensor_sum(ad.tanh(t[0])), 1, (3, 2)),
-    ("log_softmax", lambda t: ad.tensor_sum(ad.mul(ad.log_softmax(t[0], axis=1), Tensor(np.arange(6.0).reshape(3, 2)))), 1, (3, 2)),
+    ("add", lambda t: sum_all(ad.add(t[0], t[1])), 2, (3, 2)),
+    ("mul", lambda t: sum_all(ad.mul(t[0], t[1])), 2, (3, 2)),
+    ("matmul", lambda t: sum_all(ad.matmul(t[0], ad.transpose(t[1]))), 2, (3, 2)),
+    ("concat", lambda t: sum_all(ad.mul(ad.concat([t[0], t[1]], axis=0), ad.concat([t[1], t[0]], axis=0))), 2, (3, 2)),
+    ("take_rows", lambda t: sum_all(ad.take_rows(t[0], [0, 2, 2])), 1, (3, 2)),
+    ("reshape", lambda t: sum_all(ad.mul(ad.reshape(t[0], (2, 3)), Tensor(np.arange(6.0).reshape(2, 3)))), 1, (3, 2)),
+    ("tanh", lambda t: sum_all(ad.tanh(t[0])), 1, (3, 2)),
+    ("contrastive", lambda t: contrastive_loss(t[0], [1, 0, 1], 0.7), 1, (3, 2)),
 ]
 
 
@@ -306,13 +314,13 @@ def test_dropout_gradient_with_fixed_mask():
         x = Tensor(x_arr, requires_grad=True)
         with Tape():
             out = ad.dropout(x, 0.4, rng=make_rng(11), training=True)
-            return (ad.tensor_sum(ad.mul(out, out)).item(),)
+            return (sum_all(ad.mul(out, out)).item(),)
 
     fd = oracles.finite_difference_grads(loss_value, [x_arr])[0][0]
     x = Tensor(x_arr, requires_grad=True)
     with Tape() as tape:
         out = ad.dropout(x, 0.4, rng=make_rng(11), training=True)
-        loss = ad.tensor_sum(ad.mul(out, out))
+        loss = sum_all(ad.mul(out, out))
         ad.backward(loss, tape)
     assert oracles.relative_error(x.grad, fd) < 1e-6
 
@@ -324,7 +332,7 @@ def test_tape_replay_is_bit_identical():
         w = Tensor(rng.uniform(-1, 1, (3, 3)), requires_grad=True)
         with Tape() as tape:
             h = ad.dropout(ad.tanh(ad.matmul(x, w)), 0.2, rng=rng, training=True)
-            loss = ad.tensor_sum(ad.mul(h, h))
+            loss = sum_all(ad.mul(h, h))
             ad.backward(loss, tape)
         return loss.item(), x.grad.copy(), w.grad.copy()
 

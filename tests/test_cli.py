@@ -7,7 +7,7 @@ import pytest
 
 import oracles
 from conftest import DATA_DIR, REPO_ROOT, damaged_manifest
-from pclc.cli import main
+from pclc.cli import build_parser, main
 
 TOY_FLAGS = [
     "--word-dim", "6", "--char-dim", "2", "--char-hidden", "2",
@@ -292,6 +292,75 @@ def test_named_embeddings_file_is_used_or_refused(tmp_path, capsys, embeddings, 
     else:
         assert err == f"error: embeddings file not found: {path}\n"
     assert not os.path.exists(os.path.join(out, "checkpoint"))
+
+
+def test_output_file_that_cannot_be_written_is_an_error(tmp_path, monkeypatch, capsys):
+    from pclc.model import PclcModel
+
+    out = _train(tmp_path)
+    capsys.readouterr()
+    inp = os.path.join(tmp_path, "input.txt")
+    with open(inp, "w") as fh:
+        fh.write("stop\nthe\ntimer\n")
+    predicted = []
+    monkeypatch.setattr(PclcModel, "predict", lambda self, *a, **k: predicted.append(a))
+    data = ["--data-dir", os.path.join(DATA_DIR, "overfit")]
+    checkpoint = os.path.join(out, "checkpoint")
+    dest = os.path.join(tmp_path, "nodir", "out.txt")
+    for argv in (["predict", checkpoint, inp, dest], ["export-protos", checkpoint, dest]):
+        assert main(argv + data) == 1
+        shown = capsys.readouterr()
+        assert shown.out == ""
+        assert shown.err == f"error: cannot write {dest}: No such file or directory\n"
+    assert predicted == []  # predict opens its output before predicting
+
+
+def test_output_dir_naming_a_file_is_an_error(tmp_path, capsys):
+    out = _train(tmp_path)
+    capsys.readouterr()
+    a_file = os.path.join(tmp_path, "a_file")
+    open(a_file, "w").close()
+    data = ["--data-dir", os.path.join(DATA_DIR, "overfit")]
+    for argv in (
+        ["train", "--target", "kitchen"] + TOY_FLAGS,
+        ["eval", os.path.join(out, "checkpoint")],
+    ):
+        assert main(argv + data + ["--output-dir", a_file]) == 1
+        shown = capsys.readouterr()
+        assert shown.out == ""
+        assert shown.err == f"error: cannot create output directory {a_file}: File exists\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["eval", "ck", "--seed", "5"],
+    ["eval", "ck", "--few-shot", "3"],
+    ["eval", "ck", "--hidden", "99"],
+    ["eval", "ck", "--config", "run.cfg"],
+    ["eval", "ck", "--tau", "0.5"],
+    ["predict", "ck", "in.txt", "out.txt", "--target", "bus"],
+    ["predict", "ck", "in.txt", "out.txt", "--output-dir", "runs"],
+    ["export-protos", "ck", "p.tsv", "--batch-size", "8"],
+], ids=lambda argv: f"{argv[0]}{argv[-2]}")
+def test_checkpoint_commands_refuse_flags_they_do_not_read(capsys, argv):
+    with pytest.raises(SystemExit) as exit_:
+        main(argv)
+    assert exit_.value.code == 2
+    assert f"unrecognized arguments: {argv[-2]} {argv[-1]}" in capsys.readouterr().err
+
+
+def test_checkpoint_commands_take_the_flags_they_read():
+    parser = build_parser()
+    common = ["--data-dir", "d"]
+    args = parser.parse_args(
+        ["eval", "ck", "--target", "bus", "--output-dir", "o", "--batch-size", "8"] + common
+    )
+    assert (args.cfg_target, args.cfg_output_dir, args.cfg_batch_size) == ("bus", "o", "8")
+    args = parser.parse_args(["predict", "ck", "i", "o", "--batch-size", "8"] + common)
+    assert (args.cfg_data_dir, args.cfg_batch_size) == ("d", "8")
+    assert parser.parse_args(["export-protos", "ck", "p"] + common).cfg_data_dir == "d"
+    for command in (["train"], ["sweep-lambda", "--lambdas", "0.5"]):
+        args = parser.parse_args(command + ["--seed", "5", "--tau", "0.5", "--config", "c"])
+        assert (args.cfg_seed, args.cfg_temperature, args.config) == ("5", "0.5", "c")
 
 
 def test_export_protos_round_trip(tmp_path):

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import oracles
-from conftest import DATA_DIR
+from conftest import DATA_DIR, sum_all
 from pclc import autodiff as ad
 from pclc.autodiff import Tape, Tensor
 from pclc.data import build_vocab, load_corpus, random_embeddings, split_leave_one_out
@@ -97,8 +97,8 @@ def test_run_lstm_gradients_match_finite_differences():
         with Tape() as tape:
             out = run_lstm(cell, xt, lengths)
             loss = ad.add(
-                ad.tensor_sum(ad.mul(out, Tensor(weights))),
-                ad.tensor_sum(ad.mul(final_states(out, lengths), Tensor(final_weights))),
+                sum_all(ad.mul(out, Tensor(weights))),
+                sum_all(ad.mul(final_states(out, lengths), Tensor(final_weights))),
             )
             ad.backward(loss, tape)
         for analytic, numeric in zip([xt.grad] + [p.grad for p in params], fd):
@@ -113,7 +113,7 @@ def test_run_lstm_padding_gets_exactly_zero_gradient():
             cell, x, lengths = _ragged_lstm(rng, kind)
         xt = Tensor(x, requires_grad=True)
         with Tape() as tape:
-            ad.backward(ad.tensor_sum(run_lstm(cell, xt, lengths)), tape)
+            ad.backward(sum_all(run_lstm(cell, xt, lengths)), tape)
         padded = _padded_rows(lengths)
         assert padded
         assert np.all(xt.grad[padded] == 0.0)
@@ -151,7 +151,7 @@ def test_run_lstm_saturated_gates_stay_finite_and_silent():
         xt = Tensor(x, requires_grad=True)
         with Tape() as tape:
             out = run_lstm(cell, xt, lengths)
-            ad.backward(ad.tensor_sum(out), tape)
+            ad.backward(sum_all(out), tape)
         assert np.all(np.abs(out.values) <= 1.0)
         for grad in [xt.grad] + [p.grad for p in _params(cell)]:
             assert np.all(np.isfinite(grad))
@@ -209,7 +209,7 @@ def test_run_lstm_permuting_sequences_permutes_output_and_gradient():
             xt = Tensor(xs, requires_grad=True)
             with Tape() as tape:
                 out = run_lstm(cell, xt, ls)
-                ad.backward(ad.tensor_sum(ad.mul(out, Tensor(ws))), tape)
+                ad.backward(sum_all(ad.mul(out, Tensor(ws))), tape)
             results.append((out.values, xt.grad))
             for p in _params(cell):
                 p.grad = None

@@ -5,9 +5,10 @@ import numpy as np
 import pytest
 
 import oracles
+from conftest import sum_all
 from pclc import autodiff as ad
 from pclc.autodiff import Tape, Tensor
-from pclc.classifier import confusion_loss
+from pclc.classifier import confusion_loss, contrastive_loss
 from pclc.layers import BiLstm, final_states, run_lstm
 from pclc.rng import make_rng
 from pclc.tagger import CrfLayer, crf_nll_batch, viterbi_decode_batch
@@ -47,7 +48,7 @@ def test_run_lstm_both_directions_stay_finite(scale):
         out = run_lstm(cell, x, LENGTHS)
         finals = final_states(out, LENGTHS)
         return ad.add(
-            ad.tensor_sum(ad.mul(out, weights)), ad.tensor_sum(ad.mul(finals, final_weights))
+            sum_all(ad.mul(out, weights)), sum_all(ad.mul(finals, final_weights))
         )
 
     out, grads = _grads_of(loss, [x] + params)
@@ -90,16 +91,15 @@ def test_viterbi_decode_batch_finds_the_best_path(scale):
 
 
 @pytest.mark.parametrize("scale", SCALES)
-def test_log_softmax_stays_finite(scale):
+def test_contrastive_loss_stays_finite(scale):
     rng = make_rng(43)
     a = Tensor(rng.uniform(-scale, scale, (4, 6)), requires_grad=True)
     a.values[0, :2] = (scale, -scale)  # exp(-2 * scale) underflows to 0 at 1e4
-    weights = Tensor(rng.uniform(-scale, scale, (4, 6)))
-    out, (grad,) = _grads_of(
-        lambda: ad.tensor_sum(ad.mul(ad.log_softmax(a, axis=1), weights)), [a]
-    )
+    rows = [1, 0, 5, 3]  # row 0's gold score is the one that underflows
+    out, (grad,) = _grads_of(lambda: contrastive_loss(a, rows, 0.7), [a])
     assert np.isfinite(out.item())
     assert np.all(np.isfinite(grad))
+    # softmax minus one-hot: every row of the scores gradient sums to 0
     assert np.abs(grad.sum(axis=1)).max() <= 1e-12 * scale * 6
 
 
@@ -110,7 +110,7 @@ def test_take_rows_scatter_stays_finite(scale):
     idx = [4, 0, 4, 2, 4, 0]
     weights = rng.uniform(-scale, scale, (len(idx), 3))
     _, (grad,) = _grads_of(
-        lambda: ad.tensor_sum(ad.mul(ad.take_rows(a, idx), Tensor(weights))), [a]
+        lambda: sum_all(ad.mul(ad.take_rows(a, idx), Tensor(weights))), [a]
     )
     want = np.zeros((5, 3))
     np.add.at(want, idx, weights)

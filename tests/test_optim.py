@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import oracles
+from conftest import sum_all
 from pclc import autodiff as ad
 from pclc.autodiff import Tape, Tensor
 from pclc.errors import OptimError
@@ -58,7 +59,7 @@ def test_hundred_steps_on_quadratic_approaches_minimum():
     for _ in range(100):
         with Tape() as tape:
             diff = ad.add(p, Tensor([-3.0]))
-            loss = ad.tensor_sum(ad.mul(diff, diff))
+            loss = sum_all(ad.mul(diff, diff))
             ad.backward(loss, tape)
         adam.step()
     assert abs(p.values[0] - 3.0) < 0.5

@@ -546,6 +546,20 @@ def test_checkpoint_malformed_manifest_names_line(tmp_path, old, new, message):
     assert message in str(err.value)
 
 
+@pytest.mark.parametrize("line, again, section", [
+    ("epoch=2", "epoch=9", "meta"),
+    ("seed=1", "seed=4", "config"),
+])
+def test_checkpoint_repeated_manifest_key_names_both_lines(tmp_path, line, again, section):
+    directory = os.path.join(tmp_path, "ckpt")
+    lineno = damaged_manifest(directory, line, f"{line}\n{again}")
+    with pytest.raises(CheckpointError) as err:
+        load_checkpoint(directory)
+    key = line.split("=")[0]
+    path = os.path.join(directory, "manifest.txt")
+    assert str(err.value) == f"{path}:{lineno + 1}: {section} key {key!r} repeats line {lineno}"
+
+
 def test_checkpoint_non_utf8_manifest_names_its_offset(tmp_path):
     directory = os.path.join(tmp_path, "ckpt")
     damaged_manifest(directory, "target_domain=kitchen", "target_domain=kitch\u00ffn")

@@ -3,7 +3,7 @@
 Values are numpy arrays; every differentiable operation computes its forward
 result eagerly and, when a tape is active and some input requires grad,
 records a closure that maps the output gradient to input gradients. The tape
-is rebuilt per forward pass; `backward` walks it once in reverse.
+is rebuilt per forward pass; `backward` consumes it once, in reverse.
 
 Within one tape everything is single-threaded. Separate tapes (one per model
 replica) may live on separate threads; the active-tape stack is thread-local.
@@ -50,9 +50,9 @@ class TapeRecord:
 class Tape:
     """Ordered record of primitive applications for one forward pass.
 
-    A record's inputs exist before its output does, so every consumer of a
-    tensor comes after the record that produced it, and a single reverse
-    sweep has a tensor's whole gradient by the time it reaches its producer.
+    A record's inputs exist before its output does, so one reverse sweep has
+    a tensor's whole gradient by the time it reaches its producer. `backward`
+    is that sweep; it pops and frees each record as it passes it, once a tape.
     """
 
     def __init__(self):
@@ -241,8 +241,8 @@ def dropout(a: Tensor, rate: float, rng=None, training: bool = False) -> Tensor:
     if rng is None:
         raise AutodiffError("dropout: training mode requires an explicit rng")
     keep = 1.0 - rate
-    mask = (rng.random(a.shape) >= rate).astype(np.float64) / keep
-    return emit("dropout", [a], a.values * mask, lambda g: (g * mask,))
+    kept = rng.random(a.shape) >= rate  # kept / keep: 1/keep or 0, an 8x smaller mask
+    return emit("dropout", [a], a.values * (kept / keep), lambda g: (g * (kept / keep),))
 
 
 # ---------------------------------------------------------------------------
@@ -252,8 +252,8 @@ def dropout(a: Tensor, rate: float, rng=None, training: bool = False) -> Tensor:
 def backward(loss: Tensor, tape: Tape | None = None) -> None:
     """Populate `.grad` on every requires-grad leaf reachable from `loss`.
 
-    Gradients accumulate into existing `.grad` buffers; the optimizer (or
-    `zero_grad`) is responsible for clearing them.
+    Gradients accumulate into `.grad` (`zero_grad` or the optimizer clears it).
+    Consumes the tape: each record is popped, and freed, once its vjp has run.
     """
     if tape is None:
         tape = active_tape()
@@ -266,11 +266,11 @@ def backward(loss: Tensor, tape: Tape | None = None) -> None:
     if not loss.requires_grad or not any(rec.output is loss for rec in reversed(tape.records)):
         raise AutodiffError("backward: loss is not connected to this tape")
 
-    # keyed by the tensor itself (identity hash); only requires-grad inputs
-    # are entered, and a record's output is popped when the sweep reaches it,
-    # so what is left at the end are the requires-grad leaves
+    # keyed by tensor identity; only requires-grad inputs are entered, and each
+    # output is popped when the sweep reaches it, so the leaves are what is left
     grads: dict[Tensor, np.ndarray] = {loss: np.ones_like(loss.values)}
-    for rec in reversed(tape.records):
+    while tape.records:
+        rec = tape.records.pop()
         g = grads.pop(rec.output, None)
         if g is None:
             continue

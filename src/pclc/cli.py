@@ -130,6 +130,9 @@ def _train_and_write(cfg: TrainConfig):
     """Train one run and write its directory; returns the result with the
     split, schema and vocab it was trained on."""
     out_dir = _resolve_output_dir(cfg)
+    checkpoint_dir = os.path.join(out_dir, "checkpoint")
+    if os.path.exists(checkpoint_dir) and not os.path.isdir(checkpoint_dir):
+        raise ConfigError(f"cannot write checkpoint {checkpoint_dir}: a file has that name")
     corpus, schema, vocab = _corpus_and_vocab(cfg)
     split = _split(corpus, schema, cfg)
     table = load_embeddings(
@@ -139,7 +142,7 @@ def _train_and_write(cfg: TrainConfig):
     _write_lines(os.path.join(out_dir, "effective.cfg"), config_to_kv(cfg))
     write_split_manifest(split, os.path.join(out_dir, "split_manifest.txt"))
     result = train_run(split, schema, vocab, table.matrix, cfg)
-    save_checkpoint(result.checkpoint, os.path.join(out_dir, "checkpoint"))
+    save_checkpoint(result.checkpoint, checkpoint_dir)
     _write_lines(os.path.join(out_dir, "train_log.txt"), result.log_lines)
     print(
         f"trained target={cfg.target} epochs={result.checkpoint.epoch} "

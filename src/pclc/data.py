@@ -281,6 +281,8 @@ def load_embeddings(
                 matrix[idx] = [float(v) for v in values]
             except ValueError:
                 raise DataFormatError(f"{path}:{lineno}: non-numeric value after {word!r}") from None
+            if not np.isfinite(matrix[idx]).all():
+                raise DataFormatError(f"{path}:{lineno}: non-finite value after {word!r}")
     if not vectors:
         raise DataFormatError(f"{path}: no line parses as 'word v1 .. v{dim}'")
     matrix[PAD_INDEX] = 0.0

@@ -105,17 +105,16 @@ def run_lstm(cell: BiLstm, x: Tensor, lengths: list[int]) -> Tensor:
         """Run direction k over `x[rows]` into column block k of `out`; its vjp if taped."""
         w_x, w_h = cell.w[k].values[:n_in], cell.w[k].values[n_in:]
         x_rows = rows[src]
-        x_packed = x.values[x_rows]
-        gates = x_packed @ w_x
+        gates = x.values[x_rows] @ w_x
         gates += cell.b[k].values
         i, f, g, o = (gates[:, j * hid : (j + 1) * hid] for j in range(4))
         hs = np.empty((src.size, hid))
         cs = np.empty((src.size, hid))
-        tanh_c = np.empty((src.size, hid))
-        # i, f, o gathered into contiguous rows: sigmoid runs ~1.5x faster on them
+        # step-sized scratch: i, f, o in contiguous rows (sigmoid runs ~1.5x faster), tanh(c)
         ifo_rows = np.empty((bounds[0][1], 3 * hid))
+        tanh_c = np.empty((bounds[0][1], hid))
         for t, (lo, hi) in enumerate(bounds):
-            z, c, ifo = gates[lo:hi], cs[lo:hi], ifo_rows[: hi - lo]
+            z, c, ifo, tc = gates[lo:hi], cs[lo:hi], ifo_rows[: hi - lo], tanh_c[: hi - lo]
             if t:  # the previous state: the first hi - lo rows of step t-1
                 prev = slice(bounds[t - 1][0], bounds[t - 1][0] + hi - lo)
                 z += hs[prev] @ w_h
@@ -126,8 +125,8 @@ def run_lstm(cell: BiLstm, x: Tensor, lengths: list[int]) -> Tensor:
             np.multiply(i[lo:hi], g[lo:hi], out=c)
             if t:
                 c += f[lo:hi] * cs[prev]
-            np.tanh(c, out=tanh_c[lo:hi])
-            np.multiply(o[lo:hi], tanh_c[lo:hi], out=hs[lo:hi])
+            np.tanh(c, out=tc)
+            np.multiply(o[lo:hi], tc, out=hs[lo:hi])
         cols = slice(k * hid, (k + 1) * hid)
         out[:, cols] = hs[out_rows[rows]]
         if not track:
@@ -149,8 +148,9 @@ def run_lstm(cell: BiLstm, x: Tensor, lengths: list[int]) -> Tensor:
             fac[:n0, hid : 2 * hid] = 0.0
             fac[n0:, hid : 2 * hid] *= cs[prev_rows]
             fac[:, 2 * hid : 3 * hid] *= i
-            fac[:, 3 * hid :] *= tanh_c
-            dc_from_h = 1.0 - tanh_c * tanh_c
+            dc_from_h = np.tanh(cs)  # recomputed: the tape keeps no tanh(c)
+            fac[:, 3 * hid :] *= dc_from_h
+            np.subtract(1.0, np.multiply(dc_from_h, dc_from_h, out=dc_from_h), out=dc_from_h)
             dc_from_h *= o
             # d_sorted[t, j]: gradient of padded row (t, j-th longest sequence);
             # padded rows repeat the last live state, so their gradient is
@@ -176,7 +176,7 @@ def run_lstm(cell: BiLstm, x: Tensor, lengths: list[int]) -> Tensor:
                     dh_next = d @ w_h.T
                     dc_next = dc * f[lo:hi]
             dw = np.empty_like(cell.w[k].values)
-            np.matmul(x_packed.T, dz, out=dw[:n_in])
+            np.matmul(x.values[x_rows].T, dz, out=dw[:n_in])
             np.matmul(hs[prev_rows].T, dz[n0:], out=dw[n_in:])
             dx[x_rows] += dz @ w_x.T  # x_rows holds no row twice
             return dw, dz.sum(axis=0)

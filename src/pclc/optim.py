@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .autodiff import Tensor
-from .errors import OptimError
+from .errors import OptimError, TrainingDiverged
 
 # elements per block of `Adam.step`: g, m, v, the parameter and the scratch
 # block together take 1.25 MiB of float64
@@ -78,12 +80,18 @@ class Adam:
 
 
 def clip_grad_norm(params: dict[str, Tensor], max_norm: float) -> float:
-    """Scale all gradients in place so their global L2 norm is <= max_norm."""
+    """Scale all gradients in place so their global L2 norm is <= max_norm; a
+    norm that is not finite is TrainingDiverged, naming the largest gradient."""
     total = 0.0
-    for p in params.values():
-        if p.grad is not None:
-            total += float((p.grad * p.grad).sum())
+    with np.errstate(over="ignore"):  # an overflow is reported below, as a norm of inf
+        for p in params.values():
+            if p.grad is not None:
+                total += float((p.grad * p.grad).sum())
     norm = total**0.5
+    if not math.isfinite(norm):
+        peak = {n: np.abs(p.grad).max(initial=0.0) for n, p in params.items() if p.grad is not None}
+        worst = max(peak, key=lambda n: math.inf if math.isnan(peak[n]) else peak[n])
+        raise TrainingDiverged(f"gradient norm is {norm}, largest gradient in {worst!r}")
     if norm > max_norm and norm > 0.0:
         scale = max_norm / norm
         for p in params.values():

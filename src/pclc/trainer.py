@@ -34,11 +34,11 @@ from .tagger import TAG_NAMES, crf_nll_batch, gold_spans
 _RULES = (
     (
         ("batch_size", "word_dim", "char_dim", "char_hidden", "hidden", "layers",
-         "entity_hidden", "proto_dim"),
+         "entity_hidden", "proto_dim", "validation_size"),
         lambda v: v >= 1, "must be >= 1",
     ),
     (
-        ("seed", "patience", "few_shot", "kl_weight", "crf_weight", "validation_size"),
+        ("seed", "patience", "few_shot", "kl_weight", "crf_weight"),
         lambda v: v >= 0, "must be >= 0",
     ),
     (("max_epochs",), lambda v: v is None or v >= 0, "must be none or >= 0"),
@@ -46,6 +46,8 @@ _RULES = (
     (("temperature", "grad_clip"), lambda v: v > 0.0, "must be > 0"),
     (("dropout",), lambda v: 0.0 <= v < 1.0, "must be in [0, 1)"),
     (("confusion_lambda",), lambda v: 0.0 <= v <= 1.0, "must be in [0, 1]"),
+    # last, so a value out of range is named by its range first
+    (("temperature", "kl_weight", "crf_weight", "grad_clip"), math.isfinite, "must be finite"),
 )
 
 

@@ -120,12 +120,13 @@ def test_criterion_2_gradient_correctness():
     # truncation error through the confusion chain's curvature
     fd = oracles.finite_difference_grads(losses, arrays, eps=1e-4, five_point=True)
 
+    # backward consumes its tape, so each term gets its own forward; with
+    # dropout off and no rng the forwards are identical
     analytic: dict[str, list[np.ndarray]] = {}
-    with Tape() as tape:
-        terms = loss_components(batch, model, config, rng=None)
-        for t in term_names:
-            model.zero_grad()
-            ad.backward(terms[t], tape)
+    for t in term_names:
+        model.zero_grad()
+        with Tape() as tape:
+            ad.backward(loss_components(batch, model, config, rng=None)[t], tape)
             analytic[t] = [
                 params[n].grad.copy() if params[n].grad is not None else np.zeros_like(params[n].values)
                 for n in names

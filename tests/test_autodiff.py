@@ -158,6 +158,19 @@ def test_backward_rejects_empty_tape():
             ad.backward(x, tape)
 
 
+def test_backward_consumes_the_tape():
+    x = Tensor([1.0, 2.0], requires_grad=True)
+    with Tape() as tape:
+        loss = sum_all(ad.tanh(ad.mul(x, x)))
+        assert len(tape.records) == 4  # mul, tanh, and sum_all's reshape and matmul
+        ad.backward(loss, tape)
+        assert tape.records == []
+        with pytest.raises(AutodiffError) as err:
+            ad.backward(loss, tape)
+    assert str(err.value) == "backward: tape is empty"
+    assert np.allclose(x.grad, 2.0 * np.array([1.0, 2.0]) * (1.0 - np.tanh([1.0, 4.0]) ** 2))
+
+
 def test_backward_accumulates_into_existing_grad():
     x = Tensor([1.0, 2.0], requires_grad=True)
     for _ in range(2):

@@ -7,6 +7,7 @@ import pytest
 
 import oracles
 from conftest import DATA_DIR, REPO_ROOT, damaged_manifest
+from pclc import cli
 from pclc.cli import build_parser, main
 
 TOY_FLAGS = [
@@ -331,6 +332,52 @@ def test_output_dir_naming_a_file_is_an_error(tmp_path, capsys):
         assert shown.err == f"error: cannot create output directory {a_file}: File exists\n"
 
 
+@pytest.mark.parametrize("sweep", [False, True], ids=["train", "sweep-lambda"])
+def test_a_file_named_checkpoint_is_refused_before_training(tmp_path, monkeypatch, capsys, sweep):
+    monkeypatch.setattr(cli, "train_run", lambda *a: pytest.fail("trained"))
+    out = os.path.join(tmp_path, "out")
+    run_dir = os.path.join(out, "lambda_0.5") if sweep else out
+    os.makedirs(run_dir)
+    checkpoint = os.path.join(run_dir, "checkpoint")
+    open(checkpoint, "w").close()
+    command = ["sweep-lambda", "--lambdas", "0.5"] if sweep else ["train"]
+    rc = main(
+        command + ["--data-dir", os.path.join(DATA_DIR, "overfit"), "--target", "kitchen",
+                   "--output-dir", out] + TOY_FLAGS
+    )
+    assert rc == 1
+    shown = capsys.readouterr()
+    assert shown.out == ""
+    assert shown.err == f"error: cannot write checkpoint {checkpoint}: a file has that name\n"
+
+
+@pytest.mark.parametrize("value", ["nan", "1e400"])
+def test_non_finite_embedding_value_is_an_error(tmp_path, capsys, value):
+    path = os.path.join(tmp_path, "vectors.txt")
+    with open(path, "w") as fh:
+        fh.write("timer 0.1 0.2 0.3 0.4 0.5 0.6\n")
+        fh.write(f"set 0.1 0.2 {value} 0.4 0.5 0.6\n")
+    rc = main(
+        ["train", "--data-dir", os.path.join(DATA_DIR, "overfit"), "--target", "kitchen",
+         "--output-dir", os.path.join(tmp_path, "out"), "--embeddings", path] + TOY_FLAGS
+    )
+    assert rc == 1
+    assert capsys.readouterr().err == f"error: {path}:2: non-finite value after 'set'\n"
+
+
+def test_a_gradient_norm_that_is_not_finite_stops_training(tmp_path, capsys):
+    # tau = 1e-300 scales the contrastive gradient by 1e300; its square
+    # overflows, and clipping by 5/inf would zero every step
+    rc = main(
+        ["train", "--data-dir", os.path.join(DATA_DIR, "overfit"), "--target", "kitchen",
+         "--output-dir", os.path.join(tmp_path, "out"), "--temperature", "1e-300"] + TOY_FLAGS
+    )
+    assert rc == 1
+    shown = capsys.readouterr()
+    assert shown.out == ""
+    assert shown.err == "error: gradient norm is inf, largest gradient in 'entity_proj.b'\n"
+
+
 @pytest.mark.parametrize("argv", [
     ["eval", "ck", "--seed", "5"],
     ["eval", "ck", "--few-shot", "3"],
@@ -565,7 +612,12 @@ def test_sweep_lambda_rejects_non_numeric_value(tmp_path, capsys):
         ("--word-dim", "0", "config key 'word_dim': must be >= 1, got 0"),
         ("--proto-dim", "0", "config key 'proto_dim': must be >= 1, got 0"),
         ("--layers", "0", "config key 'layers': must be >= 1, got 0"),
-        ("--validation-size", "-5", "config key 'validation_size': must be >= 0, got -5"),
+        ("--validation-size", "-5", "config key 'validation_size': must be >= 1, got -5"),
+        ("--validation-size", "0", "config key 'validation_size': must be >= 1, got 0"),
+        ("--temperature", "inf", "config key 'temperature': must be finite, got inf"),
+        ("--kl-weight", "inf", "config key 'kl_weight': must be finite, got inf"),
+        ("--crf-weight", "1e400", "config key 'crf_weight': must be finite, got inf"),
+        ("--grad-clip", "inf", "config key 'grad_clip': must be finite, got inf"),
         ("--grad-clip", "-1", "config key 'grad_clip': must be > 0, got -1.0"),
         ("--lr", "nan", "config key 'lr': must be finite and > 0, got nan"),
         ("--patience", "-1", "config key 'patience': must be >= 0, got -1"),

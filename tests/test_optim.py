@@ -5,7 +5,7 @@ import oracles
 from conftest import sum_all
 from pclc import autodiff as ad
 from pclc.autodiff import Tape, Tensor
-from pclc.errors import OptimError
+from pclc.errors import OptimError, TrainingDiverged
 from pclc.optim import BLOCK, Adam, clip_grad_norm
 
 
@@ -115,3 +115,16 @@ def test_clip_grad_norm_leaves_small_gradients_alone():
     a.grad = np.array([0.1, 0.2])
     clip_grad_norm({"a": a}, 5.0)
     assert np.allclose(a.grad, [0.1, 0.2])
+
+
+@pytest.mark.parametrize("big, norm", [(1e200, "inf"), (np.nan, "nan"), (np.inf, "inf")])
+def test_clip_grad_norm_refuses_a_norm_that_is_not_finite(big, norm):
+    # 1e200 is finite, but its square overflows; scaling by 5/inf would zero every gradient
+    params = {name: Tensor(np.zeros(2), requires_grad=True) for name in ("a", "b", "c")}
+    params["a"].grad = np.array([1e150, 2.0])
+    params["b"].grad = np.array([3.0, big])
+    params["c"].grad = np.array([-1e100, 0.5])
+    with pytest.raises(TrainingDiverged) as err:
+        clip_grad_norm(params, 5.0)
+    assert str(err.value) == f"gradient norm is {norm}, largest gradient in 'b'"
+    assert params["b"].grad[0] == 3.0

@@ -110,68 +110,28 @@ def emit(kind, inputs, out_values, vjp_builder) -> Tensor:
     return out
 
 
-def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
-    """Sum a broadcast gradient back down to `shape`."""
-    if grad.shape == shape:
-        return grad
-    while grad.ndim > len(shape):
-        grad = grad.sum(axis=0)
-    for axis, n in enumerate(shape):
-        if n == 1 and grad.shape[axis] != 1:
-            grad = grad.sum(axis=axis, keepdims=True)
-    return grad
-
-
-def _check_broadcast(kind, a, b):
-    try:
-        np.broadcast_shapes(a.shape, b.shape)
-    except ValueError:
-        raise ShapeError(f"{kind}: shapes {a.shape} and {b.shape} do not broadcast")
-
-
 # ---------------------------------------------------------------------------
 # primitives
 
 
-def add(a: Tensor, b: Tensor) -> Tensor:
-    _check_broadcast("add", a, b)
+def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """x @ w + b as one record, the form of every `Linear` layer."""
+    if x.values.ndim != 2 or w.values.ndim != 2:
+        raise ShapeError(f"linear: expects 2-d operands, got {x.shape} @ {w.shape}")
+    if x.shape[1] != w.shape[0]:
+        raise ShapeError(f"linear: inner dims disagree, {x.shape} @ {w.shape}")
+    xv, wv = x.values, w.values
     return emit(
-        "add",
-        [a, b],
-        a.values + b.values,
-        lambda g: (_unbroadcast(g, a.shape), _unbroadcast(g, b.shape)),
+        "linear", [x, w, b], xv @ wv + b.values, lambda g: (g @ wv.T, xv.T @ g, g.sum(axis=0))
     )
 
 
-def mul(a: Tensor, b: Tensor) -> Tensor:
-    _check_broadcast("mul", a, b)
-    av, bv = a.values, b.values
-    return emit(
-        "mul",
-        [a, b],
-        av * bv,
-        lambda g: (_unbroadcast(g * bv, a.shape), _unbroadcast(g * av, b.shape)),
-    )
-
-
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    if a.values.ndim != 2 or b.values.ndim != 2:
-        raise ShapeError(f"matmul: expects 2-d operands, got {a.shape} @ {b.shape}")
-    if a.shape[1] != b.shape[0]:
-        raise ShapeError(f"matmul: inner dims disagree, {a.shape} @ {b.shape}")
-    av, bv = a.values, b.values
-    return emit(
-        "matmul",
-        [a, b],
-        av @ bv,
-        lambda g: (g @ bv.T, av.T @ g),
-    )
-
-
-def transpose(a: Tensor) -> Tensor:
-    if a.values.ndim != 2:
-        raise ShapeError(f"transpose: expects 2-d operand, got {a.shape}")
-    return emit("transpose", [a], a.values.T.copy(), lambda g: (g.T,))
+def weighted_sum(terms: list[Tensor], weights: list[float]) -> Tensor:
+    """The sum of scalar `terms`, each times its weight, added left to right."""
+    value = terms[0].values * weights[0]
+    for t, w in zip(terms[1:], weights[1:]):
+        value = value + t.values * w
+    return emit("weighted_sum", list(terms), value, lambda g: tuple(g * w for w in weights))
 
 
 def concat(tensors: list[Tensor], axis: int = 0) -> Tensor:
@@ -193,12 +153,7 @@ def concat(tensors: list[Tensor], axis: int = 0) -> Tensor:
     return emit("concat", list(tensors), out, vjp)
 
 
-def reshape(a: Tensor, shape) -> Tensor:
-    old = a.shape
-    return emit("reshape", [a], a.values.reshape(shape), lambda g: (g.reshape(old),))
-
-
-def _scatter_rows(shape, idx, g) -> np.ndarray:
+def scatter_rows(shape, idx, g) -> np.ndarray:
     """Zeros of `shape` (rows, cols) with each row `g[i]` added into row
     `idx[i]`, in index order. `np.add.at` runs on the flattened array with
     one element index per added value, which takes numpy's fast 1-d path;
@@ -219,13 +174,7 @@ def take_rows(a: Tensor, indices) -> Tensor:
     idx = np.asarray(indices, dtype=np.intp)
     if idx.size and (idx.min() < 0 or idx.max() >= a.shape[0]):
         raise ShapeError(f"take_rows: index out of range for {a.shape[0]} rows")
-    return emit("take_rows", [a], a.values[idx], lambda g: (_scatter_rows(a.shape, idx, g),))
-
-
-def tanh(a: Tensor) -> Tensor:
-    out = np.tanh(a.values)
-    dout = 1.0 - out * out
-    return emit("tanh", [a], out, lambda g: (g * dout,))
+    return emit("take_rows", [a], a.values[idx], lambda g: (scatter_rows(a.shape, idx, g),))
 
 
 def dropout(a: Tensor, rate: float, rng=None, training: bool = False) -> Tensor:

@@ -7,13 +7,13 @@ followed by a target block; a slot living in both domains gets one row in
 each block.
 
 The label space is handled as whole matrices, so the number of taped ops
-does not grow with the number of slots, gold labels or spans:
-`build_prototypes` averages every label's description tokens with one
-constant membership matmul, `contrastive_loss` and `confusion_loss` are one
-tape record each with a hand-derived vjp (the latter builds the
-label-confusion targets of all distinct gold slots from one cosine matrix),
-and `predict_slot_type` scores a chunk of spans with one product against the
-prototype matrix.
+does not grow with the number of slots, gold labels or spans.
+`build_prototypes` (one constant membership matmul averages every label's
+description tokens, then the MLP), `prototype_scores`, `contrastive_loss`
+and `confusion_loss` are one tape record each with a hand-derived vjp (the
+last builds the label-confusion targets of all distinct gold slots from one
+cosine matrix), and `predict_slot_type` scores a chunk of spans with one
+product against the prototype matrix.
 """
 
 from __future__ import annotations
@@ -83,8 +83,9 @@ def build_prototypes(
     word_table: Tensor,
     mlp: Mlp,
 ) -> PrototypeMatrix:
-    """Prototype rows = MLP(mean of description-token word embeddings); a
-    constant 0/1 membership matmul sums every label's tokens at once."""
+    """Prototype rows = MLP(mean of description-token word embeddings), as
+    one record over `word_table` and the MLP's parameters; a constant 0/1
+    membership matmul sums every label's tokens at once."""
     source_labels = source_block_order(schema, source_domains)
     target_labels = list(schema.slots_of[target_domain])
     ids: list[int] = []
@@ -100,10 +101,20 @@ def build_prototypes(
         counts.append(len(tokens))
     membership = np.zeros((len(counts), len(ids)))
     membership[np.repeat(np.arange(len(counts)), counts), np.arange(len(ids))] = 1.0
-    looked = ad.take_rows(word_table, ids)
-    sums = ad.matmul(Tensor(membership), looked)
-    means = ad.mul(sums, Tensor(1.0 / np.asarray(counts, dtype=np.float64)[:, None]))
-    matrix = mlp(means)
+    idx = np.asarray(ids, dtype=np.intp)
+    inv_counts = 1.0 / np.asarray(counts, dtype=np.float64)[:, None]
+    inputs = [word_table] + [t for _, t in mlp.parameters()]
+    w1, b1, w2, b2 = (t.values for t in inputs[1:])
+    means = membership @ word_table.values[idx] * inv_counts
+    h = np.tanh(means @ w1 + b1)
+
+    def vjp(g):
+        d_pre = g @ w2.T * (1.0 - h * h)
+        d_table = membership.T @ (d_pre @ w1.T * inv_counts)
+        d_table = ad.scatter_rows(word_table.shape, idx, d_table)
+        return d_table, means.T @ d_pre, d_pre.sum(axis=0), h.T @ g, g.sum(axis=0)
+
+    matrix = ad.emit("prototypes", inputs, h @ w2 + b2, vjp)
     return PrototypeMatrix(
         matrix=matrix,
         source_labels=source_labels,
@@ -127,6 +138,15 @@ class EntityEncoder:
         """Representations of a padded batch of spans, shape (N, out_dim);
         `x` is ((s_max * N), in_dim) in `run_lstm` row layout."""
         return self.proj(final_states(run_lstm(self.lstm, x, lengths), lengths))
+
+
+def prototype_scores(reps: Tensor, protos: PrototypeMatrix) -> Tensor:
+    """The (N, n_rows) dot products of entity rows `reps` with every
+    prototype row, as one record. It multiplies by a contiguous copy of the
+    transposed matrix: BLAS rounds some shapes differently on the view."""
+    matrix, rv = protos.matrix, reps.values
+    pt = matrix.values.T.copy()
+    return ad.emit("scores", [reps, matrix], rv @ pt, lambda g: (g @ pt.T, (rv.T @ g).T))
 
 
 # ---------------------------------------------------------------------------

@@ -28,7 +28,7 @@ class Linear:
         self.name = name
 
     def __call__(self, x: Tensor) -> Tensor:
-        return ad.add(ad.matmul(x, self.w), self.b)
+        return ad.linear(x, self.w, self.b)
 
     def parameters(self):
         return [(f"{self.name}.w", self.w), (f"{self.name}.b", self.b)]
@@ -194,23 +194,25 @@ def run_lstm(cell: BiLstm, x: Tensor, lengths: list[int]) -> Tensor:
 
 def final_states(states: Tensor, lengths: list[int]) -> Tensor:
     """Each sequence's [forward after step L_b-1 | backward after step 0] in
-    `run_lstm` output, (B, 2*hidden): one row gather over the (2 * rows,
-    hidden) view, whose row 2r is row r's forward half and 2r + 1 its backward."""
+    `run_lstm` output, (B, 2*hidden), as one record: a row gather over the
+    (2 * rows, hidden) view, whose row 2r is row r's forward half, 2r + 1 its backward."""
     (n_rows, width), batch, seq = states.shape, len(lengths), np.arange(len(lengths))
-    idx = np.stack([2 * ((np.asarray(lengths) - 1) * batch + seq), 2 * seq + 1], axis=1)
-    halves = ad.take_rows(ad.reshape(states, (2 * n_rows, width // 2)), idx.reshape(-1))
-    return ad.reshape(halves, (batch, width))
+    idx = np.stack([2 * ((np.asarray(lengths) - 1) * batch + seq), 2 * seq + 1], axis=1).ravel()
+    halves = (2 * n_rows, width // 2)
+    out = states.values.reshape(halves)[idx].reshape(batch, width)
+
+    def vjp(g):
+        return (ad.scatter_rows(halves, idx, g).reshape(n_rows, width),)
+
+    return ad.emit("final_states", [states], out, vjp)
 
 
 class Mlp:
-    """One tanh hidden layer followed by a linear map."""
+    """One tanh hidden layer followed by a linear map, applied by `build_prototypes`."""
 
     def __init__(self, in_dim: int, hidden: int, out_dim: int, rng, name: str):
         self.hidden_layer = Linear(in_dim, hidden, rng, f"{name}.hidden")
         self.output_layer = Linear(hidden, out_dim, rng, f"{name}.out")
-
-    def __call__(self, x: Tensor) -> Tensor:
-        return self.output_layer(ad.tanh(self.hidden_layer(x)))
 
     def parameters(self):
         return self.hidden_layer.parameters() + self.output_layer.parameters()

@@ -14,13 +14,14 @@ import dataclasses
 import functools
 import math
 import os
+import shutil
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tape, Tensor
-from .classifier import confusion_loss, contrastive_loss, source_block_order
+from .classifier import confusion_loss, contrastive_loss, prototype_scores, source_block_order
 from .data import ExperimentSplit, SlotSchema, Utterance, Vocab, text_lines
 from .errors import CheckpointError, ConfigError, TrainingDiverged
 from .evaluate import EvalReport, SpanPrediction, seen_unseen_report, span_f1
@@ -191,7 +192,7 @@ def loss_components(
     all_scores, _ = model.emissions(enc)
     gold_tags = [_tag_indices(u) for u in batch]
     crf_sum = crf_nll_batch(all_scores, enc.lengths, gold_tags, model.crf)
-    l_crf = ad.mul(crf_sum, Tensor(config.crf_weight / len(batch)))
+    l_crf = ad.weighted_sum([crf_sum], [config.crf_weight / len(batch)])
 
     spans: list[tuple[int, int, int]] = []
     gold_slot: list[str] = []
@@ -212,7 +213,7 @@ def loss_components(
         protos.target_row(slot) if is_tgt else protos.source_row(slot)
         for slot, is_tgt in zip(gold_slot, from_target)
     ]
-    scores = ad.matmul(reps, ad.transpose(protos.matrix))  # (N, C)
+    scores = prototype_scores(reps, protos)  # (N, C)
 
     classification_needed = config.enable_pcl or not config.enable_lc
     l_pc = zero
@@ -226,11 +227,8 @@ def loss_components(
         if source_entities:
             l_kl = confusion_loss(scores, rows, source_entities, protos, config.confusion_lambda)
 
-    total = l_crf
-    if classification_needed:
-        total = ad.add(total, l_pc)
-    if config.enable_lc:
-        total = ad.add(total, ad.mul(l_kl, Tensor(config.kl_weight)))
+    # a term its flag turns off is the constant zero, so adding it changes nothing
+    total = ad.weighted_sum([l_crf, l_pc, l_kl], [1.0, 1.0, config.kl_weight])
     return {"crf": l_crf, "pc": l_pc, "kl": l_kl, "total": total}
 
 
@@ -429,7 +427,9 @@ PAYLOAD_NAME = "params.bin"
 
 
 def save_checkpoint(ckpt: Checkpoint, directory: str) -> None:
-    os.makedirs(directory, exist_ok=True)
+    """Write `ckpt` as `directory`, whole or not at all: both files go into a
+    sibling staging directory, renamed into place once written. A checkpoint
+    already there is moved aside first and removed last."""
     lines = [f"pclc-checkpoint {FORMAT_VERSION}"]
     lines.append("[meta]")
     lines.append(f"epoch={ckpt.epoch}")
@@ -449,12 +449,25 @@ def save_checkpoint(ckpt: Checkpoint, directory: str) -> None:
         shape = ",".join(str(s) for s in arr.shape) or "scalar"
         lines.append(f"param.{name}\t{shape}\t{offset}\t{arr.size}")
         offset += arr.size
-    with open(os.path.join(directory, MANIFEST_NAME), "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
-    with open(os.path.join(directory, PAYLOAD_NAME), "wb") as fh:
-        for arr in ckpt.params.values():
-            # a float64 array already in C order is written as it is, uncopied
-            fh.write(np.ascontiguousarray(arr, dtype="<f8"))
+    target = os.path.abspath(directory)  # no trailing separator
+    staging, aside = f"{target}.saving", f"{target}.old"
+    try:
+        os.makedirs(staging, exist_ok=True)  # a killed save's files are overwritten
+        with open(os.path.join(staging, MANIFEST_NAME), "w", encoding="utf-8") as fh:
+            fh.write("\n".join(lines) + "\n")
+        with open(os.path.join(staging, PAYLOAD_NAME), "wb") as fh:
+            for arr in ckpt.params.values():
+                # a float64 array already in C order is written as it is, uncopied
+                fh.write(np.ascontiguousarray(arr, dtype="<f8"))
+        if os.path.lexists(target):
+            shutil.rmtree(aside, ignore_errors=True)
+            os.rename(target, aside)
+        os.rename(staging, target)
+    except OSError as err:
+        raise CheckpointError(f"cannot write checkpoint {directory}: {err}") from None
+    finally:
+        shutil.rmtree(staging, ignore_errors=True)  # gone already once renamed
+    shutil.rmtree(aside, ignore_errors=True)
 
 
 def load_checkpoint(directory: str) -> Checkpoint:

@@ -1,10 +1,10 @@
+import errno
 import os
 
 import numpy as np
 import pytest
 
 from pclc import autodiff as ad
-from pclc.autodiff import Tensor
 from pclc.data import SlotSchema, build_vocab, random_embeddings, split_leave_one_out
 from pclc.model import PclcModel
 from pclc.rng import make_rng
@@ -28,10 +28,26 @@ TOY_CONFIG = TrainConfig(
 
 
 def sum_all(t):
-    """The sum of every element of `t` as a (1, 1) tensor, built from kept
-    primitives: `t` flattened to one row, times a column of ones."""
-    row = ad.reshape(t, (1, -1))
-    return ad.matmul(row, Tensor(np.ones((row.shape[1], 1))))
+    """The sum of every element of `t`, as one test-side record."""
+    return ad.emit("sum_all", [t], t.values.sum(), lambda g: (np.full(t.shape, g),))
+
+
+def dot_all(t, weights):
+    """The sum of every element of `t` times the same element of the constant
+    array `weights`, as one test-side record."""
+    weights = np.asarray(weights, dtype=np.float64)
+    return ad.emit("dot_all", [t], (t.values * weights).sum(), lambda g: (g * weights,))
+
+
+def add(a, b):
+    """a + b of two same-shaped tensors, as one test-side record whose vjp
+    hands the same gradient array to both inputs."""
+    return ad.emit("add", [a, b], a.values + b.values, lambda g: (g, g))
+
+
+def mul(a, b):
+    """a * b of two same-shaped tensors, elementwise, as one test-side record."""
+    return ad.emit("mul", [a, b], a.values * b.values, lambda g: (g * b.values, g * a.values))
 
 
 def crf_nll_one(emissions, gold_tags, crf):
@@ -77,6 +93,33 @@ def toy_model(overfit_corpus):
 def overfit_split(overfit_corpus):
     corpus, schema = overfit_corpus
     return split_leave_one_out(corpus, schema, "kitchen", seed=3)
+
+
+class _FullDisk:
+    """A file whose first write stores 8 bytes and then fails, as on a full disk."""
+
+    def __init__(self, fh):
+        self.fh = fh
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.fh.close()
+
+    def write(self, data):
+        self.fh.write(memoryview(data).cast("B")[:8])
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+
+def fail_payload_writes(monkeypatch):
+    """Make every write of a checkpoint's params.bin fail part-way."""
+
+    def failing_open(path, mode="r", **kwargs):
+        fh = open(path, mode, **kwargs)
+        return _FullDisk(fh) if os.path.basename(path) == "params.bin" else fh
+
+    monkeypatch.setattr("pclc.trainer.open", failing_open, raising=False)
 
 
 def damaged_manifest(directory, old, new):

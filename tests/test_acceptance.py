@@ -19,6 +19,7 @@ from pclc.classifier import (
     confusion_loss,
     confusion_targets,
     contrastive_loss,
+    prototype_scores,
     smooth_distributions,
 )
 from pclc.cli import main
@@ -166,7 +167,7 @@ def test_criterion_3_distribution_invariants():
         assert (values >= -1e-15).all()
         assert abs(values.sum() - 1.0) < 1e-12
         r = rng.uniform(-1.0, 1.0, dim)
-        scores = ad.matmul(Tensor(r[None]), ad.transpose(protos.matrix))
+        scores = prototype_scores(Tensor(r[None]), protos)
         kl = confusion_loss(scores, [y], [0], protos, lam).item()
         assert kl >= -1e-12
         # constructed matching pair: scores are the log of the smoothed target
@@ -188,7 +189,7 @@ def test_criterion_4_loss_formula_oracles():
         y = int(rng.integers(C))
         tau = float(rng.uniform(0.2, 2.0))
         # the training losses on a batch of one entity
-        scores = ad.matmul(Tensor(r[None]), ad.transpose(protos.matrix))
+        scores = prototype_scores(Tensor(r[None]), protos)
         got_pc = contrastive_loss(scores, [y], tau).item()
         want_pc = oracles.mp_proto_contrastive(r, matrix, y, tau)
         assert abs(got_pc - want_pc) < 1e-10

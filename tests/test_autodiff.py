@@ -7,24 +7,48 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from conftest import sum_all
+from conftest import add, dot_all, mul, sum_all
 from pclc import autodiff as ad
 from pclc.autodiff import Tape, Tensor
-from pclc.classifier import _log_softmax, contrastive_loss
+from pclc.classifier import (
+    PrototypeMatrix,
+    _log_softmax,
+    build_prototypes,
+    contrastive_loss,
+    prototype_scores,
+)
 from pclc.errors import AutodiffError, ShapeError
+from pclc.layers import Mlp, final_states
 from pclc.rng import make_rng
 from pclc.tagger import _log_sum_exp
+from test_classifier import _toy_schema, _toy_vocab_and_table
+
+SCHEMA = _toy_schema()
+VOCAB = _toy_vocab_and_table(SCHEMA)[0]
+
+
+def _prototypes(table, w1, b1, w2, b2):
+    """The toy schema's (5, 4) prototype matrix from a (n_words, 6) word table
+    and the given MLP parameters."""
+    mlp = Mlp(6, 4, 4, make_rng(0), "mlp")
+    mlp.hidden_layer.w, mlp.hidden_layer.b, mlp.output_layer.w, mlp.output_layer.b = w1, b1, w2, b2
+    return build_prototypes(SCHEMA, ["src_a", "src_b"], "tgt", VOCAB, table, mlp).matrix
 
 
 def test_matmul_identity():
+    # the product inside `linear`, with zero bias
     a = np.array([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0], [7.0, 8.0, 9.0]])
-    out = ad.matmul(Tensor(np.eye(3)), Tensor(a))
+    out = ad.linear(Tensor(a), Tensor(np.eye(3)), Tensor(np.zeros(3)))
     assert np.array_equal(out.values, a)
 
 
 def test_tanh_at_origin():
-    out = ad.tanh(Tensor([0.0]))
-    assert out.values[0] == 0.0
+    # the prototype MLP's tanh: with zero embeddings and hidden bias,
+    # tanh(0) = 0, so every prototype row is the output bias
+    b2 = np.arange(4.0)
+    zeros = [Tensor(np.zeros(s)) for s in [(VOCAB.n_words, 6), (6, 4), 4, (4, 4)]]
+    matrix = _prototypes(*zeros, Tensor(b2))
+    assert np.array_equal(matrix.values, np.tile(b2, (5, 1)))
 
 
 def test_dropout_eval_is_identity():
@@ -47,11 +71,14 @@ def test_dropout_rejects_bad_rate():
         ad.dropout(Tensor([1.0]), 1.0, training=False)
 
 
-def test_matmul_shape_error_names_op_and_shapes():
+def test_linear_shape_error_names_op_and_shapes():
+    b = Tensor(np.zeros(3))
     with pytest.raises(ShapeError) as err:
-        ad.matmul(Tensor(np.ones((2, 3))), Tensor(np.ones((2, 3))))
-    assert "matmul" in str(err.value)
-    assert "(2, 3)" in str(err.value)
+        ad.linear(Tensor(np.ones((2, 3))), Tensor(np.ones((2, 3))), b)
+    assert str(err.value) == "linear: inner dims disagree, (2, 3) @ (2, 3)"
+    with pytest.raises(ShapeError) as err:
+        ad.linear(Tensor(np.ones(2)), Tensor(np.ones((2, 3))), b)
+    assert str(err.value) == "linear: expects 2-d operands, got (2,) @ (2, 3)"
 
 
 # ---------------------------------------------------------------------------
@@ -116,23 +143,28 @@ def test_log_softmax_exponentials_sum_to_one(xs):
 def test_backward_sum_of_squares():
     x = Tensor([1.0, 2.0], requires_grad=True)
     with Tape() as tape:
-        loss = sum_all(ad.mul(x, x))
+        loss = sum_all(mul(x, x))
         ad.backward(loss, tape)
     assert np.allclose(x.grad, [2.0, 4.0])
 
 
 def test_backward_tanh_derivative_at_zero():
-    x = Tensor([0.0], requires_grad=True)
+    # the prototype MLP's tanh at 0 has slope 1: with zero embeddings and
+    # hidden bias, d sum(matrix) / d b1 is one w2 row sum per prototype row
+    rng = make_rng(8)
+    w2 = rng.uniform(0.5, 1.0, (4, 4))
+    b1 = Tensor(np.zeros(4), requires_grad=True)
+    zeros = [Tensor(np.zeros(s)) for s in [(VOCAB.n_words, 6), (6, 4)]]
     with Tape() as tape:
-        loss = sum_all(ad.tanh(x))
+        loss = sum_all(_prototypes(*zeros, b1, Tensor(w2), Tensor(np.zeros(4))))
         ad.backward(loss, tape)
-    assert x.grad[0] == pytest.approx(1.0, abs=1e-15)
+    assert np.allclose(b1.grad, 5.0 * w2.sum(axis=1), rtol=1e-14, atol=0.0)
 
 
 def test_backward_rejects_non_scalar_loss():
     x = Tensor([1.0, 2.0], requires_grad=True)
     with Tape() as tape:
-        y = ad.mul(x, x)
+        y = mul(x, x)
         with pytest.raises(AutodiffError):
             ad.backward(y, tape)
 
@@ -141,9 +173,9 @@ def test_backward_refuses_a_loss_no_record_produced():
     # a leaf used on the tape, and a loss recorded on another tape
     p = Tensor([[2.0]], requires_grad=True)
     with Tape() as other:
-        elsewhere = ad.tanh(p)
+        elsewhere = ad.take_rows(p, [0])
     with Tape() as tape:
-        ad.mul(p, p)
+        ad.take_rows(p, [0, 0])
         for loss in (p, elsewhere):
             with pytest.raises(AutodiffError) as err:
                 ad.backward(loss, tape)
@@ -159,23 +191,23 @@ def test_backward_rejects_empty_tape():
 
 
 def test_backward_consumes_the_tape():
-    x = Tensor([1.0, 2.0], requires_grad=True)
+    x = Tensor([[1.0, 2.0]], requires_grad=True)
     with Tape() as tape:
-        loss = sum_all(ad.tanh(ad.mul(x, x)))
-        assert len(tape.records) == 4  # mul, tanh, and sum_all's reshape and matmul
+        loss = sum_all(ad.take_rows(mul(x, x), [0, 0, 0]))
+        assert [rec.kind for rec in tape.records] == ["mul", "take_rows", "sum_all"]
         ad.backward(loss, tape)
         assert tape.records == []
         with pytest.raises(AutodiffError) as err:
             ad.backward(loss, tape)
     assert str(err.value) == "backward: tape is empty"
-    assert np.allclose(x.grad, 2.0 * np.array([1.0, 2.0]) * (1.0 - np.tanh([1.0, 4.0]) ** 2))
+    assert np.array_equal(x.grad, [[6.0, 12.0]])
 
 
 def test_backward_accumulates_into_existing_grad():
     x = Tensor([1.0, 2.0], requires_grad=True)
     for _ in range(2):
         with Tape() as tape:
-            loss = sum_all(ad.mul(x, x))
+            loss = sum_all(mul(x, x))
             ad.backward(loss, tape)
     assert np.allclose(x.grad, [4.0, 8.0])
 
@@ -184,7 +216,7 @@ def test_backward_shared_input_fanout():
     # f(x) = sum(x * x) + sum(x): both consumers must accumulate
     x = Tensor([3.0], requires_grad=True)
     with Tape() as tape:
-        loss = ad.add(sum_all(ad.mul(x, x)), sum_all(x))
+        loss = ad.weighted_sum([sum_all(mul(x, x)), sum_all(x)], [1.0, 1.0])
         ad.backward(loss, tape)
     assert x.grad[0] == pytest.approx(7.0)
 
@@ -196,7 +228,7 @@ def test_row_gather_gradient_equals_add_at_reference():
     idx = rng.integers(10, 15, size=400)
     weights = rng.normal(size=(400, 7)) * 10.0 ** rng.integers(-8, 8, size=(400, 1))
     with Tape() as tape:
-        loss = sum_all(ad.mul(ad.take_rows(table, idx), Tensor(weights)))
+        loss = dot_all(ad.take_rows(table, idx), weights)
         ad.backward(loss, tape)
     want = np.zeros((50, 7))
     np.add.at(want, idx, weights)
@@ -229,22 +261,26 @@ def test_backward_leaves_joined_by_add_own_their_gradients():
     b = Tensor(np.ones((2, 3)), requires_grad=True)
     w = np.arange(6.0).reshape(2, 3)
     with Tape() as tape:
-        loss = sum_all(ad.mul(ad.add(a, b), Tensor(w)))
+        loss = dot_all(add(a, b), w)
         ad.backward(loss, tape)
     assert np.array_equal(a.grad, w) and np.array_equal(b.grad, w)
     _assert_own_buffers([a.grad, b.grad])
 
 
+def _flat(t):
+    """`t` as one row; the vjp hands back a view of the output gradient."""
+    return ad.emit("flat", [t], t.values.reshape(-1), lambda g: (g.reshape(t.shape),))
+
+
 def test_backward_reshaped_leaf_owns_its_gradient():
-    # c takes the gradient of the outer add; reshape's vjp hands a view of
-    # that same array down to a and b
+    # c takes the gradient of the outer add; the flattening's vjp hands a
+    # view of that same array down to a and b
     a = Tensor(np.ones((2, 3)), requires_grad=True)
     b = Tensor(np.ones((2, 3)), requires_grad=True)
     c = Tensor(np.ones(6), requires_grad=True)
     w = np.arange(6.0)
     with Tape() as tape:
-        r = ad.add(ad.reshape(ad.add(a, b), (6,)), c)
-        loss = sum_all(ad.mul(r, Tensor(w)))
+        loss = dot_all(add(_flat(add(a, b)), c), w)
         ad.backward(loss, tape)
     assert np.array_equal(c.grad, w)
     assert np.array_equal(a.grad, w.reshape(2, 3)) and np.array_equal(b.grad, w.reshape(2, 3))
@@ -253,7 +289,7 @@ def test_backward_reshaped_leaf_owns_its_gradient():
 
 def test_full_composite_loss_gradient_vs_finite_differences():
     # 10-parameter toy: 2x2 entity map, 2 prototypes of dim 2, temperature mix,
-    # exercising matmul / transpose / contrastive / tanh / mul / add
+    # exercising linear / scores / contrastive / weighted_sum and a product
     rng = make_rng(7)
     w = rng.uniform(-1, 1, (2, 2))
     protos = rng.uniform(-1, 1, (2, 2))
@@ -264,12 +300,12 @@ def test_full_composite_loss_gradient_vs_finite_differences():
         wt = Tensor(w, requires_grad=True)
         pt = Tensor(protos, requires_grad=True)
         bt = Tensor(bias, requires_grad=True)
-        r = ad.tanh(ad.add(ad.matmul(Tensor([[0.3, -0.7]]), wt), bt))
-        scores = ad.matmul(r, ad.transpose(pt))
+        r = ad.linear(Tensor([[0.3, -0.7]]), wt, bt)
+        scores = _scores(mul(r, r), pt)
         pick = contrastive_loss(scores, [0], 1.0)
-        sharp = contrastive_loss(ad.mul(scores, Tensor(2.0)), [1], 1.0)
-        reg = sum_all(ad.tanh(ad.add(ad.mul(pt, pt), Tensor(0.1))))
-        return ad.add(ad.add(pick, sharp), reg), [wt, pt, bt]
+        sharp = contrastive_loss(ad.linear(scores, Tensor([[2.0, 0.0], [0.0, 2.0]]), bt), [1], 1.0)
+        reg = sum_all(mul(pt, pt))
+        return ad.weighted_sum([pick, sharp, reg], [1.0, 1.0, 0.1]), [wt, pt, bt]
 
     def loss_value() -> tuple[float]:
         with Tape():
@@ -285,22 +321,42 @@ def test_full_composite_loss_gradient_vs_finite_differences():
         assert oracles.relative_error(tensor.grad, numeric) < 1e-6
 
 
+def _weights(*shape):
+    """A fixed array of distinct weights, so a vjp that moves an entry shows."""
+    return np.linspace(-1.0, 2.0, int(np.prod(shape))).reshape(shape)
+
+
+PROTOTYPE_SHAPES = [(VOCAB.n_words, 6), (6, 4), (4,), (4, 4), (4,)]
+
+def _scores(reps, matrix):
+    return prototype_scores(reps, PrototypeMatrix(matrix, [], [], "", {}))
+
+
+# (id, loss of the input tensors, input shapes)
 PRIMITIVE_CASES = [
-    ("add", lambda t: sum_all(ad.add(t[0], t[1])), 2, (3, 2)),
-    ("mul", lambda t: sum_all(ad.mul(t[0], t[1])), 2, (3, 2)),
-    ("matmul", lambda t: sum_all(ad.matmul(t[0], ad.transpose(t[1]))), 2, (3, 2)),
-    ("concat", lambda t: sum_all(ad.mul(ad.concat([t[0], t[1]], axis=0), ad.concat([t[1], t[0]], axis=0))), 2, (3, 2)),
-    ("take_rows", lambda t: sum_all(ad.take_rows(t[0], [0, 2, 2])), 1, (3, 2)),
-    ("reshape", lambda t: sum_all(ad.mul(ad.reshape(t[0], (2, 3)), Tensor(np.arange(6.0).reshape(2, 3)))), 1, (3, 2)),
-    ("tanh", lambda t: sum_all(ad.tanh(t[0])), 1, (3, 2)),
-    ("contrastive", lambda t: contrastive_loss(t[0], [1, 0, 1], 0.7), 1, (3, 2)),
+    ("linear", lambda t: dot_all(ad.linear(*t), _weights(3, 4)), [(3, 2), (2, 4), (4,)]),
+    (
+        "weighted_sum",
+        lambda t: ad.weighted_sum([sum_all(mul(t[0], t[0])), dot_all(t[1], _weights(3, 2))], [0.7, -1.3]),
+        [(3, 2)] * 2,
+    ),
+    (
+        "concat",
+        lambda t: sum_all(mul(ad.concat([t[0], t[1]], axis=0), ad.concat([t[1], t[0]], axis=0))),
+        [(3, 2)] * 2,
+    ),
+    ("take_rows", lambda t: dot_all(ad.take_rows(t[0], [0, 2, 2]), _weights(3, 2)), [(3, 2)]),
+    ("final_states", lambda t: dot_all(final_states(t[0], [2, 3, 1]), _weights(3, 4)), [(9, 4)]),
+    ("scores", lambda t: dot_all(_scores(*t), _weights(3, 4)), [(3, 2), (4, 2)]),
+    ("prototypes", lambda t: dot_all(_prototypes(*t), _weights(5, 4)), PROTOTYPE_SHAPES),
+    ("contrastive", lambda t: contrastive_loss(t[0], [1, 0, 1], 0.7), [(3, 2)]),
 ]
 
 
-@pytest.mark.parametrize("name,fn,n_inputs,shape", PRIMITIVE_CASES, ids=[c[0] for c in PRIMITIVE_CASES])
-def test_primitive_gradients_match_finite_differences(name, fn, n_inputs, shape):
+@pytest.mark.parametrize("name,fn,shapes", PRIMITIVE_CASES, ids=[c[0] for c in PRIMITIVE_CASES])
+def test_primitive_gradients_match_finite_differences(name, fn, shapes):
     rng = make_rng(zlib.crc32(name.encode()))  # str hashes are salted per process
-    arrays = [rng.uniform(-1, 1, shape) for _ in range(n_inputs)]
+    arrays = [rng.uniform(-1, 1, shape) for shape in shapes]
 
     def run():
         tensors = [Tensor(a, requires_grad=True) for a in arrays]
@@ -327,13 +383,13 @@ def test_dropout_gradient_with_fixed_mask():
         x = Tensor(x_arr, requires_grad=True)
         with Tape():
             out = ad.dropout(x, 0.4, rng=make_rng(11), training=True)
-            return (sum_all(ad.mul(out, out)).item(),)
+            return (sum_all(mul(out, out)).item(),)
 
     fd = oracles.finite_difference_grads(loss_value, [x_arr])[0][0]
     x = Tensor(x_arr, requires_grad=True)
     with Tape() as tape:
         out = ad.dropout(x, 0.4, rng=make_rng(11), training=True)
-        loss = sum_all(ad.mul(out, out))
+        loss = sum_all(mul(out, out))
         ad.backward(loss, tape)
     assert oracles.relative_error(x.grad, fd) < 1e-6
 
@@ -344,8 +400,8 @@ def test_tape_replay_is_bit_identical():
         x = Tensor(rng.uniform(-1, 1, (4, 3)), requires_grad=True)
         w = Tensor(rng.uniform(-1, 1, (3, 3)), requires_grad=True)
         with Tape() as tape:
-            h = ad.dropout(ad.tanh(ad.matmul(x, w)), 0.2, rng=rng, training=True)
-            loss = sum_all(ad.mul(h, h))
+            h = ad.dropout(ad.linear(x, w, Tensor(np.zeros(3))), 0.2, rng=rng, training=True)
+            loss = sum_all(mul(h, h))
             ad.backward(loss, tape)
         return loss.item(), x.grad.copy(), w.grad.copy()
 

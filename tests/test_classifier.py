@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import os
 from collections import Counter
@@ -19,6 +20,7 @@ from pclc.classifier import (
     confusion_targets,
     contrastive_loss,
     predict_slot_type,
+    prototype_scores,
     smooth_distributions,
 )
 from pclc.data import SlotSchema, build_vocab, load_corpus, random_embeddings, split_leave_one_out
@@ -41,7 +43,7 @@ def _protos_from_matrix(matrix, n_source, n_target, target_domain="tgt"):
 
 def _scores(reps, protos):
     """(N, n_rows) dot products of entity rows `reps` with every prototype."""
-    return ad.matmul(Tensor(np.atleast_2d(reps)), ad.transpose(protos.matrix))
+    return prototype_scores(Tensor(np.atleast_2d(reps)), protos)
 
 
 def _pc(reps, protos, rows, tau=1.0):
@@ -108,7 +110,8 @@ def test_build_prototypes_is_mean_of_description_embeddings():
     protos = build_prototypes(schema, ["src_a", "src_b"], "tgt", vocab, table, mlp)
     ids = [vocab.word_index["artist"], vocab.word_index["name"]]
     name_emb = table.values[ids].mean(axis=0, keepdims=True)
-    expected = mlp(Tensor(name_emb)).values[0]
+    hidden = np.tanh(name_emb @ mlp.hidden_layer.w.values + mlp.hidden_layer.b.values)
+    expected = (hidden @ mlp.output_layer.w.values + mlp.output_layer.b.values)[0]
     assert np.allclose(protos.matrix.values[0], expected, atol=1e-12)
 
 
@@ -423,10 +426,10 @@ def test_confusion_loss_is_mean_of_per_entity_oracles(n_max):
         assert got >= -1e-12
 
 
-def test_default_batch_step_records_37_ops():
+def test_default_batch_step_records_21_ops():
     # 64-utterance batches at the criterion-6 dims with default losses: the
     # label space costs the same number of ops however many distinct gold
-    # slots a batch holds
+    # slots a batch holds, and each model-level op is one record
     corpus, schema = load_corpus(os.path.join(DATA_DIR, "transfer"))
     vocab = build_vocab(corpus, schema)
     split = split_leave_one_out(corpus, schema, "bus", seed=1)
@@ -435,21 +438,38 @@ def test_default_batch_step_records_37_ops():
         entity_hidden=24, proto_dim=24, dropout=0.1,
     )
     word_matrix = random_embeddings(vocab.n_words, config.word_dim, make_rng(1))
-    model = PclcModel(schema, "bus", vocab, word_matrix, config, make_rng(2))
+    want = {
+        "concat": 2, "confusion": 1, "contrastive": 1, "crf_nll": 1, "dropout": 1,
+        "final_states": 2, "linear": 2, "lstm": 3, "prototypes": 1, "scores": 1,
+        "take_rows": 4, "weighted_sum": 2,
+    }
     distinct_slots = set()
-    for lo in (0, 64, 128):
-        batch = split.train[lo : lo + 64]
-        distinct_slots.add(len({s for u in batch for s in u.slot_types if s}))
-        with Tape() as tape:
-            total_loss(batch, model, config, make_rng(3))
-        kinds = Counter(rec.kind for rec in tape.records)
-        assert sum(kinds.values()) == 37
-        assert kinds == {
-            "add": 6, "concat": 2, "confusion": 1, "contrastive": 1, "crf_nll": 1,
-            "dropout": 1, "lstm": 3, "matmul": 6, "mul": 3, "reshape": 4,
-            "take_rows": 7, "tanh": 1, "transpose": 1,
-        }
+    for layers, n_records in ((1, 21), (2, 23)):
+        # a second word BiLSTM layer adds its lstm record and the dropout before it
+        config = dataclasses.replace(config, layers=layers)
+        model = PclcModel(schema, "bus", vocab, word_matrix, config, make_rng(2))
+        for lo in (0, 64, 128):
+            batch = split.train[lo : lo + 64]
+            distinct_slots.add(len({s for u in batch for s in u.slot_types if s}))
+            with Tape() as tape:
+                total_loss(batch, model, config, make_rng(3))
+            kinds = Counter(rec.kind for rec in tape.records)
+            assert sum(kinds.values()) == n_records
+            assert kinds == want | {"lstm": 2 + layers, "dropout": layers}
     assert len(distinct_slots) > 1
+
+
+def test_prototype_scores_equal_the_product_with_a_copied_transpose():
+    # the product with the transposed view can round differently; training
+    # multiplies by the contiguous copy, bit for bit, as one record
+    rng = make_rng(9)
+    for n, n_rows, dim in [(1, 5, 8), (7, 12, 16), (40, 9, 24), (64, 30, 200)]:
+        reps = Tensor(rng.uniform(-1, 1, (n, dim)), requires_grad=True)
+        protos = _protos_from_matrix(rng.uniform(-1, 1, (n_rows, dim)), n_rows - 2, 2)
+        with Tape() as tape:
+            got = prototype_scores(reps, protos).values
+        assert [rec.kind for rec in tape.records] == ["scores"]
+        assert np.array_equal(got, reps.values @ protos.matrix.values.T.copy())
 
 
 # ---------------------------------------------------------------------------
@@ -534,10 +554,10 @@ def test_stage2_losses_gradient_vs_finite_differences():
 
     def terms(protos, r):
         # two source entities of gold row 1 and a target entity of gold row 4
-        scores = ad.matmul(r, ad.transpose(protos.matrix))
+        scores = prototype_scores(r, protos)
         pc = contrastive_loss(scores, [1, 4, 1], 0.7)
         kl = confusion_loss(scores, [1, 4, 1], [0, 2], protos, 0.6)
-        return pc, kl, ad.add(pc, ad.mul(kl, Tensor(0.8)))
+        return pc, kl, ad.weighted_sum([pc, kl], [1.0, 0.8])
 
     def losses():
         with Tape():

@@ -1,12 +1,13 @@
 import concurrent.futures
 import os
+import pathlib
 import subprocess
 import sys
 
 import pytest
 
 import oracles
-from conftest import DATA_DIR, REPO_ROOT, damaged_manifest
+from conftest import DATA_DIR, REPO_ROOT, damaged_manifest, fail_payload_writes
 from pclc import cli
 from pclc.cli import build_parser, main
 
@@ -330,6 +331,28 @@ def test_output_dir_naming_a_file_is_an_error(tmp_path, capsys):
         shown = capsys.readouterr()
         assert shown.out == ""
         assert shown.err == f"error: cannot create output directory {a_file}: File exists\n"
+
+
+def test_a_failed_checkpoint_write_is_an_error_and_keeps_the_earlier_one(
+    tmp_path, monkeypatch, capsys
+):
+    out = _train(tmp_path)
+    checkpoint = os.path.join(out, "checkpoint")
+    names = ("manifest.txt", "params.bin")
+    before = [pathlib.Path(checkpoint, n).read_bytes() for n in names]
+    capsys.readouterr()
+    fail_payload_writes(monkeypatch)
+    rc = main(
+        ["train", "--data-dir", os.path.join(DATA_DIR, "overfit"), "--target", "kitchen",
+         "--seed", "4", "--output-dir", out] + TOY_FLAGS
+    )
+    assert rc == 1
+    shown = capsys.readouterr()
+    full = "[Errno 28] No space left on device"
+    assert shown.err == f"error: cannot write checkpoint {checkpoint}: {full}\n"
+    monkeypatch.undo()
+    assert sorted(os.listdir(out)) == ["checkpoint", "effective.cfg", "split_manifest.txt", "train_log.txt"]
+    assert [pathlib.Path(checkpoint, n).read_bytes() for n in names] == before
 
 
 @pytest.mark.parametrize("sweep", [False, True], ids=["train", "sweep-lambda"])

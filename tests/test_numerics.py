@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import oracles
-from conftest import sum_all
+from conftest import dot_all
 from pclc import autodiff as ad
 from pclc.autodiff import Tape, Tensor
 from pclc.classifier import confusion_loss, contrastive_loss
@@ -41,15 +41,13 @@ def test_run_lstm_both_directions_stay_finite(scale):
         b.values = rng.uniform(-scale, scale, b.shape)
     x = Tensor(rng.uniform(-scale, scale, (4 * len(LENGTHS), 4)), requires_grad=True)
     params = [cell.w[0], cell.b[0], cell.w[1], cell.b[1]]
-    weights = Tensor(rng.uniform(-scale, scale, (4 * len(LENGTHS), 6)))
-    final_weights = Tensor(rng.uniform(-scale, scale, (len(LENGTHS), 6)))
+    weights = rng.uniform(-scale, scale, (4 * len(LENGTHS), 6))
+    final_weights = rng.uniform(-scale, scale, (len(LENGTHS), 6))
 
     def loss():
         out = run_lstm(cell, x, LENGTHS)
         finals = final_states(out, LENGTHS)
-        return ad.add(
-            sum_all(ad.mul(out, weights)), sum_all(ad.mul(finals, final_weights))
-        )
+        return ad.weighted_sum([dot_all(out, weights), dot_all(finals, final_weights)], [1.0, 1.0])
 
     out, grads = _grads_of(loss, [x] + params)
     assert np.isfinite(out.item())
@@ -110,7 +108,7 @@ def test_take_rows_scatter_stays_finite(scale):
     idx = [4, 0, 4, 2, 4, 0]
     weights = rng.uniform(-scale, scale, (len(idx), 3))
     _, (grad,) = _grads_of(
-        lambda: sum_all(ad.mul(ad.take_rows(a, idx), Tensor(weights))), [a]
+        lambda: dot_all(ad.take_rows(a, idx), weights), [a]
     )
     want = np.zeros((5, 3))
     np.add.at(want, idx, weights)

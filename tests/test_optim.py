@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import oracles
-from conftest import sum_all
+from conftest import add, mul, sum_all
 from pclc import autodiff as ad
 from pclc.autodiff import Tape, Tensor
 from pclc.errors import OptimError, TrainingDiverged
@@ -58,8 +58,8 @@ def test_hundred_steps_on_quadratic_approaches_minimum():
     adam = Adam({"p": p}, lr=0.1)
     for _ in range(100):
         with Tape() as tape:
-            diff = ad.add(p, Tensor([-3.0]))
-            loss = sum_all(ad.mul(diff, diff))
+            diff = add(p, Tensor([-3.0]))
+            loss = sum_all(mul(diff, diff))
             ad.backward(loss, tape)
         adam.step()
     assert abs(p.values[0] - 3.0) < 0.5

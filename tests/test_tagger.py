@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import oracles
-from conftest import DATA_DIR, crf_nll_one, sum_all, viterbi_one
+from conftest import DATA_DIR, crf_nll_one, dot_all, viterbi_one
 from pclc import autodiff as ad
 from pclc import tagger
 from pclc.autodiff import Tape, Tensor
@@ -400,7 +400,7 @@ def _char_grads(encoder, features, weights):
     for _, p in char_params:
         p.grad = None
     with Tape() as tape:
-        ad.backward(sum_all(ad.mul(features(), Tensor(weights))), tape)
+        ad.backward(dot_all(features(), weights), tape)
     return {n: p.grad.copy() for n, p in char_params}
 
 

@@ -1,5 +1,6 @@
 import dataclasses
 import os
+import pathlib
 import platform
 import resource
 import tempfile
@@ -10,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import DATA_DIR, TOY_CONFIG, build_toy_model, damaged_manifest
+from conftest import DATA_DIR, TOY_CONFIG, build_toy_model, damaged_manifest, fail_payload_writes
 from pclc import autodiff as ad
 from pclc.autodiff import Tape
 from pclc.data import build_vocab, load_corpus, random_embeddings, split_leave_one_out
@@ -534,6 +535,54 @@ def test_save_checkpoint_streams_the_payload(tmp_path):
     again = load_checkpoint(directory)
     for name, arr in params.items():
         assert np.array_equal(again.params[name], arr)
+
+
+def _small_checkpoint(value, epoch):
+    return Checkpoint(
+        params={"w": np.full((2, 3), value), "v": np.full(2, value)}, epoch=epoch,
+        best_val_f1=0.5, config_kv=["seed=1"], target_domain="kitchen",
+        word_vocab=[], char_vocab=[], proto_rows=[("source", "city")],
+    )
+
+
+def _checkpoint_bytes(directory):
+    return {n: pathlib.Path(directory, n).read_bytes() for n in ("manifest.txt", "params.bin")}
+
+
+@pytest.mark.parametrize("earlier", [False, True], ids=["new", "existing"])
+def test_failed_checkpoint_save_leaves_the_earlier_one(tmp_path, monkeypatch, earlier):
+    # the same names and shapes with other values: a new manifest beside the
+    # earlier payload would load without complaint
+    directory = os.path.join(tmp_path, "ckpt")
+    if earlier:
+        save_checkpoint(_small_checkpoint(1.0, 1), directory)
+        before = _checkpoint_bytes(directory)
+
+    fail_payload_writes(monkeypatch)
+    with pytest.raises(CheckpointError) as err:
+        save_checkpoint(_small_checkpoint(2.0, 2), directory)
+    assert str(err.value) == f"cannot write checkpoint {directory}: [Errno 28] No space left on device"
+    monkeypatch.undo()
+    assert os.listdir(tmp_path) == (["ckpt"] if earlier else [])
+    if earlier:
+        assert _checkpoint_bytes(directory) == before
+        again = load_checkpoint(directory)
+        assert again.epoch == 1
+        for name, arr in _small_checkpoint(1.0, 1).params.items():
+            assert np.array_equal(again.params[name], arr)
+
+
+def test_checkpoint_save_replaces_an_earlier_one(tmp_path):
+    # a killed save's staging directory is reused; nothing is left beside the checkpoint
+    directory = os.path.join(tmp_path, "ckpt")
+    save_checkpoint(_small_checkpoint(1.0, 1), directory)
+    os.makedirs(directory + ".saving")
+    with open(os.path.join(directory + ".saving", "params.bin"), "wb") as fh:
+        fh.write(b"partial")
+    save_checkpoint(_small_checkpoint(2.0, 2), directory + os.sep)
+    assert os.listdir(tmp_path) == ["ckpt"]
+    again = load_checkpoint(directory)
+    assert again.epoch == 2 and np.array_equal(again.params["w"], np.full((2, 3), 2.0))
 
 
 def test_checkpoint_truncated_payload_reports_counts(tmp_path, overfit_corpus, overfit_split):

@@ -8,9 +8,10 @@ each pair, alternating which of the two goes first, with seeds `--seed`,
 `--seed`+1, ... (both runs of a pair use the same seed). Prints, for every
 end-to-end metric in BENCHMARK.json, the median [lower quartile, upper
 quartile] of each side, the number of pairs the working tree won, the
-gap between the medians over the parent's interquartile range, the number
-of pairs whose two values are identical, and the largest relative
-difference within a pair (which 6 significant digits would hide). It also
+gap between the medians over the parent's interquartile range, the
+verdict (see `verdict`), the number of pairs whose two values are
+identical, and the largest relative difference within a pair (which 6
+significant digits would hide). It also
 keeps each run's record line (printed before the result line) and, for the
 record keys in RECORD_KEYS that both runs of a pair hold, prints how many
 pairs are identical: predict-paper's `predict_f1` and `spans_per_utt` show
@@ -105,12 +106,26 @@ def quartiles(values: list[float]) -> tuple[float, float, float]:
     return med, q1, q3
 
 
+def verdict(diffs: list[float], gap: float, iqr: float, n_run: int) -> str:
+    """`gain` when the change won at least nine tenths of the `n_run` pairs
+    (a tie counts for neither side) and its median beats the parent's by
+    more than the parent's interquartile range; `worse` in the mirror case;
+    otherwise `unresolved`. `diffs` (one per pair with both values) and
+    `gap` (between the medians) are signed so that positive favours the change."""
+    if 10 * sum(d > 0 for d in diffs) >= 9 * n_run and gap > iqr:
+        return "gain"
+    if 10 * sum(d < 0 for d in diffs) >= 9 * n_run and -gap > iqr:
+        return "worse"
+    return "unresolved"
+
+
 def summary(runs: dict[str, list[dict]], better: dict[str, str]) -> list[str]:
     parent, change = runs["parent"], runs["change"]
     out = [f"correct runs: parent {sum(r['correct'] for r in parent)}/{len(parent)}, "
            f"change {sum(r['correct'] for r in change)}/{len(change)}"]
     out.append(f"{'metric':<14} {'parent median [q1, q3]':>30} {'change median [q1, q3]':>30}"
-               f" {'ratio':>7} {'wins':>6} {'gap/IQR':>8} {'same':>6} {'max|rel|':>9}")
+               f" {'ratio':>7} {'wins':>6} {'gap/IQR':>8} {'verdict':>10} {'same':>6}"
+               f" {'max|rel|':>9}")
     for name, direction in better.items():
         pairs = [(p["metrics"][name], c["metrics"][name]) for p, c in zip(parent, change)
                  if name in p["metrics"] and name in c["metrics"]]
@@ -119,15 +134,18 @@ def summary(runs: dict[str, list[dict]], better: dict[str, str]) -> list[str]:
         pv, cv = [p for p, _ in pairs], [c for _, c in pairs]
         (pm, p1, p3), (cm, c1, c3) = quartiles(pv), quartiles(cv)
         sign = 1.0 if direction == "higher" else -1.0
-        wins = sum(sign * (c - p) > 0 for p, c in pairs)
-        iqr = p3 - p1
-        gap = f"{sign * (cm - pm) / iqr:8.2f}" if iqr > 0 else f"{'-':>8}"
+        diffs = [sign * (c - p) for p, c in pairs]
+        wins = sum(d > 0 for d in diffs)
+        iqr, lead = p3 - p1, sign * (cm - pm)
+        judged = verdict(diffs, lead, iqr, min(len(parent), len(change)))
+        gap = f"{lead / iqr:8.2f}" if iqr > 0 else f"{'-':>8}"
         ratio = f"{cm / pm:7.3f}" if pm else f"{'-':>7}"
         same = sum(p == c for p, c in pairs)
         rel = max(abs(c - p) / max(abs(p), abs(c)) if p != c else 0.0 for p, c in pairs)
         out.append(f"{name:<14} {f'{pm:.6g} [{p1:.6g}, {p3:.6g}]':>30} "
                    f"{f'{cm:.6g} [{c1:.6g}, {c3:.6g}]':>30} {ratio} "
-                   f"{f'{wins}/{len(pairs)}':>6} {gap} {f'{same}/{len(pairs)}':>6} {rel:9.2e}")
+                   f"{f'{wins}/{len(pairs)}':>6} {gap} {judged:>10} {f'{same}/{len(pairs)}':>6}"
+                   f" {rel:9.2e}")
     for key in RECORD_KEYS:
         pairs = [(p["record"][key], c["record"][key]) for p, c in zip(parent, change)
                  if key in p.get("record", {}) and key in c.get("record", {})]

@@ -139,10 +139,11 @@ def _train_and_write(cfg: TrainConfig):
         cfg.embeddings or None, vocab, cfg.word_dim, cfg.seed,
         require_pretrained=cfg.require_pretrained,
     )
+    result = train_run(split, schema, vocab, table.matrix, cfg)
+    # the checkpoint first: a rerun that fails before it leaves the earlier run's files
+    save_checkpoint(result.checkpoint, checkpoint_dir)
     _write_lines(os.path.join(out_dir, "effective.cfg"), config_to_kv(cfg))
     write_split_manifest(split, os.path.join(out_dir, "split_manifest.txt"))
-    result = train_run(split, schema, vocab, table.matrix, cfg)
-    save_checkpoint(result.checkpoint, checkpoint_dir)
     _write_lines(os.path.join(out_dir, "train_log.txt"), result.log_lines)
     print(
         f"trained target={cfg.target} epochs={result.checkpoint.epoch} "

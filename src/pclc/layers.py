@@ -9,6 +9,8 @@ direction's input projection is one matmul over sum(lengths) rows, each step
 of the recurrence is one contiguous block, and its vjp is backpropagation
 through time over the same packed rows. The backward direction reads each
 sequence reversed through a row index, so no caller reverses anything.
+Given a row index into an input that many positions share, the projection
+runs over the shared rows instead.
 """
 
 from __future__ import annotations
@@ -66,7 +68,9 @@ def _sigmoid_(z: np.ndarray) -> None:
     np.reciprocal(z, out=z)
 
 
-def run_lstm(cell: BiLstm, x: Tensor, lengths: list[int]) -> Tensor:
+def run_lstm(
+    cell: BiLstm, x: Tensor, lengths: list[int], index: np.ndarray | None = None
+) -> Tensor:
     """Run the BiLSTM `cell` over a padded batch of sequences as one tape record.
 
     `x` is ((t_max * B), in_dim) with row t*B + b holding step t of sequence
@@ -82,12 +86,22 @@ def run_lstm(cell: BiLstm, x: Tensor, lengths: list[int]) -> Tensor:
     shares this packing: it reads `x` through the row involution `rev`,
     which swaps (b, t) and (b, L_b-1-t) and fixes padded rows. Untaped, one
     direction's buffers are freed before the other's are made.
+
+    With `index`, a ((t_max * B),) integer array, the input of row r is
+    `x[index[r]]`: `x` holds rows that many positions share (one per
+    distinct token), each direction projects them once and gathers the
+    gate rows, and the vjp scatter-adds into the repeated rows.
     """
     if not lengths or min(lengths) < 1:
         raise ShapeError(f"run_lstm: every length must be >= 1, got {lengths}")
     t_max, batch, n_in, hid = max(lengths), len(lengths), cell.in_dim, cell.hidden
-    if x.shape != (t_max * batch, n_in):
+    n_rows = t_max * batch if index is None else x.shape[0]
+    if x.shape != (n_rows, n_in):
         raise ShapeError(f"run_lstm: input {x.shape} does not fit lengths {lengths} x {n_in}")
+    if index is not None:
+        index = np.asarray(index, dtype=np.intp)
+        if index.shape != (t_max * batch,) or index.min() < 0 or index.max() >= n_rows:
+            raise ShapeError(f"run_lstm: index does not fit lengths {lengths} and {n_rows} rows")
     lens, steps = np.asarray(lengths), np.arange(t_max)[:, None]
     order = np.argsort(-lens, kind="stable")
     live = lens[order] > steps  # live[t, j]: the j-th longest sequence has step t
@@ -105,7 +119,11 @@ def run_lstm(cell: BiLstm, x: Tensor, lengths: list[int]) -> Tensor:
         """Run direction k over `x[rows]` into column block k of `out`; its vjp if taped."""
         w_x, w_h = cell.w[k].values[:n_in], cell.w[k].values[n_in:]
         x_rows = rows[src]
-        gates = x.values[x_rows] @ w_x
+        if index is None:
+            gates = x.values[x_rows] @ w_x
+        else:
+            x_rows = index[x_rows]
+            gates = (x.values @ w_x)[x_rows]
         gates += cell.b[k].values
         i, f, g, o = (gates[:, j * hid : (j + 1) * hid] for j in range(4))
         hs = np.empty((src.size, hid))
@@ -178,7 +196,10 @@ def run_lstm(cell: BiLstm, x: Tensor, lengths: list[int]) -> Tensor:
             dw = np.empty_like(cell.w[k].values)
             np.matmul(x.values[x_rows].T, dz, out=dw[:n_in])
             np.matmul(hs[prev_rows].T, dz[n0:], out=dw[n_in:])
-            dx[x_rows] += dz @ w_x.T  # x_rows holds no row twice
+            if index is None:
+                dx[x_rows] += dz @ w_x.T  # x_rows holds no row twice
+            else:
+                dx += ad.scatter_rows(x.shape, x_rows, dz @ w_x.T)
             return dw, dz.sum(axis=0)
 
         return vjp

@@ -46,6 +46,18 @@ class EncodedBatch:
         return t * self.batch_size + b
 
 
+def _token_rows(utterances: list[Utterance]) -> tuple[list[str], np.ndarray]:
+    """The batch's distinct tokens in order of first occurrence, and each
+    position's index into them, ((t_max * B),) in `EncodedBatch` row layout;
+    padded positions hold len(tokens), the pad row after the last token."""
+    index: dict[str, int] = {}
+    row_of = [[index.setdefault(t, len(index)) for t in utt.tokens] for utt in utterances]
+    rows = np.full((max(map(len, row_of)), len(row_of)), len(index), dtype=np.intp)
+    for b, r in enumerate(row_of):
+        rows[: len(r), b] = r
+    return list(index), rows.reshape(-1)
+
+
 class Encoder:
     """Concatenated word + char-BiLSTM embeddings fed to a stacked BiLSTM."""
 
@@ -73,17 +85,13 @@ class Encoder:
             params += lstm.parameters()
         return params
 
-    def _char_features(self, utterances, vocab) -> tuple[Tensor, list[list[int]]]:
+    def _char_features(self, tokens: list[str], vocab) -> Tensor:
         """Char-BiLSTM final states, one row per distinct token of the batch.
 
         A token's states depend only on its spelling, so each is computed
-        once. Returns the ((n_distinct+1), 2*char_hidden) matrix, rows in
-        order of first occurrence and a zero pad row last, and, per
-        utterance, each token's row index in it.
+        once. Returns the ((len(tokens)+1), 2*char_hidden) matrix, rows in
+        the order of `tokens` and a zero pad row last.
         """
-        index: dict[str, int] = {}
-        row_of = [[index.setdefault(t, len(index)) for t in utt.tokens] for utt in utterances]
-        tokens = list(index)
         char_lengths = [len(t) for t in tokens]
         char_ids = np.full((max(char_lengths), len(tokens)), PAD_INDEX, dtype=np.intp)
         for j, token in enumerate(tokens):
@@ -91,7 +99,7 @@ class Encoder:
         x = ad.take_rows(self.char_table, char_ids.reshape(-1))
         char_final = final_states(run_lstm(self.char_lstm, x, char_lengths), char_lengths)
         zero_row = Tensor(np.zeros((1, 2 * self.config.char_hidden)))
-        return ad.concat([char_final, zero_row], axis=0), row_of
+        return ad.concat([char_final, zero_row], axis=0)
 
     def encode_batch(
         self, utterances: list[Utterance], vocab: Vocab, training: bool, rng=None
@@ -103,22 +111,19 @@ class Encoder:
         lengths = [len(u.tokens) for u in utterances]
         t_max = max(lengths)
 
-        char_mat, char_rows = self._char_features(utterances, vocab)
-        pad_char_row = char_mat.shape[0] - 1
-
-        word_ids = np.full((t_max, batch), PAD_INDEX, dtype=np.intp)
-        char_row_ids = np.full((t_max, batch), pad_char_row, dtype=np.intp)
-        for b, utt in enumerate(utterances):
-            for t, token in enumerate(utt.tokens):
-                word_ids[t, b] = vocab.word_id(token)
-                char_row_ids[t, b] = char_rows[b][t]
-
-        word_x = ad.take_rows(self.word_table, word_ids.reshape(-1))
-        char_x = ad.take_rows(char_mat, char_row_ids.reshape(-1))
-        x = ad.dropout(ad.concat([word_x, char_x], axis=1), cfg.dropout, rng=rng, training=training)
+        tokens, rows = _token_rows(utterances)
+        char_mat = self._char_features(tokens, vocab)
+        token_words = np.array([vocab.word_id(t) for t in tokens] + [PAD_INDEX], dtype=np.intp)
+        if training:  # dropout draws its mask per position: one input row each
+            word_x = ad.take_rows(self.word_table, token_words[rows])
+            x, index = ad.concat([word_x, ad.take_rows(char_mat, rows)], axis=1), None
+        else:  # one input row per distinct token, which run_lstm gathers
+            x = ad.concat([ad.take_rows(self.word_table, token_words), char_mat], axis=1)
+            index = rows
+        x = ad.dropout(x, cfg.dropout, rng=rng, training=training)
 
         for layer_idx, lstm in enumerate(self.layers):
-            x = run_lstm(lstm, x, lengths)
+            x = run_lstm(lstm, x, lengths, index if layer_idx == 0 else None)
             if layer_idx + 1 < len(self.layers):
                 x = ad.dropout(x, cfg.dropout, rng=rng, training=training)
 

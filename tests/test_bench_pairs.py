@@ -1,6 +1,6 @@
 """`scripts/bench_pairs.py` keeps every finished pair when a run fails, keeps
 each run's record, and its summary shows differences that 6 significant
-digits hide."""
+digits hide and a verdict per metric."""
 
 import importlib.util
 import json
@@ -120,3 +120,24 @@ def test_summary_counts_pairs_with_identical_record_keys():
     train = {side: [{"correct": True, "metrics": {"utt_per_s": 1.0}, "record": {}}]
              for side in ("parent", "change")}
     assert not any(line.startswith("record") for line in bench_pairs.summary(train, {}))
+
+
+def test_verdict_needs_nine_tenths_of_the_pairs_and_a_gap_beyond_the_parents_iqr():
+    parent = [100.0, 101.0, 102.0, 103.0, 104.0, 105.0, 106.0, 107.0, 108.0, 109.0]
+
+    def judged(change, direction="higher", drop=0):
+        runs = {side: [{"correct": True, "metrics": {"m": v}} for v in values]
+                for side, values in (("parent", parent), ("change", change))}
+        for run in runs["change"][:drop]:  # failed runs: no metric, no win
+            run.update(correct=False, metrics={})
+        row = bench_pairs.summary(runs, {"m": direction})[2].split()
+        return row[-3]
+
+    faster = [v + 10.0 for v in parent]  # the parent's IQR is 4.5
+    assert judged(faster) == "gain"
+    assert judged(faster, "lower") == "worse"
+    assert judged(faster[:9] + [parent[9]]) == "gain"  # 9 wins and a tie
+    assert judged(faster[:8] + parent[8:]) == "unresolved"  # 8 wins, 2 ties
+    assert judged(faster, drop=2) == "unresolved"  # 8 wins of the 10 pairs run
+    assert judged([v + 3.0 for v in parent]) == "unresolved"  # 10 wins, gap 3 < IQR
+    assert judged([v - 10.0 for v in parent]) == "worse"

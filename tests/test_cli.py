@@ -336,10 +336,15 @@ def test_output_dir_naming_a_file_is_an_error(tmp_path, capsys):
 def test_a_failed_checkpoint_write_is_an_error_and_keeps_the_earlier_one(
     tmp_path, monkeypatch, capsys
 ):
+    # the whole run directory stays the earlier run's, its config included
     out = _train(tmp_path)
     checkpoint = os.path.join(out, "checkpoint")
-    names = ("manifest.txt", "params.bin")
-    before = [pathlib.Path(checkpoint, n).read_bytes() for n in names]
+    names = (
+        "checkpoint/manifest.txt", "checkpoint/params.bin",
+        "effective.cfg", "split_manifest.txt", "train_log.txt",
+    )
+    before = [pathlib.Path(out, n).read_bytes() for n in names]
+    assert "seed=3\n" in before[2].decode()
     capsys.readouterr()
     fail_payload_writes(monkeypatch)
     rc = main(
@@ -352,7 +357,7 @@ def test_a_failed_checkpoint_write_is_an_error_and_keeps_the_earlier_one(
     assert shown.err == f"error: cannot write checkpoint {checkpoint}: {full}\n"
     monkeypatch.undo()
     assert sorted(os.listdir(out)) == ["checkpoint", "effective.cfg", "split_manifest.txt", "train_log.txt"]
-    assert [pathlib.Path(checkpoint, n).read_bytes() for n in names] == before
+    assert [pathlib.Path(out, n).read_bytes() for n in names] == before
 
 
 @pytest.mark.parametrize("sweep", [False, True], ids=["train", "sweep-lambda"])

@@ -104,6 +104,42 @@ def test_run_lstm_gradients_match_finite_differences():
             assert oracles.relative_error(analytic, numeric) < 1e-6
 
 
+def test_run_lstm_with_a_repeating_index_matches_finite_differences():
+    # inference feeds the first word layer one row per distinct token and a
+    # per-position index into them; rows repeat, so the gradient of a shared
+    # row sums every position that reads it
+    rng = make_rng(28)
+    repeats = 0
+    for kind in KINDS * 2:
+        cell, x, lengths = _ragged_lstm(rng, kind)
+        shared = rng.uniform(-2, 2, (4, cell.in_dim))
+        index = rng.integers(0, len(shared), x.shape[0])
+        live = np.setdiff1d(np.arange(x.shape[0]), _padded_rows(lengths))
+        repeats += len(live) - len(set(index[live].tolist()))
+        weights = rng.uniform(-1, 1, (x.shape[0], 2 * cell.hidden))
+        final_weights = rng.uniform(-1, 1, (len(lengths), 2 * cell.hidden))
+        params = _params(cell)
+
+        def loss_value():
+            out = run_lstm(cell, Tensor(shared), lengths, index)
+            finals = final_states(out, lengths).values
+            return (float((out.values * weights).sum() + (finals * final_weights).sum()),)
+
+        fd = oracles.finite_difference_grads(loss_value, [shared] + [p.values for p in params])[0]
+        st = Tensor(shared, requires_grad=True)
+        with Tape() as tape:
+            out = run_lstm(cell, st, lengths, index)
+            loss = ad.weighted_sum(
+                [dot_all(out, weights), dot_all(final_states(out, lengths), final_weights)], [1.0, 1.0]
+            )
+            ad.backward(loss, tape)
+        for analytic, numeric in zip([st.grad] + [p.grad for p in params], fd):
+            assert oracles.relative_error(analytic, numeric) < 1e-6
+        per_position = run_lstm(cell, Tensor(shared[index]), lengths).values
+        assert np.abs(out.values - per_position).max() < 1e-12
+    assert repeats > 0
+
+
 def test_run_lstm_padding_gets_exactly_zero_gradient():
     rng = make_rng(22)
     for kind in ("ragged", "one_long"):
@@ -225,6 +261,9 @@ def test_run_lstm_rejects_inconsistent_inputs():
         run_lstm(cell, Tensor(np.zeros((6, 4))), [3, 2])  # wrong input width
     with pytest.raises(ShapeError):
         run_lstm(cell, Tensor(np.zeros((6, 3))), [3, 0])
+    for index in ([0, 1, 2, 0, 1], [0, 1, 2, 0, 1, 4], [0, 1, 2, 0, 1, -1]):
+        with pytest.raises(ShapeError):  # 5 entries, then a row past the 4, then a negative one
+            run_lstm(cell, Tensor(np.zeros((4, 3))), [3, 2], index)
 
 
 def test_batch_loss_records_one_lstm_op_per_bilstm():

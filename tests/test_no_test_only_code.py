@@ -1,62 +1,88 @@
 """No `src/` definition has tests as its only callers.
 
 Every module-level function and class in `src/pclc`, and every method that
-is not a dunder, must be named as a whole word somewhere other than its own
-`def`/`class` line: in `src/pclc` (not counting the import list of
-`__init__.py`), `scripts/` or `perfbench/`. A helper that only tests still
-call fails here, so it is deleted together with its last caller in `src/`.
+is not a dunder, must be used by code outside its own definition: named by
+a `Name` or `Attribute` node (f-string expressions included) of a Python
+file in `src/pclc`, `scripts/` or `perfbench/`. Comments, string literals
+and import lists do not count, nor do attributes of `np`, `numpy` and
+`math`, so `np.tanh` does not keep a `def tanh` alive. A helper that only
+tests still call fails here, so it is deleted together with its last caller
+in `src/`.
+
+`perfbench/` is code outside tests for this purpose: while
+`perfbench/test_perfbench.py` calls `ad.add`, a restored `def add` in
+`autodiff.py` passes this check.
 """
 
 import ast
 import glob
 import os
-import re
 
 from conftest import REPO_ROOT
 
 SRC = os.path.join(REPO_ROOT, "src", "pclc")
-
-
-def _import_lines(tree) -> set[int]:
-    lines: set[int] = set()
-    for node in tree.body:
-        if isinstance(node, (ast.Import, ast.ImportFrom)):
-            lines.update(range(node.lineno, node.end_lineno + 1))
-    return lines
+LIBRARIES = {"np", "numpy", "math"}
 
 
 def _definitions(tree):
-    """(name, line of its def/class) for module-level functions and classes
-    and the non-dunder methods of those classes."""
+    """Module-level functions and classes and the non-dunder methods of
+    those classes, as (name, first line, last line)."""
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-            yield node.name, node.lineno
+            yield node.name, node.lineno, node.end_lineno
         if isinstance(node, ast.ClassDef):
             for item in node.body:
                 if isinstance(item, ast.FunctionDef) and not item.name.startswith("__"):
-                    yield item.name, item.lineno
+                    yield item.name, item.lineno, item.end_lineno
+
+
+def _uses(tree):
+    """(name, line) of every `Name` node and of every `Attribute` node that
+    is not an attribute of a numeric library module."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id, node.lineno
+        elif isinstance(node, ast.Attribute):
+            owner = node.value
+            if not (isinstance(owner, ast.Name) and owner.id in LIBRARIES):
+                yield node.attr, node.lineno
+
+
+def _parse(path):
+    with open(path, encoding="utf-8") as fh:
+        return ast.parse(fh.read(), filename=path)
 
 
 def test_every_src_definition_has_a_caller_outside_tests():
-    lines: list[tuple[str, int, str]] = []  # (path, line number, text)
-    definitions: list[tuple[str, str, int]] = []  # (name, path, def line)
-    for path in sorted(glob.glob(os.path.join(SRC, "*.py"))):
-        with open(path, encoding="utf-8") as fh:
-            text = fh.read()
-        tree = ast.parse(text, filename=path)
-        skip = _import_lines(tree) if os.path.basename(path) == "__init__.py" else set()
-        lines += [(path, n, t) for n, t in enumerate(text.splitlines(), 1) if n not in skip]
-        definitions += [(name, path, n) for name, n in _definitions(tree)]
+    uses: dict[str, list[tuple[str, int]]] = {}  # name -> (path, line) of each use
+    definitions: list[tuple[str, str, int, int]] = []  # (name, path, first, last line)
+    paths = sorted(glob.glob(os.path.join(SRC, "*.py")))
     for folder in ("scripts", "perfbench"):
-        for path in sorted(glob.glob(os.path.join(REPO_ROOT, folder, "*"))):
-            if path.endswith((".py", ".sh")):
-                with open(path, encoding="utf-8") as fh:
-                    lines += [(path, n, t) for n, t in enumerate(fh.read().splitlines(), 1)]
+        paths += sorted(glob.glob(os.path.join(REPO_ROOT, folder, "*.py")))
+    for path in paths:
+        tree = _parse(path)
+        if path.startswith(SRC):
+            definitions += [(name, path, lo, hi) for name, lo, hi in _definitions(tree)]
+        for name, line in _uses(tree):
+            uses.setdefault(name, []).append((path, line))
     assert definitions
 
-    uncalled = []
-    for name, path, lineno in definitions:
-        word = re.compile(rf"\b{re.escape(name)}\b")
-        if not any(word.search(t) for p, n, t in lines if (p, n) != (path, lineno)):
-            uncalled.append(f"{os.path.relpath(path, REPO_ROOT)}:{lineno}: {name}")
-    assert not uncalled, "defined in src/ but named nowhere outside tests:\n" + "\n".join(uncalled)
+    uncalled = [
+        f"{os.path.relpath(path, REPO_ROOT)}:{lo}: {name}"
+        for name, path, lo, hi in definitions
+        if not any(p != path or not lo <= n <= hi for p, n in uses.get(name, []))
+    ]
+    assert not uncalled, "defined in src/ but used nowhere outside tests:\n" + "\n".join(uncalled)
+
+
+def _unused(source: str, name: str) -> bool:
+    tree = ast.parse(source)
+    (lo, hi), = [(a, b) for n, a, b in _definitions(tree) if n == name]
+    return not any(n == name and not lo <= line <= hi for n, line in _uses(tree))
+
+
+def test_only_code_counts_as_a_use():
+    comment = "def tanh(x):\n    return tanh(x)\n\n# tanh\ny = np.tanh(1.0)\nz = 'tanh'\n"
+    assert _unused(comment, "tanh")  # its own body, a comment, np.tanh and a string
+    assert not _unused("def fmt(v):\n    return v\n\ns = f'{fmt(1)}'\n", "fmt")
+    assert not _unused("def add(a, b):\n    pass\n\nad.add(1, 2)\n", "add")

@@ -10,6 +10,7 @@ from pclc import autodiff as ad
 from pclc import tagger
 from pclc.autodiff import Tape, Tensor
 from pclc.data import (
+    PAD_INDEX,
     UNK_INDEX,
     Utterance,
     build_vocab,
@@ -394,6 +395,47 @@ def test_encode_batch_matches_single_utterance_eval(overfit_corpus):
         assert np.allclose(enc.hidden.values[rows], single.values, atol=1e-12)
 
 
+def _per_position_hidden(encoder, batch, vocab):
+    """The word BiLSTM states built from one input row per position, as
+    training builds them: each position's word vector and char states."""
+    lengths, n = [len(u.tokens) for u in batch], len(batch)
+    tokens = list(dict.fromkeys(t for u in batch for t in u.tokens))
+    char_mat = encoder._char_features(tokens, vocab).values
+    word_ids = np.full((max(lengths), n), PAD_INDEX, dtype=np.intp)
+    char_rows = np.full((max(lengths), n), len(tokens), dtype=np.intp)
+    for b, utt in enumerate(batch):
+        for t, token in enumerate(utt.tokens):
+            word_ids[t, b], char_rows[t, b] = vocab.word_id(token), tokens.index(token)
+    x = Tensor(np.concatenate(
+        [encoder.word_table.values[word_ids.reshape(-1)], char_mat[char_rows.reshape(-1)]], axis=1
+    ))
+    for lstm in encoder.layers:
+        x = run_lstm(lstm, x, lengths)
+    return x.values
+
+
+@pytest.mark.parametrize("dims", ["criterion-6", "paper"])
+def test_eval_encoding_from_distinct_tokens_matches_the_per_position_build(dims):
+    # at inference the first word layer projects each distinct token once;
+    # that changes the projection's row count, so the states agree to a
+    # tolerance, not to the bit
+    corpus, schema = load_corpus(os.path.join(DATA_DIR, "transfer"))
+    vocab = build_vocab(corpus, schema)
+    config = TrainConfig()
+    if dims == "criterion-6":
+        config = TrainConfig(word_dim=24, char_dim=8, char_hidden=8, hidden=24, layers=1)
+    word_matrix = random_embeddings(vocab.n_words, config.word_dim, make_rng(1))
+    encoder = Encoder(vocab, word_matrix, config, make_rng(2))
+    lo = 0
+    for size in (1, 3, 7, 64):
+        batch = corpus[lo : lo + size]
+        lo += size
+        got = encoder.encode_batch(batch, vocab, training=False).hidden.values
+        want = _per_position_hidden(encoder, batch, vocab)
+        assert got.shape == want.shape
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
 def _char_grads(encoder, features, weights):
     """Gradients of sum(weights * features()) on the encoder's char parameters."""
     char_params = [(n, p) for n, p in encoder.parameters() if n.startswith("char_")]
@@ -427,14 +469,18 @@ def test_char_features_run_once_per_distinct_token(overfit_corpus, monkeypatch):
         return run_lstm(cell, x, lengths)
 
     monkeypatch.setattr(tagger, "run_lstm", spy)
+    tokens, rows = tagger._token_rows(batch)
+    assert tokens == distinct
     with Tape() as tape:
-        char_mat, row_of = encoder._char_features(batch, vocab)
+        char_mat = encoder._char_features(tokens, vocab)
     assert [rec.kind for rec in tape.records].count("lstm") == 1
     assert lstm_rows == [(encoder.char_lstm, len(distinct) * c_max)]
     assert char_mat.shape == (len(distinct) + 1, 2 * config.char_hidden)
     assert not char_mat.values[-1].any()  # the zero pad row is last
-    flat_rows = [r for rs in row_of for r in rs]
+    live = [t * len(batch) + b for b, u in enumerate(batch) for t in range(len(u.tokens))]
+    flat_rows = rows[live].tolist()
     assert [distinct[r] for r in flat_rows] == occurrences
+    assert np.all(np.delete(rows, live) == len(distinct))  # padded positions read the pad row
 
     reference = oracles.per_occurrence_char_features(encoder, batch, vocab)
     got = char_mat.values[flat_rows]
@@ -443,8 +489,7 @@ def test_char_features_run_once_per_distinct_token(overfit_corpus, monkeypatch):
     weights = make_rng(6).uniform(-1, 1, got.shape)
 
     def deduplicated():
-        mat, rows_of = encoder._char_features(batch, vocab)
-        return ad.take_rows(mat, [r for rs in rows_of for r in rs])
+        return ad.take_rows(encoder._char_features(tokens, vocab), flat_rows)
 
     got_grads = _char_grads(encoder, deduplicated, weights)
     want_grads = _char_grads(

@@ -2,6 +2,7 @@
 with dynamic label confusion, on a self-contained float64 autodiff core."""
 
 from .autodiff import Tape, Tensor, backward
+from .checkpoint import Checkpoint, load_checkpoint, model_from_checkpoint, save_checkpoint
 from .classifier import (
     PrototypeMatrix,
     build_prototypes,
@@ -11,6 +12,7 @@ from .classifier import (
     predict_slot_type,
     smooth_distributions,
 )
+from .config import TrainConfig
 from .data import (
     ExperimentSplit,
     SlotSchema,
@@ -28,15 +30,6 @@ from .evaluate import EvalReport, SpanPrediction, export_prototypes, seen_unseen
 from .model import PclcModel
 from .optim import Adam
 from .tagger import CrfLayer, crf_nll_batch, extract_spans, viterbi_decode_batch
-from .trainer import (
-    Checkpoint,
-    TrainConfig,
-    early_stop_check,
-    evaluate_split,
-    load_checkpoint,
-    save_checkpoint,
-    total_loss,
-    train_run,
-)
+from .trainer import early_stop_check, evaluate_split, total_loss, train_run
 
 __version__ = "0.1.0"

@@ -16,6 +16,8 @@ import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 
+from .checkpoint import load_checkpoint, model_from_checkpoint, save_checkpoint
+from .config import _ALIASES, TrainConfig, config_from_kv, config_to_kv, read_kv
 from .data import (
     DataFormatError,
     Utterance,
@@ -30,41 +32,9 @@ from .data import (
 )
 from .errors import CheckpointError, ConfigError, PclcError
 from .evaluate import EvalReport, export_prototypes
-from .trainer import (
-    TrainConfig,
-    config_from_kv,
-    config_to_kv,
-    evaluate_split,
-    load_checkpoint,
-    model_from_checkpoint,
-    save_checkpoint,
-    train_run,
-)
+from .trainer import evaluate_split, train_run
 
 OUTPUT_ROOT_ENV = "PCLC_OUTPUT_ROOT"
-
-
-_ALIASES = {"lambda": "confusion_lambda", "tau": "temperature", "alpha": "kl_weight"}
-
-
-def _read_config_file(path: str) -> dict[str, str]:
-    if not os.path.exists(path):
-        raise ConfigError(f"config file not found: {path}")
-    pairs: dict[str, str] = {}
-    line_of: dict[str, int] = {}
-    for lineno, line in enumerate(text_lines(path, ConfigError), start=1):
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        if "=" not in line:
-            raise ConfigError(f"{path}:{lineno}: expected key=value, got {line!r}")
-        key, value = (part.strip() for part in line.split("=", 1))
-        key = _ALIASES.get(key, key)
-        if key in line_of:
-            raise ConfigError(f"{path}:{lineno}: config key {key!r} repeats line {line_of[key]}")
-        line_of[key] = lineno
-        pairs[key] = value
-    return pairs
 
 
 def _add_override_flags(parser: argparse.ArgumentParser, names: tuple[str, ...] = ()) -> None:
@@ -80,14 +50,18 @@ def _add_override_flags(parser: argparse.ArgumentParser, names: tuple[str, ...] 
 
 
 def _build_config(args: argparse.Namespace) -> TrainConfig:
-    pairs: dict[str, str] = {}
-    if getattr(args, "config", None):
-        pairs.update(_read_config_file(args.config))
+    """The config file's entries, then each flag given as an entry on line 0."""
+    path = getattr(args, "config", None) or ""
+    entries: dict[str, tuple[int, str]] = {}
+    if path:
+        if not os.path.exists(path):
+            raise ConfigError(f"config file not found: {path}")
+        entries = read_kv(enumerate(text_lines(path, ConfigError), start=1), path, "config")
     for field in dataclasses.fields(TrainConfig):
         value = getattr(args, f"cfg_{field.name}", None)
         if value is not None:
-            pairs[field.name] = value
-    return config_from_kv(TrainConfig, pairs)
+            entries[field.name] = (0, value)
+    return config_from_kv(entries, path)
 
 
 def _resolve_output_dir(cfg: TrainConfig) -> str:

@@ -7,21 +7,17 @@ dropout come from the run's `TrainConfig`, the one config record.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
-
 import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
 from .classifier import EntityEncoder, PrototypeMatrix, build_prototypes, predict_slot_type
+from .config import TrainConfig
 from .data import SlotSchema, Utterance, Vocab
 from .errors import ShapeError
 from .evaluate import SpanPrediction
 from .layers import Linear, Mlp
 from .tagger import CrfLayer, EncodedBatch, Encoder, N_TAGS, extract_spans, viterbi_decode_batch
-
-if TYPE_CHECKING:  # trainer imports this module
-    from .trainer import TrainConfig
 
 
 class PclcModel:

@@ -11,12 +11,12 @@ utterance is a batch of one.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
+from .config import TrainConfig
 from .data import PAD_INDEX, Utterance, Vocab
 from .errors import ShapeError
 from .layers import BiLstm, final_states, run_lstm
@@ -24,9 +24,6 @@ from .layers import BiLstm, final_states, run_lstm
 N_TAGS = 3
 O_IDX, B_IDX, I_IDX = 0, 1, 2
 TAG_NAMES = ("O", "B", "I")
-
-if TYPE_CHECKING:  # trainer imports this module
-    from .trainer import TrainConfig
 
 
 @dataclass

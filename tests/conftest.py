@@ -10,7 +10,8 @@ from pclc.model import PclcModel
 from pclc.rng import make_rng
 from pclc.synthetic import overfit_utterances, transfer_utterances
 from pclc.tagger import crf_nll_batch, viterbi_decode_batch
-from pclc.trainer import Checkpoint, TrainConfig, save_checkpoint
+from pclc.checkpoint import Checkpoint, save_checkpoint
+from pclc.config import TrainConfig
 
 REPO_ROOT = os.path.abspath(os.path.join(os.path.dirname(__file__), ".."))
 DATA_DIR = os.path.join(REPO_ROOT, "data")
@@ -119,7 +120,7 @@ def fail_payload_writes(monkeypatch):
         fh = open(path, mode, **kwargs)
         return _FullDisk(fh) if os.path.basename(path) == "params.bin" else fh
 
-    monkeypatch.setattr("pclc.trainer.open", failing_open, raising=False)
+    monkeypatch.setattr("pclc.checkpoint.open", failing_open, raising=False)
 
 
 def damaged_manifest(directory, old, new):
@@ -128,7 +129,7 @@ def damaged_manifest(directory, old, new):
     the 1-based number of that line."""
     ckpt = Checkpoint(
         params={"w": np.arange(6.0).reshape(2, 3), "v": np.array([6.0, 7.0])},
-        epoch=2, best_val_f1=0.5, config_kv=["seed=1"], target_domain="kitchen",
+        epoch=2, best_val_f1=0.5, config=TrainConfig(), target_domain="kitchen",
         word_vocab=[], char_vocab=[], proto_rows=[("source", "city")],
     )
     save_checkpoint(ckpt, directory)

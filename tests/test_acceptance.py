@@ -22,19 +22,15 @@ from pclc.classifier import (
     prototype_scores,
     smooth_distributions,
 )
+from pclc.checkpoint import model_from_checkpoint
 from pclc.cli import main
+from pclc.config import TrainConfig
 from pclc.data import SlotSchema, Utterance, build_vocab, load_corpus, random_embeddings, split_leave_one_out
 from pclc.evaluate import span_f1
 from pclc.model import PclcModel
 from pclc.rng import make_rng
 from pclc.tagger import CrfLayer
-from pclc.trainer import (
-    TrainConfig,
-    evaluate_split,
-    loss_components,
-    model_from_checkpoint,
-    train_run,
-)
+from pclc.trainer import evaluate_split, loss_components, train_run
 
 from test_classifier import _protos_from_matrix
 from test_evaluate import _random_prediction_sets

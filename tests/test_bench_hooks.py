@@ -7,13 +7,17 @@ benchmark's modules are loaded by path, as they are, with their plain-name
 imports of each other.
 """
 
+import dataclasses
 import importlib.util
 import os
 import sys
 
 import pytest
 
-from conftest import REPO_ROOT
+import pclc.trainer
+from conftest import DATA_DIR, REPO_ROOT, TOY_CONFIG
+from pclc.data import build_vocab, load_corpus, random_embeddings, split_leave_one_out
+from pclc.rng import make_rng
 
 PERFBENCH = os.path.join(REPO_ROOT, "perfbench")
 
@@ -58,3 +62,31 @@ def test_every_benchmark_hook_target_resolves(perfbench):
     }
     assert missing <= STALE, sorted(missing - STALE)
 
+
+
+def test_every_trainer_hook_fires_in_a_training_run(perfbench, monkeypatch):
+    # a hook resolves but times nothing once `train_run` stops looking its
+    # target up in `pclc.trainer`, e.g. a moved function called through its
+    # new module
+    names = {
+        attr for owner, attr, _ in perfbench["tracer"].TRACE_TARGETS
+        if owner == "pclc.trainer" and (owner, attr) not in STALE
+    } | {"total_loss"}
+    calls = dict.fromkeys(names, 0)
+
+    def counting(name, original):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        return wrapper
+
+    for name in names:
+        monkeypatch.setattr(pclc.trainer, name, counting(name, getattr(pclc.trainer, name)))
+    corpus, schema = load_corpus(os.path.join(DATA_DIR, "overfit"))
+    vocab = build_vocab(corpus, schema)
+    split = split_leave_one_out(corpus, schema, "kitchen", seed=3)
+    config = dataclasses.replace(TOY_CONFIG, max_epochs=1, batch_size=16)
+    matrix = random_embeddings(vocab.n_words, config.word_dim, make_rng(0))
+    pclc.trainer.train_run(split, schema, vocab, matrix, config)
+    assert len(calls) >= 5 and min(calls.values()) > 0, calls

@@ -23,12 +23,13 @@ from pclc.classifier import (
     prototype_scores,
     smooth_distributions,
 )
+from pclc.config import TrainConfig
 from pclc.data import SlotSchema, build_vocab, load_corpus, random_embeddings, split_leave_one_out
 from pclc.errors import ConfigError, ShapeError
 from pclc.layers import Mlp
 from pclc.model import PclcModel
 from pclc.rng import make_rng
-from pclc.trainer import TrainConfig, total_loss
+from pclc.trainer import total_loss
 
 
 def _protos_from_matrix(matrix, n_source, n_target, target_domain="tgt"):

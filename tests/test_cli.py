@@ -91,6 +91,29 @@ def test_repeated_config_key_is_config_error(tmp_path, capsys):
         assert not os.path.exists(os.path.join(tmp_path, "x"))
 
 
+@pytest.mark.parametrize(
+    "text, lineno, message",
+    [
+        ("seed=3\nhidden=abc\n", 2, "config key 'hidden': expected int, got 'abc'"),
+        ("# dims\n\nhidden = 0\n", 3, "config key 'hidden': must be >= 1, got 0"),
+        ("tau=0\n", 1, "config key 'temperature': must be > 0, got 0.0"),
+        ("sead=1\n", 1, "unknown config key 'sead'"),
+        ("lr=0.01\nseed 3\n", 2, "config entry needs key=value, got 'seed 3'"),
+    ],
+)
+def test_bad_config_file_entry_names_its_line(tmp_path, capsys, text, lineno, message):
+    cfg_path = os.path.join(tmp_path, "bad.cfg")
+    with open(cfg_path, "w") as fh:
+        fh.write(text)
+    rc = main(
+        ["train", "--config", cfg_path, "--data-dir", os.path.join(DATA_DIR, "overfit"),
+         "--target", "kitchen", "--output-dir", os.path.join(tmp_path, "x")]
+    )
+    assert rc == 1
+    assert capsys.readouterr().err == f"error: {cfg_path}:{lineno}: {message}\n"
+    assert not os.path.exists(os.path.join(tmp_path, "x"))
+
+
 def test_train_determinism_byte_identical(tmp_path):
     # identical config (including output dir): rerun and compare bytes
     out = _train(tmp_path, "run")
@@ -208,7 +231,7 @@ def test_removed_reverse_kl_direction_is_a_config_error(tmp_path, capsys):
         )
         assert rc == 1
         err = capsys.readouterr().err
-        assert err.startswith(f"error: config key '{key}' was removed")
+        assert err.startswith(f"error: {cfg_path}:1: config key '{key}' was removed")
         assert value in err
         assert not os.path.exists(os.path.join(tmp_path, "x"))
 

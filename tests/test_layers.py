@@ -8,12 +8,13 @@ import oracles
 from conftest import DATA_DIR, dot_all, sum_all
 from pclc import autodiff as ad
 from pclc.autodiff import Tape, Tensor
+from pclc.config import TrainConfig
 from pclc.data import build_vocab, load_corpus, random_embeddings, split_leave_one_out
 from pclc.errors import ShapeError
 from pclc.layers import BiLstm, _sigmoid_, final_states, run_lstm
 from pclc.model import PclcModel
 from pclc.rng import make_rng
-from pclc.trainer import TrainConfig, total_loss
+from pclc.trainer import total_loss
 
 
 KINDS = ("ragged", "equal", "one_long")

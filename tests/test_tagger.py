@@ -9,6 +9,7 @@ from conftest import DATA_DIR, crf_nll_one, dot_all, viterbi_one
 from pclc import autodiff as ad
 from pclc import tagger
 from pclc.autodiff import Tape, Tensor
+from pclc.config import TrainConfig
 from pclc.data import (
     PAD_INDEX,
     UNK_INDEX,
@@ -30,7 +31,7 @@ from pclc.tagger import (
     gold_spans,
     viterbi_decode_batch,
 )
-from pclc.trainer import TrainConfig, total_loss
+from pclc.trainer import total_loss
 
 
 def _zero_crf():

@@ -18,17 +18,12 @@ from pclc.data import build_vocab, load_corpus, random_embeddings, split_leave_o
 from pclc.errors import CheckpointError, ConfigError, PclcError, TrainingDiverged
 from pclc.model import PclcModel
 from pclc.rng import make_rng
+from pclc.checkpoint import Checkpoint, load_checkpoint, model_from_checkpoint, save_checkpoint
+from pclc.config import TrainConfig, config_from_kv, config_to_kv, read_kv
 from pclc.trainer import (
-    Checkpoint,
-    TrainConfig,
-    config_from_kv,
-    config_to_kv,
     early_stop_check,
     evaluate_split,
-    load_checkpoint,
     loss_components,
-    model_from_checkpoint,
-    save_checkpoint,
     total_loss,
     train_run,
     validation_f1,
@@ -46,8 +41,8 @@ def _toy_config(**overrides):
 
 def test_config_kv_round_trip():
     cfg = _toy_config(confusion_lambda=0.4, enable_lc=False, max_epochs=None)
-    pairs = dict(kv.split("=", 1) for kv in config_to_kv(cfg))
-    again = config_from_kv(TrainConfig, pairs)
+    lines = enumerate(config_to_kv(cfg), start=1)
+    again = config_from_kv(read_kv(lines, "effective.cfg", "config"))
     assert again == cfg
 
 
@@ -64,8 +59,9 @@ def test_config_keys_keep_their_order():
 
 
 def test_config_rejects_unknown_key():
-    with pytest.raises(ConfigError):
-        config_from_kv(TrainConfig, {"learning_rate_typo": "0.1"})
+    with pytest.raises(ConfigError) as err:
+        config_from_kv({"learning_rate_typo": (3, "0.1")}, "run.cfg")
+    assert str(err.value) == "run.cfg:3: unknown config key 'learning_rate_typo'"
 
 
 def test_hyperparams_validation():
@@ -388,7 +384,7 @@ def test_checkpoint_save_load_bit_identical(tmp_path, overfit_corpus, overfit_sp
         assert np.array_equal(again.params[name], ckpt.params[name])
     assert again.epoch == ckpt.epoch
     assert again.best_val_f1 == ckpt.best_val_f1
-    assert again.config_kv == ckpt.config_kv
+    assert again.config == ckpt.config
     assert again.proto_rows == ckpt.proto_rows
     assert again.word_vocab == ckpt.word_vocab
 
@@ -448,7 +444,7 @@ def test_model_from_checkpoint_draws_no_init(
     def no_rng(seed):
         raise AssertionError("model_from_checkpoint drew a random init")
 
-    monkeypatch.setattr("pclc.trainer.make_rng", no_rng)
+    monkeypatch.setattr(np.random, "PCG64", no_rng)  # the generator behind every make_rng
     model, _ = model_from_checkpoint(load_checkpoint(directory), schema, vocab)
     assert set(model.named_parameters()) == set(ckpt.params)
 
@@ -480,10 +476,13 @@ def test_checkpoint_without_run_keys_loads_with_their_defaults(
     ckpt, schema, vocab = _trained_checkpoint(
         overfit_corpus, overfit_split, target="kitchen", validation_size=7
     )
-    older = [kv for kv in ckpt.config_kv if kv.split("=", 1)[0] not in run_keys]
-    assert len(older) == len(ckpt.config_kv) - len(run_keys)
     directory = os.path.join(tmp_path, "ckpt")
-    save_checkpoint(dataclasses.replace(ckpt, config_kv=older), directory)
+    save_checkpoint(ckpt, directory)
+    manifest = pathlib.Path(directory, "manifest.txt")
+    lines = manifest.read_text(encoding="utf-8").splitlines()
+    older = [line for line in lines if line.split("=", 1)[0] not in run_keys]
+    assert len(older) == len(lines) - len(run_keys)
+    manifest.write_text("\n".join(older) + "\n", encoding="utf-8")
     _, config = model_from_checkpoint(load_checkpoint(directory), schema, vocab)
     assert config == _toy_config(max_epochs=2, batch_size=16)
     assert (config.target, config.validation_size) == ("", 500)
@@ -493,7 +492,7 @@ def test_load_checkpoint_keeps_freed_heap(tmp_path, monkeypatch):
     # a load's payload allocation must not depend on what the process
     # allocated before, so loading applies train_run's malloc policy
     calls = []
-    monkeypatch.setattr("pclc.trainer._keep_freed_heap", lambda: calls.append(1))
+    monkeypatch.setattr("pclc.checkpoint._keep_freed_heap", lambda: calls.append(1))
     directory = os.path.join(tmp_path, "ckpt")
     damaged_manifest(directory, "epoch=2", "epoch=2")
     load_checkpoint(directory)
@@ -518,7 +517,7 @@ def test_save_checkpoint_streams_the_payload(tmp_path):
         "row": np.linspace(0.0, 1.0, 200_000),
     }
     ckpt = Checkpoint(
-        params=params, epoch=1, best_val_f1=0.5, config_kv=["seed=1"],
+        params=params, epoch=1, best_val_f1=0.5, config=TrainConfig(),
         target_domain="kitchen", word_vocab=[], char_vocab=[], proto_rows=[],
     )
     directory = os.path.join(tmp_path, "ckpt")
@@ -540,7 +539,7 @@ def test_save_checkpoint_streams_the_payload(tmp_path):
 def _small_checkpoint(value, epoch):
     return Checkpoint(
         params={"w": np.full((2, 3), value), "v": np.full(2, value)}, epoch=epoch,
-        best_val_f1=0.5, config_kv=["seed=1"], target_domain="kitchen",
+        best_val_f1=0.5, config=TrainConfig(), target_domain="kitchen",
         word_vocab=[], char_vocab=[], proto_rows=[("source", "city")],
     )
 
@@ -612,6 +611,10 @@ def test_checkpoint_truncated_payload_reports_counts(tmp_path, overfit_corpus, o
         ("epoch=2", "epoch=2.5", "epoch='2.5' is not an integer"),
         ("best_val_f1=0.5", "best_val_f1=high", "best_val_f1='high' is not a number"),
         ("seed=1", "seed 1", "config entry needs key=value, got 'seed 1'"),
+        ("seed=1", "seed=x", "config key 'seed': expected int, got 'x'"),
+        ("seed=1", "seed=-1", "config key 'seed': must be >= 0, got -1"),
+        ("seed=1", "sead=1", "unknown config key 'sead'"),
+        ("epoch=2", "epoch 1", "meta entry needs key=value, got 'epoch 1'"),
         ("source\tcity", "source city", "prototype row needs block<TAB>label, got 'source city'"),
         # ranges that end at the payload's end but do not tile it
         ("param.v\t2\t6\t2", "param.v\t4\t4\t4", "offset 4, previous one ends at 6"),

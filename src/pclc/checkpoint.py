@@ -22,6 +22,7 @@ from .model import PclcModel
 FORMAT_VERSION = 2
 MANIFEST_NAME = "manifest.txt"
 PAYLOAD_NAME = "params.bin"
+META_KEYS = ("epoch", "best_val_f1", "target_domain")  # exactly these, in [meta]
 
 
 @dataclass
@@ -162,10 +163,20 @@ def load_checkpoint(directory: str) -> Checkpoint:
     def bad(lineno: int, message: str) -> CheckpointError:
         return CheckpointError(f"{manifest_path}:{lineno}: {message}")
 
-    meta = read_kv(sections.get("meta", []), manifest_path, "meta", CheckpointError)
+    meta_lines = sections.get("meta", [])
+    meta = read_kv(meta_lines, manifest_path, "meta", CheckpointError)
+    for key, (lineno, value) in meta.items():
+        if key not in META_KEYS:
+            raise bad(lineno, f"unknown meta key {key!r}")
+        if not value:
+            raise bad(lineno, f"meta key {key!r} is empty")
+    for key in META_KEYS:
+        if key not in meta:  # named at the last line of the section
+            where = f"{manifest_path}:{meta_lines[-1][0]}" if meta_lines else manifest_path
+            raise CheckpointError(f"{where}: meta section lacks key {key!r}")
 
     def meta_number(key: str, kind):
-        lineno, value = meta.get(key, (0, "0"))
+        lineno, value = meta[key]
         try:
             return kind(value)
         except ValueError:
@@ -224,7 +235,7 @@ def load_checkpoint(directory: str) -> Checkpoint:
         epoch=meta_number("epoch", int),
         best_val_f1=meta_number("best_val_f1", float),
         config=config,
-        target_domain=meta.get("target_domain", (0, ""))[1],
+        target_domain=meta["target_domain"][1],
         word_vocab=text("word_vocab"),
         char_vocab=text("char_vocab"),
         proto_rows=proto_rows,

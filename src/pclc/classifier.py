@@ -272,8 +272,9 @@ def confusion_loss(
 def predict_slot_type(reps: Tensor, protos: PrototypeMatrix, domains: list[str]) -> list[str]:
     """Slot label of each row of `reps` (N, dim): the argmax of its
     prototype dot products over the candidate rows of its domain, in
-    `candidate_rows` order, so ties go to the first candidate."""
-    scores = reps.values @ protos.matrix.values.T
+    `candidate_rows` order, so ties go to the first candidate. The products
+    are training's `prototype_scores`, recorded on no tape at inference."""
+    scores = prototype_scores(reps, protos).values
     labels: list[str] = [""] * len(domains)
     for domain in dict.fromkeys(domains):
         rows, names = protos.candidate_rows(domain)

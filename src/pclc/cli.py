@@ -293,20 +293,28 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        cfg = _build_config(args)
-        if args.command == "train":
-            return cmd_train(cfg)
-        if args.command == "eval":
-            return cmd_eval(cfg, args.checkpoint)
-        if args.command == "predict":
-            return cmd_predict(cfg, args.checkpoint, args.input, args.output)
-        if args.command == "sweep-lambda":
-            return cmd_sweep_lambda(cfg, _parse_lambdas(args.lambdas), args.parallel)
-        if args.command == "export-protos":
-            return cmd_export_protos(cfg, args.checkpoint, args.output)
-        raise ConfigError(f"unknown command {args.command!r}")
+        try:
+            cfg = _build_config(args)
+            if args.command == "train":
+                return cmd_train(cfg)
+            if args.command == "eval":
+                return cmd_eval(cfg, args.checkpoint)
+            if args.command == "predict":
+                return cmd_predict(cfg, args.checkpoint, args.input, args.output)
+            if args.command == "sweep-lambda":
+                return cmd_sweep_lambda(cfg, _parse_lambdas(args.lambdas), args.parallel)
+            if args.command == "export-protos":
+                return cmd_export_protos(cfg, args.checkpoint, args.output)
+            raise ConfigError(f"unknown command {args.command!r}")
+        finally:
+            sys.stdout.flush()  # a reader that closed stdout shows here, not at exit
     except PclcError as err:
         print(f"error: {err}", file=sys.stderr)
+        return 1
+    except BrokenPipeError:
+        # what is left unwritten goes to os.devnull, so the flush at exit
+        # cannot fail again (the Python docs' advice for SIGPIPE)
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
 
 

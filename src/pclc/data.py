@@ -235,7 +235,6 @@ def build_vocab(utterances: list[Utterance], schema: SlotSchema) -> Vocab:
 @dataclass
 class EmbeddingTable:
     matrix: np.ndarray  # |vocab| x dim
-    dim: int
 
 
 def random_embeddings(vocab_size: int, dim: int, rng) -> np.ndarray:
@@ -263,7 +262,7 @@ def load_embeddings(
     if path is None:
         if require_pretrained:
             raise DataFormatError(f"pretrained embeddings required but not found: {path}")
-        return EmbeddingTable(matrix, dim)
+        return EmbeddingTable(matrix)
     if not os.path.exists(path):
         raise DataFormatError(f"embeddings file not found: {path}")
     vectors = 0
@@ -286,7 +285,7 @@ def load_embeddings(
     if not vectors:
         raise DataFormatError(f"{path}: no line parses as 'word v1 .. v{dim}'")
     matrix[PAD_INDEX] = 0.0
-    return EmbeddingTable(matrix, dim)
+    return EmbeddingTable(matrix)
 
 
 # ---------------------------------------------------------------------------

@@ -3,14 +3,15 @@
 A batch of sequences is one ((t_max * B), dim) matrix with row t*B + b
 holding step t of sequence b (the `EncodedBatch` row layout) plus the
 per-sequence lengths. `run_lstm` runs a whole BiLSTM as one fused
-primitive that computes live rows only: it sorts the sequences by length and
-packs their live rows step-major (as `pack_padded_sequence` does), so each
-direction's input projection is one matmul over sum(lengths) rows, each step
-of the recurrence is one contiguous block, and its vjp is backpropagation
-through time over the same packed rows. The backward direction reads each
-sequence reversed through a row index, so no caller reverses anything.
-Given a row index into an input that many positions share, the projection
-runs over the shared rows instead.
+primitive that reads and writes live rows only (padded output rows are
+zero): it sorts the sequences by length and packs their live rows
+step-major (as `pack_padded_sequence` does), so each direction's input
+projection is one matmul over sum(lengths) rows, each step of the
+recurrence is one contiguous block, and its vjp is backpropagation through
+time over the same packed rows. The backward direction reads each sequence
+reversed through a row index, so no caller reverses anything. Given a row
+index into an input that many positions share, the projection runs over
+the shared rows instead.
 """
 
 from __future__ import annotations
@@ -75,16 +76,16 @@ def run_lstm(
 
     `x` is ((t_max * B), in_dim) with row t*B + b holding step t of sequence
     b, and t_max = max(lengths). Returns the ((t_max * B), 2*hidden) states
-    in the same layout: row (b, t) is [forward after steps 0..t | backward
-    after steps L_b-1..t]. A padded row holds both final states, and padded
-    input rows get exactly zero gradient.
+    in the same layout: live row (b, t) is [forward after steps 0..t |
+    backward after steps L_b-1..t]. Padded rows are never read: their
+    output is zero, and their input gets exactly zero gradient.
 
     Only live rows are computed. Sequences are sorted by length (descending,
     stable) and their live rows packed step-major: step t owns rows
     starts[t]:starts[t+1], one per sequence longer than t, and its previous
-    state is the first rows of step t-1's block. The backward direction
-    shares this packing: it reads `x` through the row involution `rev`,
-    which swaps (b, t) and (b, L_b-1-t) and fixes padded rows. Untaped, one
+    state is the first rows of step t-1's block. Each direction reads and
+    writes the packed rows through its own row list: the forward one takes
+    step t of each sequence, the backward one step L_b-1-t. Untaped, one
     direction's buffers are freed before the other's are made.
 
     With `index`, a ((t_max * B),) integer array, the input of row r is
@@ -102,32 +103,28 @@ def run_lstm(
         index = np.asarray(index, dtype=np.intp)
         if index.shape != (t_max * batch,) or index.min() < 0 or index.max() >= n_rows:
             raise ShapeError(f"run_lstm: index does not fit lengths {lengths} and {n_rows} rows")
-    lens, steps = np.asarray(lengths), np.arange(t_max)[:, None]
-    order = np.argsort(-lens, kind="stable")
-    live = lens[order] > steps  # live[t, j]: the j-th longest sequence has step t
+    order = np.argsort(-np.asarray(lengths), kind="stable")
+    lens, steps = np.asarray(lengths)[order], np.arange(t_max)[:, None]
+    live = lens > steps  # live[t, j]: the j-th longest sequence has step t
     starts = np.concatenate(([0], np.cumsum(live.sum(axis=1))))
-    src = (steps * batch + order)[live]  # padded row of each packed row
     bounds = list(zip(starts[:-1].tolist(), starts[1:].tolist()))
-    rank = np.argsort(order)  # sequence b is the rank[b]-th longest
-    out_rows = (starts[np.minimum(steps, lens - 1)] + rank).reshape(-1)
-    rev = (np.where(steps < lens, lens - 1 - steps, steps) * batch + np.arange(batch)).reshape(-1)
     params = [t for _, t in cell.parameters()]
     track = ad.active_tape() is not None and any(t.requires_grad for t in [x, *params])
-    out = np.empty((t_max * batch, 2 * hid))
+    out = np.zeros((t_max * batch, 2 * hid))
 
     def direction(k: int, rows: np.ndarray):
-        """Run direction k over `x[rows]` into column block k of `out`; its vjp if taped."""
+        """Run direction k with packed row p at row `rows[p]` of `x` and of
+        column block k of `out`; its vjp if taped."""
         w_x, w_h = cell.w[k].values[:n_in], cell.w[k].values[n_in:]
-        x_rows = rows[src]
+        x_rows = rows if index is None else index[rows]
         if index is None:
             gates = x.values[x_rows] @ w_x
         else:
-            x_rows = index[x_rows]
             gates = (x.values @ w_x)[x_rows]
         gates += cell.b[k].values
         i, f, g, o = (gates[:, j * hid : (j + 1) * hid] for j in range(4))
-        hs = np.empty((src.size, hid))
-        cs = np.empty((src.size, hid))
+        hs = np.empty((rows.size, hid))
+        cs = np.empty((rows.size, hid))
         # step-sized scratch: i, f, o in contiguous rows (sigmoid runs ~1.5x faster), tanh(c)
         ifo_rows = np.empty((bounds[0][1], 3 * hid))
         tanh_c = np.empty((bounds[0][1], hid))
@@ -146,7 +143,7 @@ def run_lstm(
             np.tanh(c, out=tc)
             np.multiply(o[lo:hi], tc, out=hs[lo:hi])
         cols = slice(k * hid, (k + 1) * hid)
-        out[:, cols] = hs[out_rows[rows]]
+        out[rows, cols] = hs
         if not track:
             return None
 
@@ -170,20 +167,14 @@ def run_lstm(
             fac[:, 3 * hid :] *= dc_from_h
             np.subtract(1.0, np.multiply(dc_from_h, dc_from_h, out=dc_from_h), out=dc_from_h)
             dc_from_h *= o
-            # d_sorted[t, j]: gradient of padded row (t, j-th longest sequence);
-            # padded rows repeat the last live state, so their gradient is
-            # summed into `tail` and added at that sequence's last live step
-            d_sorted = d_out[rows, cols].reshape(t_max, batch, hid)[:, order]
-            tail = np.zeros((batch, hid))
+            d_packed = d_out[rows, cols]
             dz = np.empty_like(gates)
             dh_next = dc_next = np.zeros((0, hid))
             for t in range(t_max - 1, -1, -1):
                 lo, hi = bounds[t]
                 n, n_next = hi - lo, len(dh_next)
-                tail[n:] += d_sorted[t, n:]
-                dh = d_sorted[t, :n].copy()
+                dh = d_packed[lo:hi]
                 dh[:n_next] += dh_next
-                dh[n_next:] += tail[n_next:n]
                 dc = dh * dc_from_h[lo:hi]
                 dc[:n_next] += dc_next
                 d = dz[lo:hi]
@@ -204,7 +195,8 @@ def run_lstm(
 
         return vjp
 
-    vjps = [direction(0, np.arange(t_max * batch)), direction(1, rev)]
+    vjps = [direction(0, (steps * batch + order)[live]),
+            direction(1, ((lens - 1 - steps) * batch + order)[live])]
 
     def vjp(d_out):
         dx = np.zeros_like(x.values)

@@ -46,10 +46,10 @@ class EncodedBatch:
 def _token_rows(utterances: list[Utterance]) -> tuple[list[str], np.ndarray]:
     """The batch's distinct tokens in order of first occurrence, and each
     position's index into them, ((t_max * B),) in `EncodedBatch` row layout;
-    padded positions hold len(tokens), the pad row after the last token."""
+    padded positions hold 0, as no layer reads a padded row."""
     index: dict[str, int] = {}
     row_of = [[index.setdefault(t, len(index)) for t in utt.tokens] for utt in utterances]
-    rows = np.full((max(map(len, row_of)), len(row_of)), len(index), dtype=np.intp)
+    rows = np.zeros((max(map(len, row_of)), len(row_of)), dtype=np.intp)
     for b, r in enumerate(row_of):
         rows[: len(r), b] = r
     return list(index), rows.reshape(-1)
@@ -86,17 +86,15 @@ class Encoder:
         """Char-BiLSTM final states, one row per distinct token of the batch.
 
         A token's states depend only on its spelling, so each is computed
-        once. Returns the ((len(tokens)+1), 2*char_hidden) matrix, rows in
-        the order of `tokens` and a zero pad row last.
+        once. Returns the (len(tokens), 2*char_hidden) matrix, rows in the
+        order of `tokens`.
         """
         char_lengths = [len(t) for t in tokens]
         char_ids = np.full((max(char_lengths), len(tokens)), PAD_INDEX, dtype=np.intp)
         for j, token in enumerate(tokens):
             char_ids[: len(token), j] = [vocab.char_id(c) for c in token]
         x = ad.take_rows(self.char_table, char_ids.reshape(-1))
-        char_final = final_states(run_lstm(self.char_lstm, x, char_lengths), char_lengths)
-        zero_row = Tensor(np.zeros((1, 2 * self.config.char_hidden)))
-        return ad.concat([char_final, zero_row], axis=0)
+        return final_states(run_lstm(self.char_lstm, x, char_lengths), char_lengths)
 
     def encode_batch(
         self, utterances: list[Utterance], vocab: Vocab, training: bool, rng=None
@@ -108,15 +106,15 @@ class Encoder:
         lengths = [len(u.tokens) for u in utterances]
         t_max = max(lengths)
 
+        # the first layer's input has one row per distinct token; `rows` maps
+        # each position to its row, and run_lstm gathers through it
         tokens, rows = _token_rows(utterances)
-        char_mat = self._char_features(tokens, vocab)
-        token_words = np.array([vocab.word_id(t) for t in tokens] + [PAD_INDEX], dtype=np.intp)
-        if training:  # dropout draws its mask per position: one input row each
-            word_x = ad.take_rows(self.word_table, token_words[rows])
-            x, index = ad.concat([word_x, ad.take_rows(char_mat, rows)], axis=1), None
-        else:  # one input row per distinct token, which run_lstm gathers
-            x = ad.concat([ad.take_rows(self.word_table, token_words), char_mat], axis=1)
-            index = rows
+        char_x = self._char_features(tokens, vocab)
+        token_words = np.array([vocab.word_id(t) for t in tokens], dtype=np.intp)
+        x = ad.concat([ad.take_rows(self.word_table, token_words), char_x], axis=1)
+        index = rows
+        if training:  # dropout draws its mask per position: gather one row each first
+            x, index = ad.take_rows(x, rows), None
         x = ad.dropout(x, cfg.dropout, rng=rng, training=training)
 
         for layer_idx, lstm in enumerate(self.layers):

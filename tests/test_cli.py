@@ -719,3 +719,28 @@ def test_console_entry_point_subprocess(tmp_path):
     )
     assert proc.returncode == 1
     assert "checkpoint not found" in proc.stderr
+
+
+@pytest.mark.parametrize("unbuffered", ["", "1"])
+def test_closed_stdout_exits_1_without_traceback(tmp_path, unbuffered):
+    # the reader of stdout is gone before the report is written: buffered,
+    # the write fails at the last flush; unbuffered, inside print
+    out = _train(tmp_path)
+    src = os.path.join(REPO_ROOT, "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "pclc", "eval", os.path.join(out, "checkpoint"),
+             "--data-dir", os.path.join(DATA_DIR, "overfit"),
+             "--output-dir", os.path.join(out, "eval")],
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            text=True,
+            env={**os.environ, "PYTHONPATH": path, "PYTHONUNBUFFERED": unbuffered},
+        )
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 1
+    assert proc.stderr == ""

@@ -61,22 +61,21 @@ def _params(cell):
 
 def test_run_lstm_matches_step_by_step_reference():
     # forward half: the reference over x; backward half: the reference over
-    # each sequence reversed in place, then un-reversed
+    # each sequence reversed in place, then un-reversed; padded rows are 0
     rng = make_rng(20)
     for kind in KINDS * 10:
         cell, x, lengths = _ragged_lstm(rng, kind)
-        hid, batch = cell.hidden, len(lengths)
+        hid = cell.hidden
         out = run_lstm(cell, Tensor(x), lengths).values
         assert out.shape == (x.shape[0], 2 * hid)
         rev = _reversed_rows(lengths)
         want_fwd = oracles.lstm_reference(x, lengths, cell.w[0].values, cell.b[0].values)
         want_bwd = oracles.lstm_reference(x[rev], lengths, cell.w[1].values, cell.b[1].values)
-        assert np.abs(out[:, :hid] - want_fwd).max() < 1e-12
-        assert np.abs(out[:, hid:] - want_bwd[rev]).max() < 1e-12
-        for b, n in enumerate(lengths):  # padded rows hold both final states
-            finals = np.concatenate([out[(n - 1) * batch + b, :hid], out[b, hid:]])
-            for t in range(n, max(lengths)):
-                assert np.array_equal(out[t * batch + b], finals)
+        padded = _padded_rows(lengths)
+        live = np.setdiff1d(np.arange(x.shape[0]), padded)
+        assert np.abs(out[live, :hid] - want_fwd[live]).max() < 1e-12
+        assert np.abs(out[live, hid:] - want_bwd[rev][live]).max() < 1e-12
+        assert np.all(out[padded] == 0.0)
 
 
 def test_run_lstm_gradients_match_finite_differences():
@@ -155,6 +154,24 @@ def test_run_lstm_padding_gets_exactly_zero_gradient():
         assert np.all(xt.grad[padded] == 0.0)
         live = np.setdiff1d(np.arange(x.shape[0]), padded)
         assert np.all(np.abs(xt.grad[live]).sum(axis=1) > 0.0)
+
+
+def test_run_lstm_gradient_on_padded_rows_reaches_nothing():
+    # nothing reads a padded output row, so upstream gradient put only there
+    # gives every input and parameter exactly zero gradient
+    rng = make_rng(29)
+    for kind in ("ragged", "one_long"):
+        cell, x, lengths = _ragged_lstm(rng, kind)
+        while min(lengths) == max(lengths):
+            cell, x, lengths = _ragged_lstm(rng, kind)
+        padded = _padded_rows(lengths)
+        weights = np.zeros((x.shape[0], 2 * cell.hidden))
+        weights[padded] = rng.uniform(-1, 1, (len(padded), 2 * cell.hidden))
+        xt = Tensor(x, requires_grad=True)
+        with Tape() as tape:
+            ad.backward(dot_all(run_lstm(cell, xt, lengths), weights), tape)
+        for grad in [xt.grad] + [p.grad for p in _params(cell)]:
+            assert np.all(grad == 0.0)
 
 
 def test_final_states_pick_each_directions_last_step():

@@ -11,7 +11,6 @@ from pclc import tagger
 from pclc.autodiff import Tape, Tensor
 from pclc.config import TrainConfig
 from pclc.data import (
-    PAD_INDEX,
     UNK_INDEX,
     Utterance,
     build_vocab,
@@ -397,22 +396,24 @@ def test_encode_batch_matches_single_utterance_eval(overfit_corpus):
 
 
 def _per_position_hidden(encoder, batch, vocab):
-    """The word BiLSTM states built from one input row per position, as
-    training builds them: each position's word vector and char states."""
+    """The word BiLSTM states built from one input row per position: each
+    position's word vector and char states, with padded positions reading
+    row 0 of both."""
     lengths, n = [len(u.tokens) for u in batch], len(batch)
     tokens = list(dict.fromkeys(t for u in batch for t in u.tokens))
-    char_mat = encoder._char_features(tokens, vocab).values
-    word_ids = np.full((max(lengths), n), PAD_INDEX, dtype=np.intp)
-    char_rows = np.full((max(lengths), n), len(tokens), dtype=np.intp)
+    word_ids = np.zeros((max(lengths), n), dtype=np.intp)
+    char_rows = np.zeros((max(lengths), n), dtype=np.intp)
     for b, utt in enumerate(batch):
         for t, token in enumerate(utt.tokens):
             word_ids[t, b], char_rows[t, b] = vocab.word_id(token), tokens.index(token)
-    x = Tensor(np.concatenate(
-        [encoder.word_table.values[word_ids.reshape(-1)], char_mat[char_rows.reshape(-1)]], axis=1
-    ))
+    char_mat = encoder._char_features(tokens, vocab)
+    x = ad.concat([
+        ad.take_rows(encoder.word_table, word_ids.reshape(-1)),
+        ad.take_rows(char_mat, char_rows.reshape(-1)),
+    ], axis=1)
     for lstm in encoder.layers:
         x = run_lstm(lstm, x, lengths)
-    return x.values
+    return x
 
 
 @pytest.mark.parametrize("dims", ["criterion-6", "paper"])
@@ -432,9 +433,40 @@ def test_eval_encoding_from_distinct_tokens_matches_the_per_position_build(dims)
         batch = corpus[lo : lo + size]
         lo += size
         got = encoder.encode_batch(batch, vocab, training=False).hidden.values
-        want = _per_position_hidden(encoder, batch, vocab)
+        want = _per_position_hidden(encoder, batch, vocab).values
         assert got.shape == want.shape
         assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
+def test_training_encoding_gradients_equal_the_per_position_build():
+    # training builds the first layer's input once per distinct token and
+    # gathers it per position; while distinct tokens have distinct word ids,
+    # every gradient sums the same terms in the same order as a per-position build
+    corpus, schema = load_corpus(os.path.join(DATA_DIR, "transfer"))
+    vocab = build_vocab(corpus, schema)
+    config = TrainConfig(
+        word_dim=24, char_dim=8, char_hidden=8, hidden=24, layers=2, dropout=0.0
+    )
+    word_matrix = random_embeddings(vocab.n_words, config.word_dim, make_rng(1))
+    encoder = Encoder(vocab, word_matrix, config, make_rng(2))
+    params = dict(encoder.parameters())
+    for batch in (corpus[:7], corpus[7:71]):
+        tokens = {t for u in batch for t in u.tokens}
+        assert len({vocab.word_id(t) for t in tokens}) == len(tokens)
+        rows = max(len(u.tokens) for u in batch) * len(batch)
+        weights = make_rng(3).uniform(-1, 1, (rows, 2 * config.hidden))
+        grads = []
+        for build in (
+            lambda: encoder.encode_batch(batch, vocab, training=True, rng=make_rng(4)).hidden,
+            lambda: _per_position_hidden(encoder, batch, vocab),
+        ):
+            for p in params.values():
+                p.grad = None
+            with Tape() as tape:
+                ad.backward(dot_all(build(), weights), tape)
+            grads.append({name: p.grad for name, p in params.items()})
+        for name, want in grads[1].items():
+            assert np.array_equal(grads[0][name].view(np.int64), want.view(np.int64)), name
 
 
 def _char_grads(encoder, features, weights):
@@ -476,12 +508,11 @@ def test_char_features_run_once_per_distinct_token(overfit_corpus, monkeypatch):
         char_mat = encoder._char_features(tokens, vocab)
     assert [rec.kind for rec in tape.records].count("lstm") == 1
     assert lstm_rows == [(encoder.char_lstm, len(distinct) * c_max)]
-    assert char_mat.shape == (len(distinct) + 1, 2 * config.char_hidden)
-    assert not char_mat.values[-1].any()  # the zero pad row is last
+    assert char_mat.shape == (len(distinct), 2 * config.char_hidden)
     live = [t * len(batch) + b for b, u in enumerate(batch) for t in range(len(u.tokens))]
     flat_rows = rows[live].tolist()
     assert [distinct[r] for r in flat_rows] == occurrences
-    assert np.all(np.delete(rows, live) == len(distinct))  # padded positions read the pad row
+    assert np.all(np.delete(rows, live) == 0)  # padded positions read row 0
 
     reference = oracles.per_occurrence_char_features(encoder, batch, vocab)
     got = char_mat.values[flat_rows]

@@ -615,6 +615,10 @@ def test_checkpoint_truncated_payload_reports_counts(tmp_path, overfit_corpus, o
         ("seed=1", "seed=-1", "config key 'seed': must be >= 0, got -1"),
         ("seed=1", "sead=1", "unknown config key 'sead'"),
         ("epoch=2", "epoch 1", "meta entry needs key=value, got 'epoch 1'"),
+        ("epoch=2", "epoc=2", "unknown meta key 'epoc'"),
+        # an emptied line is the last of [meta], where the missing key is named
+        ("target_domain=kitchen", "", "meta section lacks key 'target_domain'"),
+        ("target_domain=kitchen", "target_domain=", "meta key 'target_domain' is empty"),
         ("source\tcity", "source city", "prototype row needs block<TAB>label, got 'source city'"),
         # ranges that end at the payload's end but do not tile it
         ("param.v\t2\t6\t2", "param.v\t4\t4\t4", "offset 4, previous one ends at 6"),

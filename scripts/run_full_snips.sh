@@ -22,7 +22,7 @@ DOMAINS=$(ls "$SNIPS_DIR" | sed -n 's/\.conll$//p')
 for domain in $DOMAINS; do
   # zero-shot: 30 epochs, patience 15, batch 64, lr 5e-4 (defaults)
   pclc train \
-    --data-dir "$SNIPS_DIR" --embeddings "$GLOVE_TXT" --require-pretrained true \
+    --data-dir "$SNIPS_DIR" --embeddings "$GLOVE_TXT" \
     --target "$domain" --seed "$SEED" \
     --output-dir "$OUT/zero-shot/$domain"
   pclc eval "$OUT/zero-shot/$domain/checkpoint" \
@@ -30,7 +30,7 @@ for domain in $DOMAINS; do
 
   # few-shot on 50 target samples: 60 epochs by default
   pclc train \
-    --data-dir "$SNIPS_DIR" --embeddings "$GLOVE_TXT" --require-pretrained true \
+    --data-dir "$SNIPS_DIR" --embeddings "$GLOVE_TXT" \
     --target "$domain" --seed "$SEED" --few-shot 50 \
     --output-dir "$OUT/few-shot/$domain"
   pclc eval "$OUT/few-shot/$domain/checkpoint" \
@@ -39,7 +39,7 @@ done
 
 # confusion-factor sweep on one domain (curve peaks at lambda 0.6)
 pclc sweep-lambda --lambdas 0.0,0.2,0.4,0.6,0.8,1.0 \
-  --data-dir "$SNIPS_DIR" --embeddings "$GLOVE_TXT" --require-pretrained true \
+  --data-dir "$SNIPS_DIR" --embeddings "$GLOVE_TXT" \
   --target GetWeather --seed "$SEED" \
   --output-dir "$OUT/lambda-sweep"
 

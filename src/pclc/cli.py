@@ -14,7 +14,6 @@ import argparse
 import dataclasses
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 
 from .checkpoint import load_checkpoint, model_from_checkpoint, save_checkpoint
 from .config import _ALIASES, TrainConfig, config_from_kv, config_to_kv, read_kv
@@ -109,10 +108,7 @@ def _train_and_write(cfg: TrainConfig):
         raise ConfigError(f"cannot write checkpoint {checkpoint_dir}: a file has that name")
     corpus, schema, vocab = _corpus_and_vocab(cfg)
     split = _split(corpus, schema, cfg)
-    table = load_embeddings(
-        cfg.embeddings or None, vocab, cfg.word_dim, cfg.seed,
-        require_pretrained=cfg.require_pretrained,
-    )
+    table = load_embeddings(cfg.embeddings or None, vocab, cfg.word_dim, cfg.seed)
     result = train_run(split, schema, vocab, table.matrix, cfg)
     # the checkpoint first: a rerun that fails before it leaves the earlier run's files
     save_checkpoint(result.checkpoint, checkpoint_dir)
@@ -213,12 +209,12 @@ def _parse_lambdas(raw: str) -> list[float]:
                 values.append(float(v))
             except ValueError:
                 raise ConfigError(f"--lambdas: expected a number, got {v.strip()!r}") from None
+    if not values:
+        raise ConfigError("--lambdas: no values given")
     return values
 
 
-def cmd_sweep_lambda(cfg: TrainConfig, lambdas: list[float], parallel: int) -> int:
-    if parallel < 1:
-        raise ConfigError(f"--parallel must be >= 1, got {parallel}")
+def cmd_sweep_lambda(cfg: TrainConfig, lambdas: list[float]) -> int:
     seen: list[float] = []
     for lam in lambdas:
         if not 0.0 <= lam <= 1.0:
@@ -234,14 +230,7 @@ def cmd_sweep_lambda(cfg: TrainConfig, lambdas: list[float], parallel: int) -> i
             raise ConfigError(f"lambdas {lam_of[name]!r} and {lam!r} would both train into {name}")
         lam_of[name] = lam
     base_dir = _resolve_output_dir(cfg)
-    jobs = [(lam, os.path.join(base_dir, name)) for name, lam in lam_of.items()]
-    workers = min(parallel, len(jobs))  # a pool forks all its workers at once
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = [pool.submit(_sweep_one, cfg, lam, d) for lam, d in jobs]
-            results = [f.result() for f in futures]
-    else:
-        results = [_sweep_one(cfg, lam, d) for lam, d in jobs]
+    results = [_sweep_one(cfg, lam, os.path.join(base_dir, name)) for name, lam in lam_of.items()]
     tsv_path = os.path.join(base_dir, "lambda_sweep.tsv")
     rows = [f"{lam!r}\t{r.f1!r}\t{r.seen_f1!r}\t{r.unseen_f1!r}" for lam, r in results]
     _write_lines(tsv_path, ["lambda\tf1\tseen_f1\tunseen_f1"] + rows)
@@ -279,7 +268,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sweep = sub.add_parser("sweep-lambda", help="train/eval across confusion factors")
     p_sweep.add_argument("--lambdas", required=True, help="comma-separated values in [0,1]")
-    p_sweep.add_argument("--parallel", type=int, default=1, help="worker processes")
     _add_override_flags(p_sweep)
 
     p_export = sub.add_parser("export-protos", help="dump prototype vectors as TSV")
@@ -302,7 +290,7 @@ def main(argv: list[str] | None = None) -> int:
             if args.command == "predict":
                 return cmd_predict(cfg, args.checkpoint, args.input, args.output)
             if args.command == "sweep-lambda":
-                return cmd_sweep_lambda(cfg, _parse_lambdas(args.lambdas), args.parallel)
+                return cmd_sweep_lambda(cfg, _parse_lambdas(args.lambdas))
             if args.command == "export-protos":
                 return cmd_export_protos(cfg, args.checkpoint, args.output)
             raise ConfigError(f"unknown command {args.command!r}")

@@ -71,7 +71,6 @@ class TrainConfig:
     embeddings: str = ""  # GloVe-style text file; empty = random init
     target: str = ""
     output_dir: str = ""
-    require_pretrained: bool = False
     validation_size: int = 500
 
     def __post_init__(self):
@@ -156,6 +155,11 @@ _REMOVED = {
         "the contrastive term always contrasts each entity with every prototype row; source "
         "contrasted source-domain entities with the source block alone, an ablation no run "
         "selected",
+    ),
+    "require_pretrained": (
+        "false",
+        "a run without --embeddings uses random vectors, and a named --embeddings file that is "
+        "missing or holds no vectors is refused",
     ),
 }
 

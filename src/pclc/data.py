@@ -243,25 +243,17 @@ def random_embeddings(vocab_size: int, dim: int, rng) -> np.ndarray:
     return matrix
 
 
-def load_embeddings(
-    path: str | None,
-    vocab: Vocab,
-    dim: int,
-    seed: int,
-    require_pretrained: bool = False,
-) -> EmbeddingTable:
+def load_embeddings(path: str | None, vocab: Vocab, dim: int, seed: int) -> EmbeddingTable:
     """Read GloVe-style text vectors for in-vocab words.
 
     Missing words draw uniform [-0.1, 0.1] rows from the seeded generator;
-    the padding row is all zeros. With no path (and require_pretrained off)
-    the whole table is random. A named path must exist and hold at least
-    one `word v1 .. v<dim>` line; lines without a space are skipped.
+    the padding row is all zeros. With no path the whole table is random.
+    A named path must exist and hold at least one `word v1 .. v<dim>` line;
+    lines without a space are skipped.
     """
     rng = make_rng(seed)
     matrix = random_embeddings(vocab.n_words, dim, rng)
     if path is None:
-        if require_pretrained:
-            raise DataFormatError(f"pretrained embeddings required but not found: {path}")
         return EmbeddingTable(matrix)
     if not os.path.exists(path):
         raise DataFormatError(f"embeddings file not found: {path}")

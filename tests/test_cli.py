@@ -1,4 +1,3 @@
-import concurrent.futures
 import os
 import pathlib
 import subprocess
@@ -182,11 +181,11 @@ def test_eval_target_mismatch_refused(tmp_path, capsys):
 
 
 def test_eval_reads_checkpoint_naming_removed_kl_direction(tmp_path, capsys):
-    # checkpoints written while `kl_direction` and `contrast_block` existed
-    # name the value every run still computes
+    # checkpoints written while `kl_direction`, `contrast_block` and
+    # `require_pretrained` existed name the value every run still computes
     out = _train(tmp_path)
     manifest = os.path.join(out, "checkpoint", "manifest.txt")
-    removed = "kl_direction=smooth_to_pred\ncontrast_block=both\n"
+    removed = "kl_direction=smooth_to_pred\ncontrast_block=both\nrequire_pretrained=false\n"
     with open(manifest, encoding="utf-8") as fh:
         text = fh.read()
     with open(manifest, "w", encoding="utf-8") as fh:
@@ -220,9 +219,33 @@ def test_eval_refuses_checkpoint_with_unknown_config_key(tmp_path, capsys):
     assert not os.path.exists(os.path.join(out, "eval"))
 
 
+def test_eval_refuses_checkpoint_requiring_pretrained_vectors(tmp_path, capsys):
+    out = _train(tmp_path)
+    manifest = os.path.join(out, "checkpoint", "manifest.txt")
+    with open(manifest, encoding="utf-8") as fh:
+        lines = fh.read().splitlines()
+    lineno = lines.index("output_dir=" + out) + 2
+    lines.insert(lineno - 1, "require_pretrained=true")
+    with open(manifest, "w", encoding="utf-8") as fh:
+        fh.write("\n".join(lines) + "\n")
+    rc = main(
+        ["eval", os.path.join(out, "checkpoint"),
+         "--data-dir", os.path.join(DATA_DIR, "overfit"),
+         "--output-dir", os.path.join(out, "eval")]
+    )
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith(
+        f"error: {manifest}:{lineno}: config key 'require_pretrained' was removed, got 'true'"
+    )
+    assert not os.path.exists(os.path.join(out, "eval"))
+
+
 def test_removed_reverse_kl_direction_is_a_config_error(tmp_path, capsys):
     cfg_path = os.path.join(tmp_path, "old.cfg")
-    for key, value in (("kl_direction", "pred_to_smooth"), ("contrast_block", "source")):
+    removed = (("kl_direction", "pred_to_smooth"), ("contrast_block", "source"),
+               ("require_pretrained", "true"))
+    for key, value in removed:
         with open(cfg_path, "w") as fh:
             fh.write(f"{key}={value}\n")
         rc = main(
@@ -299,20 +322,19 @@ def test_predict_input_with_empty_token_names_its_line(tmp_path, capsys):
     assert not os.path.exists(dest)
 
 
-@pytest.mark.parametrize("embeddings, extra", [
-    ("no_such_file.txt", []),
-    (os.path.join(DATA_DIR, "overfit", "kitchen.conll"), ["--require-pretrained", "true"]),
+@pytest.mark.parametrize("embeddings", [
+    "no_such_file.txt", os.path.join(DATA_DIR, "overfit", "kitchen.conll"),
 ], ids=["missing", "not_vectors"])
-def test_named_embeddings_file_is_used_or_refused(tmp_path, capsys, embeddings, extra):
+def test_named_embeddings_file_is_used_or_refused(tmp_path, capsys, embeddings):
     path = os.path.join(tmp_path, embeddings)  # an absolute second part wins
     out = os.path.join(tmp_path, "run")
     rc = main(
         ["train", "--data-dir", os.path.join(DATA_DIR, "overfit"), "--target", "kitchen",
-         "--output-dir", out, "--embeddings", path] + TOY_FLAGS + extra
+         "--output-dir", out, "--embeddings", path] + TOY_FLAGS
     )
     assert rc == 1
     err = capsys.readouterr().err
-    if extra:
+    if os.path.exists(path):
         assert err == f"error: {path}: no line parses as 'word v1 .. v6'\n"
     else:
         assert err == f"error: embeddings file not found: {path}\n"
@@ -515,21 +537,6 @@ def test_sweep_lambda_writes_tsv_and_dedupes(tmp_path, capsys):
             assert 0.0 <= float(value) <= 1.0
 
 
-def test_sweep_lambda_parallel_processes(tmp_path):
-    out = os.path.join(tmp_path, "sweep")
-    rc = main(
-        ["sweep-lambda", "--lambdas", "0.3,0.7", "--parallel", "2",
-         "--data-dir", os.path.join(DATA_DIR, "overfit"),
-         "--target", "kitchen", "--seed", "3", "--output-dir", out]
-        + TOY_FLAGS
-    )
-    assert rc == 0
-    lines = open(os.path.join(out, "lambda_sweep.tsv")).read().strip().splitlines()
-    assert len(lines) == 3
-    assert os.path.isdir(os.path.join(out, "lambda_0.3", "checkpoint"))
-    assert os.path.isdir(os.path.join(out, "lambda_0.7", "checkpoint"))
-
-
 def test_sweep_lambda_reads_inputs_once_per_lambda_and_matches_eval(tmp_path, monkeypatch):
     import pclc.cli
 
@@ -565,52 +572,17 @@ def test_sweep_lambda_reads_inputs_once_per_lambda_and_matches_eval(tmp_path, mo
         assert f"unseen_f1={unseen_f1}" in kv
 
 
-class _InlinePool:
-    """A `ProcessPoolExecutor` stand-in that records its size and runs each
-    job in the calling process."""
-
-    sizes: list[int] = []
-
-    def __init__(self, max_workers):
-        self.sizes.append(max_workers)
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
-
-    def submit(self, fn, *args):
-        future = concurrent.futures.Future()
-        future.set_result(fn(*args))
-        return future
-
-
-def test_sweep_lambda_parallel_is_checked_and_bounded(tmp_path, monkeypatch, capsys):
-    import pclc.cli
-
-    monkeypatch.setattr(pclc.cli, "ProcessPoolExecutor", _InlinePool)
-    monkeypatch.setattr(_InlinePool, "sizes", [])
-    base = ["--data-dir", os.path.join(DATA_DIR, "overfit"), "--target", "kitchen",
-            "--seed", "3"] + TOY_FLAGS
-    for parallel in ("0", "-3"):
-        out = os.path.join(tmp_path, f"p{parallel}")
-        rc = main(["sweep-lambda", "--lambdas", "0.5", "--parallel", parallel,
-                   "--output-dir", out] + base)
-        assert rc == 1
-        assert capsys.readouterr().err == f"error: --parallel must be >= 1, got {parallel}\n"
-        assert not os.path.exists(out)
-    # one worker per distinct lambda at most; a single lambda runs without a pool
-    out = os.path.join(tmp_path, "many")
-    rc = main(["sweep-lambda", "--lambdas", "0.2,0.8,0.2", "--parallel", "5000",
-               "--output-dir", out] + base)
-    assert rc == 0
-    assert _InlinePool.sizes == [2]
-    assert len(open(os.path.join(out, "lambda_sweep.tsv")).read().splitlines()) == 3
-    rc = main(["sweep-lambda", "--lambdas", "0.5", "--parallel", "4",
-               "--output-dir", os.path.join(tmp_path, "one")] + base)
-    assert rc == 0
-    assert _InlinePool.sizes == [2]
+def test_sweep_lambda_parallel_is_an_unknown_flag(tmp_path, capsys):
+    # sweeps run serially; the process pool and its flag are gone
+    out = os.path.join(tmp_path, "sweep")
+    with pytest.raises(SystemExit) as exit_:
+        main(["sweep-lambda", "--lambdas", "0.5", "--parallel", "2",
+              "--data-dir", os.path.join(DATA_DIR, "overfit"), "--target", "kitchen",
+              "--output-dir", out])
+    assert exit_.value.code == 2
+    err = capsys.readouterr().err
+    assert err.splitlines()[-1] == "pclc: error: unrecognized arguments: --parallel 2"
+    assert not os.path.exists(out)
 
 
 def test_sweep_lambda_refuses_lambdas_sharing_a_run_directory(tmp_path, monkeypatch, capsys):
@@ -651,6 +623,19 @@ def test_sweep_lambda_rejects_non_numeric_value(tmp_path, capsys):
     )
     assert rc == 1
     assert capsys.readouterr().err == "error: --lambdas: expected a number, got 'x'\n"
+
+
+@pytest.mark.parametrize("lambdas", [",", "", " , "])
+def test_sweep_lambda_refuses_an_empty_list(tmp_path, capsys, lambdas):
+    out = os.path.join(tmp_path, "sweep")
+    rc = main(
+        ["sweep-lambda", "--lambdas", lambdas,
+         "--data-dir", os.path.join(DATA_DIR, "overfit"),
+         "--target", "kitchen", "--output-dir", out]
+    )
+    assert rc == 1
+    assert capsys.readouterr().err == "error: --lambdas: no values given\n"
+    assert not os.path.exists(out)
 
 
 @pytest.mark.parametrize(

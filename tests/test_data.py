@@ -245,13 +245,10 @@ def test_load_embeddings_non_utf8_byte_names_its_offset(tmp_path, transfer_corpu
     assert str(err.value) == f"{path}: byte 0xff at offset 12 is not UTF-8"
 
 
-def test_load_embeddings_absent_file_random_unless_required(tmp_path):
-    # no path given: random vectors, or an error when pretrained ones are required
+def test_load_embeddings_absent_file_gives_random_vectors(tmp_path):
     vocab = build_vocab(_mini_corpus(), _mini_schema())
     table = load_embeddings(None, vocab, dim=3, seed=1)
     assert table.matrix.shape == (vocab.n_words, 3)
-    with pytest.raises(DataFormatError):
-        load_embeddings(None, vocab, dim=3, seed=1, require_pretrained=True)
 
 
 def test_load_embeddings_named_file_is_used_or_refused(tmp_path):

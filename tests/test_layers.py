@@ -229,6 +229,46 @@ def test_untaped_run_lstm_holds_one_direction_at_a_time():
     assert one_direction < peak < 2 * one_direction
 
 
+def test_taped_run_lstm_keeps_gates_and_c_and_its_backward_works_in_them():
+    # bounds in bytes from array shapes: a block is `rows x width` float64s
+    rng = make_rng(30)
+    in_dim, hid = 128, 64
+    utterances = load_corpus(os.path.join(DATA_DIR, "transfer"))[0][:64]
+    lengths = [len(u.tokens) for u in utterances]
+    live, n_rows, batch = sum(lengths), max(lengths) * len(lengths), len(lengths)
+    cell = BiLstm(in_dim, hid, rng, "test")
+    x = Tensor(rng.uniform(-1, 1, (n_rows, in_dim)), requires_grad=True)
+    weights = rng.uniform(-1, 1, (n_rows, 2 * hid))
+    small = 64 * 1024  # tape record, closures, index arrays of a few ints per sequence
+
+    def block(rows, width):
+        return 8 * rows * width
+
+    run_lstm(cell, x, lengths)  # warm any one-off allocations
+    tracemalloc.start()
+    try:
+        with Tape() as tape:
+            before = tracemalloc.get_traced_memory()[0]
+            loss = dot_all(run_lstm(cell, x, lengths), weights)
+            start = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            ad.backward(loss, tape)
+            peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # (a) per direction the post-activation gates and c, plus the output; the
+    # packed row lists hold a live-rows int each; no packed h
+    kept = 2 * (block(live, 4 * hid) + block(live, hid) + block(live, 1)) + block(n_rows, 2 * hid)
+    assert start - before <= kept + small
+    # (b) the upstream gradient and what backward returns, plus the input
+    # projection's gather and product, four (live x hidden) buffers (the
+    # packed upstream gradient and three gate-slope copies or scratch) and
+    # one step's [dc, dc, dc, dh] block with four (batch x hidden) others
+    returned = block(n_rows, in_dim) + 2 * (block(in_dim + hid, 4 * hid) + block(1, 4 * hid))
+    scratch = 2 * block(live, in_dim) + 4 * block(live, hid) + 8 * block(batch, hid)
+    assert peak - start <= block(n_rows, 2 * hid) + returned + scratch + small
+
+
 def test_gate_sigmoid_on_a_gathered_block_equals_it_on_strided_slices():
     # run_lstm gathers the i, f and o columns of its gate rows into one
     # contiguous block before the sigmoid; that keeps every loss and

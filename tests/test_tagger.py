@@ -545,3 +545,43 @@ def test_encode_empty_utterance_errors(overfit_corpus):
     empty = Utterance([], [], [], "music", "music:e")
     with pytest.raises(ShapeError):
         encoder.encode_batch([empty], vocab, training=False)
+
+
+def test_training_batch_crf_loss_and_gradients_are_the_sums_over_its_utterances():
+    # a batch's utterances must not see each other: a fixed 16-utterance
+    # data/transfer batch at the criterion-6 dims, dropout 0, against each
+    # utterance run as a batch of one. Products round differently with
+    # their row count (about 1e-14 relative), so the gate is 1e-10 of each
+    # gradient's largest entry; one utterance leaking into another moves
+    # whole entries.
+    corpus, schema = load_corpus(os.path.join(DATA_DIR, "transfer"))
+    batch = corpus[3::19][:16]
+    config = TrainConfig(
+        dropout=0.0, word_dim=24, char_dim=8, char_hidden=8, hidden=24, layers=1,
+        entity_hidden=24, proto_dim=24,
+    )
+    vocab = build_vocab(corpus, schema)
+    word_matrix = random_embeddings(vocab.n_words, config.word_dim, make_rng(31))
+    model = PclcModel(schema, "bus", vocab, word_matrix, config, make_rng(32))
+    params = {  # the encoder's, the emission layer's and the CRF's
+        name: p for name, p in model.named_parameters().items()
+        if not name.startswith(("entity_", "proto_mlp."))
+    }
+
+    def nll_and_grads(utterances):
+        model.zero_grad()
+        with Tape() as tape:
+            enc = model.encode(utterances, training=True, rng=make_rng(0))
+            gold = [[tagger.TAG_NAMES.index(t) for t in u.bio_tags] for u in utterances]
+            nll = crf_nll_batch(model.emissions(enc)[0], enc.lengths, gold, model.crf)
+            ad.backward(nll, tape)
+        return nll.item(), {name: p.grad.copy() for name, p in params.items()}
+
+    assert len({u.domain for u in batch}) == 4 and len({len(u.tokens) for u in batch}) == 4
+    value, grads = nll_and_grads(batch)
+    singles = [nll_and_grads([u]) for u in batch]
+    assert abs(value - sum(v for v, _ in singles)) <= 1e-10 * abs(value)
+    assert {"word_table", "char_table", "lstm0_fwd.w", "emission.w", "crf.transitions"} <= set(grads)
+    for name, got in grads.items():
+        want = sum(g[name] for _, g in singles)
+        assert np.abs(got - want).max() <= 1e-10 * np.abs(got).max(), name

@@ -54,8 +54,18 @@ def test_config_keys_keep_their_order():
         "confusion_lambda", "temperature", "kl_weight", "seed", "enable_pcl", "enable_lc",
         "crf_weight", "grad_clip", "word_dim", "char_dim", "char_hidden",
         "hidden", "layers", "entity_hidden", "proto_dim",
-        "data_dir", "embeddings", "target", "output_dir", "require_pretrained", "validation_size",
+        "data_dir", "embeddings", "target", "output_dir", "validation_size",
     ]
+
+
+def test_removed_require_pretrained_reads_at_false_only():
+    # effective.cfg files written while the key existed hold `false`
+    assert config_from_kv({"require_pretrained": (26, "false")}, "effective.cfg") == TrainConfig()
+    with pytest.raises(ConfigError) as err:
+        config_from_kv({"require_pretrained": (26, "true")}, "effective.cfg")
+    assert str(err.value).startswith(
+        "effective.cfg:26: config key 'require_pretrained' was removed, got 'true'"
+    )
 
 
 def test_config_rejects_unknown_key():
@@ -471,8 +481,7 @@ def test_loaded_model_predicts_as_an_initialised_model_given_its_values(
 def test_checkpoint_without_run_keys_loads_with_their_defaults(
     tmp_path, overfit_corpus, overfit_split
 ):
-    run_keys = ("data_dir", "embeddings", "target", "output_dir", "require_pretrained",
-                "validation_size")
+    run_keys = ("data_dir", "embeddings", "target", "output_dir", "validation_size")
     ckpt, schema, vocab = _trained_checkpoint(
         overfit_corpus, overfit_split, target="kitchen", validation_size=7
     )

@@ -134,21 +134,18 @@ def weighted_sum(terms: list[Tensor], weights: list[float]) -> Tensor:
     return emit("weighted_sum", list(terms), value, lambda g: tuple(g * w for w in weights))
 
 
-def concat(tensors: list[Tensor], axis: int = 0) -> Tensor:
+def concat(tensors: list[Tensor]) -> Tensor:
+    """2-d tensors joined side by side, their columns in list order."""
     if not tensors:
         raise ShapeError("concat: empty input list")
-    sizes = [t.shape[axis] for t in tensors]
     try:
-        out = np.concatenate([t.values for t in tensors], axis=axis)
+        out = np.concatenate([t.values for t in tensors], axis=1)
     except ValueError as e:
         raise ShapeError(f"concat: {e}")
-    offsets = np.cumsum([0] + sizes)
+    bounds = np.cumsum([0] + [t.shape[1] for t in tensors])
 
     def vjp(g):
-        return tuple(
-            np.take(g, range(offsets[i], offsets[i + 1]), axis=axis)
-            for i in range(len(tensors))
-        )
+        return tuple(g[:, lo:hi] for lo, hi in zip(bounds[:-1], bounds[1:]))
 
     return emit("concat", list(tensors), out, vjp)
 

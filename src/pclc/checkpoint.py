@@ -23,6 +23,9 @@ FORMAT_VERSION = 2
 MANIFEST_NAME = "manifest.txt"
 PAYLOAD_NAME = "params.bin"
 META_KEYS = ("epoch", "best_val_f1", "target_domain")  # exactly these, in [meta]
+# config keys that say where a run read and wrote, left out of [config] so a
+# checkpoint's bytes do not depend on them; `target` is [meta]'s target_domain
+RUN_KEYS = ("data_dir", "embeddings", "target", "output_dir")
 
 
 @dataclass
@@ -102,7 +105,7 @@ def save_checkpoint(ckpt: Checkpoint, directory: str) -> None:
         f"pclc-checkpoint {FORMAT_VERSION}",
         "[meta]", f"epoch={ckpt.epoch}", f"best_val_f1={ckpt.best_val_f1!r}",
         f"target_domain={ckpt.target_domain}",
-        "[config]", *config_to_kv(ckpt.config),
+        "[config]", *(kv for kv in config_to_kv(ckpt.config) if kv.split("=")[0] not in RUN_KEYS),
         "[word_vocab]", *ckpt.word_vocab,
         "[char_vocab]", *ckpt.char_vocab,
         "[proto_rows]", *(f"{block}\t{label}" for block, label in ckpt.proto_rows),
@@ -193,7 +196,8 @@ def load_checkpoint(directory: str) -> Checkpoint:
             raise bad(lineno, f"prototype row needs block<TAB>label, got {line!r}")
         block, label = line.split("\t", 1)
         proto_rows.append((block, label))
-    payload = np.fromfile(payload_path, dtype="<f8")
+    payload = np.fromfile(payload_path, dtype="<f8")  # drops a partial last float
+    payload_bytes = os.path.getsize(payload_path)
     params: dict[str, np.ndarray] = {}
     expected = 0
     for lineno, line in sections.get("tensors", []):
@@ -220,15 +224,15 @@ def load_checkpoint(directory: str) -> Checkpoint:
         if offset != expected:  # tensors tile the payload, so no two views overlap
             raise bad(lineno, f"tensor {name!r}: offset {offset}, previous one ends at {expected}")
         expected = offset + count
-        if expected > payload.size:
+        if 8 * expected > payload_bytes:
             raise CheckpointError(
-                f"{payload_path}: truncated payload, need {expected} floats, "
-                f"have {payload.size}"
+                f"{payload_path}: truncated payload, need {8 * expected} bytes, "
+                f"have {payload_bytes}"
             )
         params[name[len("param.") :]] = payload[offset:expected].reshape(shape)
-    if payload.size != expected:
+    if payload_bytes != 8 * expected:
         raise CheckpointError(
-            f"{payload_path}: payload holds {payload.size} floats, manifest expects {expected}"
+            f"{payload_path}: payload holds {payload_bytes} bytes, manifest expects {8 * expected}"
         )
     return Checkpoint(
         params=params,

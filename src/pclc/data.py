@@ -115,12 +115,11 @@ def _normalize_bio(raw: list[tuple[str, str | None]]) -> tuple[list[str], list[s
     return bio, types
 
 
-def parse_conll(path: str, domain: str | None = None) -> list[Utterance]:
+def parse_conll(path: str) -> list[Utterance]:
     """Parse one CoNLL file into utterances; errors carry line numbers."""
     if not os.path.exists(path):
         raise DataFormatError(f"corpus file not found: {path}")
-    if domain is None:
-        domain = os.path.splitext(os.path.basename(path))[0]
+    domain = os.path.splitext(os.path.basename(path))[0]
     utterances: list[Utterance] = []
     current: list[tuple[str, str, str | None]] = []
 
@@ -155,21 +154,6 @@ def parse_conll(path: str, domain: str | None = None) -> list[Utterance]:
             raise DataFormatError(f"{path}:{lineno}: unknown tag prefix in {tag!r}")
     flush()
     return utterances
-
-
-def format_conll(utterances: list[Utterance]) -> str:
-    lines = []
-    for utt in utterances:
-        for token, bio, slot in zip(utt.tokens, utt.bio_tags, utt.slot_types):
-            tag = "O" if bio == "O" else f"{bio}-{slot}"
-            lines.append(f"{token}\t{tag}")
-        lines.append("")
-    return "\n".join(lines) + ("\n" if lines else "")
-
-
-def write_conll(utterances: list[Utterance], path: str) -> None:
-    with output_file(path) as fh:
-        fh.write(format_conll(utterances))
 
 
 def load_corpus(directory: str) -> tuple[list[Utterance], SlotSchema]:

@@ -39,8 +39,6 @@ class EvalReport:
     setting: str = "zero-shot"
     seen_f1: float | None = None
     unseen_f1: float | None = None
-    seen_counts: TypeCounts | None = None
-    unseen_counts: TypeCounts | None = None
 
     def group_counts(self, slots) -> TypeCounts:
         agg = TypeCounts()
@@ -142,8 +140,6 @@ def seen_unseen_report(
             raise PclcError(f"slot type {slot!r} outside both seen and unseen groups")
     seen_counts = report.group_counts(seen)
     unseen_counts = report.group_counts(unseen)
-    report.seen_counts = seen_counts
-    report.unseen_counts = unseen_counts
     report.seen_f1 = _prf(seen_counts.tp, seen_counts.fp, seen_counts.fn)[2]
     report.unseen_f1 = _prf(unseen_counts.tp, unseen_counts.fp, unseen_counts.fn)[2]
     return report

@@ -110,7 +110,7 @@ class PclcModel:
             all_scores, _ = self.emissions(enc)
             chunk_spans: list[tuple[int, int, int]] = []
             predictions: list[list[SpanPrediction]] = [[] for _ in chunk]
-            paths = viterbi_decode_batch(all_scores, enc.lengths, self.crf)
+            paths = viterbi_decode_batch(all_scores.values, enc.lengths, self.crf)
             for b, tags in enumerate(paths):
                 for span in extract_spans(tags):
                     chunk_spans.append((b, span.start, span.end))

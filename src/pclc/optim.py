@@ -12,6 +12,7 @@ from .errors import OptimError, TrainingDiverged
 # elements per block of `Adam.step`: g, m, v, the parameter and the scratch
 # block together take 1.25 MiB of float64
 BLOCK = 1 << 15
+BETA1, BETA2, EPS = 0.9, 0.999, 1e-8  # Adam's moment decays and denominator offset
 
 
 class Adam:
@@ -23,19 +24,9 @@ class Adam:
     place, so they must be C-contiguous (as every model parameter is).
     """
 
-    def __init__(
-        self,
-        params: dict[str, Tensor],
-        lr: float = 0.0005,
-        beta1: float = 0.9,
-        beta2: float = 0.999,
-        eps: float = 1e-8,
-    ):
+    def __init__(self, params: dict[str, Tensor], lr: float = 0.0005):
         self.params = dict(params)
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.t = 0
         self.m = {name: np.zeros(p.values.shape) for name, p in self.params.items()}
         self.v = {name: np.zeros(p.values.shape) for name, p in self.params.items()}
@@ -47,7 +38,7 @@ class Adam:
             if not p.values.flags.c_contiguous:
                 raise OptimError(f"adam: parameter {name!r} values are not C-contiguous")
         self.t += 1
-        b1, b2 = self.beta1, self.beta2
+        b1, b2 = BETA1, BETA2
         bc1, bc2 = 1.0 - b1**self.t, 1.0 - b2**self.t
         # one block-sized buffer for the whole step; each block's g, m, v and
         # parameter values stay in cache through the whole sequence below
@@ -73,7 +64,7 @@ class Adam:
                 g *= self.lr
                 np.divide(v, bc2, out=s)
                 np.sqrt(s, out=s)
-                s += self.eps
+                s += EPS
                 g /= s
                 x -= g
             p.grad = None

@@ -11,9 +11,7 @@ Two corpora ship with the repo (see scripts/make_corpora.py):
 
 from __future__ import annotations
 
-import os
-
-from .data import Utterance, write_conll
+from .data import Utterance
 from .rng import make_rng
 
 
@@ -171,12 +169,3 @@ def transfer_utterances(seed: int = TRANSFER_SEED) -> list[Utterance]:
         {"flight": 80, "train": 80, "hotel": 80, "bus": 60},
         seed,
     )
-
-
-def write_corpus(utterances, directory: str) -> None:
-    os.makedirs(directory, exist_ok=True)
-    by_domain: dict[str, list] = {}
-    for utt in utterances:
-        by_domain.setdefault(utt.domain, []).append(utt)
-    for domain, utts in by_domain.items():
-        write_conll(utts, os.path.join(directory, f"{domain}.conll"))

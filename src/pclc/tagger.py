@@ -111,7 +111,7 @@ class Encoder:
         tokens, rows = _token_rows(utterances)
         char_x = self._char_features(tokens, vocab)
         token_words = np.array([vocab.word_id(t) for t in tokens], dtype=np.intp)
-        x = ad.concat([ad.take_rows(self.word_table, token_words), char_x], axis=1)
+        x = ad.concat([ad.take_rows(self.word_table, token_words), char_x])
         index = rows
         if training:  # dropout draws its mask per position: gather one row each first
             x, index = ad.take_rows(x, rows), None
@@ -132,15 +132,13 @@ class Encoder:
 class CrfLayer:
     """Linear-chain CRF over {O, B, I} with explicit start/end scores."""
 
-    def __init__(self, rng=None):
+    def __init__(self, rng):
         def init(shape):
-            if rng is None:
-                return np.zeros(shape)
-            return rng.uniform(-0.1, 0.1, size=shape)
+            return Tensor(rng.uniform(-0.1, 0.1, size=shape), requires_grad=True)
 
-        self.transitions = Tensor(init((N_TAGS, N_TAGS)), requires_grad=True)
-        self.start = Tensor(init(N_TAGS), requires_grad=True)
-        self.end = Tensor(init(N_TAGS), requires_grad=True)
+        self.transitions = init((N_TAGS, N_TAGS))
+        self.start = init(N_TAGS)
+        self.end = init(N_TAGS)
 
     def parameters(self):
         return [
@@ -222,17 +220,18 @@ def crf_nll_batch(
     return ad.emit("crf_nll", inputs, np.asarray(log_z.sum() - gold_score), vjp)
 
 
-def viterbi_decode_batch(emissions, lengths: list[int], crf: CrfLayer) -> list[list[int]]:
+def viterbi_decode_batch(
+    emissions: np.ndarray, lengths: list[int], crf: CrfLayer
+) -> list[list[int]]:
     """Highest-scoring tag sequence per utterance of a padded batch.
 
-    `emissions` (a Tensor or array) has the row layout of `crf_nll_batch`.
+    `emissions` has the row layout of `crf_nll_batch`.
     A backward max-product pass scores the best rest of each utterance per
     position and tag; tags are then picked forwards, so ties resolve to the
     lowest tag index at the earliest position (the lexicographically first
     best path).
     """
-    values = emissions.values if isinstance(emissions, Tensor) else np.asarray(emissions)
-    emis, live = _padded(values, lengths, "viterbi_decode")
+    emis, live = _padded(emissions, lengths, "viterbi_decode")
     trans, end = crf.transitions.values, crf.end.values
     suffix = np.empty_like(emis)  # [t, b, y]: best score of t..L_b-1 with tag y at t
     suffix[-1] = emis[-1] + end

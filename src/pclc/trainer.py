@@ -118,7 +118,6 @@ def early_stop_check(history: list[float], patience: int) -> bool:
 class TrainResult:
     checkpoint: Checkpoint
     log_lines: list[str]
-    val_history: list[float]
 
 
 def _score(model: PclcModel, utterances: list[Utterance], batch_size: int, **labels) -> EvalReport:
@@ -197,4 +196,4 @@ def train_run(
             break
     if best_ckpt is None:
         best_ckpt = _snapshot(model, 0, 0.0, config)
-    return TrainResult(best_ckpt, log_lines, history)
+    return TrainResult(best_ckpt, log_lines)

@@ -342,7 +342,7 @@ PRIMITIVE_CASES = [
     ),
     (
         "concat",
-        lambda t: sum_all(mul(ad.concat([t[0], t[1]], axis=0), ad.concat([t[1], t[0]], axis=0))),
+        lambda t: sum_all(mul(ad.concat([t[0], t[1]]), ad.concat([t[1], t[0]]))),
         [(3, 2)] * 2,
     ),
     ("take_rows", lambda t: dot_all(ad.take_rows(t[0], [0, 2, 2]), _weights(3, 2)), [(3, 2)]),

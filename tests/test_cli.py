@@ -123,6 +123,38 @@ def test_train_determinism_byte_identical(tmp_path):
         assert open(os.path.join(out, f), "rb").read() == first[f], f
 
 
+def test_checkpoint_bytes_do_not_depend_on_the_run_directory(tmp_path):
+    # the manifest's [config] leaves out data_dir, embeddings, target and
+    # output_dir; effective.cfg, the rerun recipe, keeps them
+    runs = [_train(tmp_path, run) for run in ("a", "b")]
+    for name in ("manifest.txt", "params.bin"):
+        a, b = (pathlib.Path(run, "checkpoint", name).read_bytes() for run in runs)
+        assert a == b, name
+    manifest = pathlib.Path(runs[0], "checkpoint", "manifest.txt").read_text()
+    effective = pathlib.Path(runs[0], "effective.cfg").read_text()
+    for key in ("data_dir", "embeddings", "target", "output_dir"):
+        assert f"\n{key}=" not in manifest
+        assert f"\n{key}=" in effective
+    assert f"\noutput_dir={runs[0]}\n" in effective
+
+
+def test_eval_reads_a_manifest_that_holds_the_run_keys(tmp_path):
+    # checkpoints saved before the run keys were left out hold all four
+    out = _train(tmp_path)
+    checkpoint = os.path.join(out, "checkpoint")
+    manifest = pathlib.Path(checkpoint, "manifest.txt")
+    data = os.path.join(DATA_DIR, "overfit")
+    reports = []
+    for run_keys in ("", f"data_dir={data}\nembeddings=\ntarget=kitchen\noutput_dir={out}\n"):
+        text = manifest.read_text(encoding="utf-8")
+        manifest.write_text(text.replace("\n[word_vocab]\n", f"\n{run_keys}[word_vocab]\n"))
+        eval_dir = os.path.join(tmp_path, f"eval{len(reports)}")
+        assert main(["eval", checkpoint, "--data-dir", data, "--output-dir", eval_dir]) == 0
+        reports.append(pathlib.Path(eval_dir, "report.kv").read_bytes())
+    assert f"output_dir={out}\n" in manifest.read_text()
+    assert reports[0] == reports[1]
+
+
 def test_eval_prints_report_and_writes_kv(tmp_path, capsys):
     out = _train(tmp_path)
     rc = main(
@@ -224,7 +256,7 @@ def test_eval_refuses_checkpoint_requiring_pretrained_vectors(tmp_path, capsys):
     manifest = os.path.join(out, "checkpoint", "manifest.txt")
     with open(manifest, encoding="utf-8") as fh:
         lines = fh.read().splitlines()
-    lineno = lines.index("output_dir=" + out) + 2
+    lineno = lines.index("[word_vocab]") + 1  # the new last line of [config]
     lines.insert(lineno - 1, "require_pretrained=true")
     with open(manifest, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")

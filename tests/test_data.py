@@ -1,3 +1,4 @@
+import importlib.util
 import os
 import tempfile
 
@@ -17,7 +18,6 @@ from pclc.data import (
     load_embeddings,
     parse_conll,
     split_leave_one_out,
-    write_conll,
     write_split_manifest,
     PAD_INDEX,
     UNK_INDEX,
@@ -115,18 +115,22 @@ def test_parse_repairs_leading_and_dangling_i_tags(tmp_path):
     assert utt.bio_tags == ["B", "O", "B", "B"]
 
 
-def test_round_trip_conll(tmp_path, transfer_corpus):
-    corpus, _ = transfer_corpus
-    subset = [u for u in corpus if u.domain == "bus"]
-    path = os.path.join(tmp_path, "bus.conll")
-    write_conll(subset, path)
-    again = parse_conll(path)
-    assert len(again) == len(subset)
-    for a, b in zip(subset, again):
-        assert a.tokens == b.tokens
-        assert a.bio_tags == b.bio_tags
-        assert a.slot_types == b.slot_types
-        assert a.domain == b.domain
+def test_make_corpora_script_rewrites_the_bundled_corpora_byte_for_byte(tmp_path):
+    from conftest import DATA_DIR, REPO_ROOT
+
+    path = os.path.join(REPO_ROOT, "scripts", "make_corpora.py")
+    spec = importlib.util.spec_from_file_location("make_corpora", path)
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    script.main(str(tmp_path))
+    for corpus in ("overfit", "transfer"):
+        bundled = sorted(os.listdir(os.path.join(DATA_DIR, corpus)))
+        assert sorted(os.listdir(os.path.join(tmp_path, corpus))) == bundled
+        for name in bundled:
+            with open(os.path.join(tmp_path, corpus, name), "rb") as fh:
+                written = fh.read()
+            with open(os.path.join(DATA_DIR, corpus, name), "rb") as fh:
+                assert written == fh.read(), f"{corpus}/{name}"
 
 
 def test_load_corpus_reads_bundled_transfer_data():
@@ -144,8 +148,8 @@ def test_load_corpus_matches_generator():
     loaded, _ = load_corpus(os.path.join(DATA_DIR, "transfer"))
     generated = sorted(transfer_utterances(), key=lambda u: u.uid)
     loaded = sorted(loaded, key=lambda u: u.uid)
-    assert [u.tokens for u in loaded] == [u.tokens for u in generated]
-    assert [u.bio_tags for u in loaded] == [u.bio_tags for u in generated]
+    for field in ("tokens", "bio_tags", "slot_types", "domain", "uid"):
+        assert [getattr(u, field) for u in loaded] == [getattr(u, field) for u in generated]
 
 
 # ---------------------------------------------------------------------------

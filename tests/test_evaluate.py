@@ -124,7 +124,7 @@ def test_groups_partition_counts_exactly():
     pred = [_sp((0, 0, "seen_a"), (2, 2, "seen_c"))] * 3
     report = span_f1(gold, pred)
     report = seen_unseen_report(report, ["seen_a", "seen_c"], ["unseen_b"])
-    s, u = report.seen_counts, report.unseen_counts
+    s, u = report.group_counts(["seen_a", "seen_c"]), report.group_counts(["unseen_b"])
     total_tp = sum(c.tp for c in report.per_type.values())
     total_fp = sum(c.fp for c in report.per_type.values())
     total_fn = sum(c.fn for c in report.per_type.values())
@@ -142,7 +142,7 @@ def test_empty_unseen_group_reports_zero():
     report = seen_unseen_report(span_f1(gold, gold), ["a"], ["never_predicted"])
     assert report.seen_f1 == 1.0
     assert report.unseen_f1 == 0.0
-    assert report.unseen_counts.tp == 0
+    assert report.group_counts(["never_predicted"]).tp == 0
 
 
 def test_perfect_predictions_both_groups_one():

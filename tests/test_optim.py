@@ -80,8 +80,8 @@ def test_step_is_bit_equal_to_textbook_expression():
     want = {k: p.values.copy() for k, p in params.items()}
     m = {k: np.zeros(s) for k, s in shapes.items()}
     v = {k: np.zeros(s) for k, s in shapes.items()}
-    lr, b1, b2, eps = 0.01, 0.9, 0.999, 1e-8
-    adam = Adam(params, lr=lr, beta1=b1, beta2=b2, eps=eps)
+    lr, b1, b2, eps = 0.01, 0.9, 0.999, 1e-8  # Adam's textbook defaults
+    adam = Adam(params, lr=lr)
     for t in range(1, 8):
         for k, s in shapes.items():
             g = np.array(rng.normal(size=s) * 10.0 ** rng.integers(-3, 3))

@@ -34,12 +34,14 @@ from pclc.trainer import total_loss
 
 
 def _zero_crf():
-    crf = CrfLayer()
+    crf = CrfLayer(make_rng(0))
+    for p in (crf.transitions, crf.start, crf.end):
+        p.values = np.zeros(p.shape)
     return crf
 
 
 def _random_crf(rng):
-    crf = CrfLayer()
+    crf = CrfLayer(make_rng(0))  # its own generator: `rng`'s draws stay as they were
     crf.transitions.values = rng.uniform(-1, 1, (3, 3))
     crf.start.values = rng.uniform(-1, 1, 3)
     crf.end.values = rng.uniform(-1, 1, 3)
@@ -111,7 +113,7 @@ def test_crf_gradients_match_finite_differences():
     arrays = [emis, trans, start, end]
 
     def loss_value():
-        crf = CrfLayer()
+        crf = CrfLayer(make_rng(0))
         crf.transitions = Tensor(trans, requires_grad=True)
         crf.start = Tensor(start, requires_grad=True)
         crf.end = Tensor(end, requires_grad=True)
@@ -120,7 +122,7 @@ def test_crf_gradients_match_finite_differences():
 
     fd = oracles.finite_difference_grads(loss_value, arrays)[0]
 
-    crf = CrfLayer()
+    crf = CrfLayer(make_rng(0))
     crf.transitions = Tensor(trans, requires_grad=True)
     crf.start = Tensor(start, requires_grad=True)
     crf.end = Tensor(end, requires_grad=True)
@@ -410,7 +412,7 @@ def _per_position_hidden(encoder, batch, vocab):
     x = ad.concat([
         ad.take_rows(encoder.word_table, word_ids.reshape(-1)),
         ad.take_rows(char_mat, char_rows.reshape(-1)),
-    ], axis=1)
+    ])
     for lstm in encoder.layers:
         x = run_lstm(lstm, x, lengths)
     return x
@@ -436,6 +438,35 @@ def test_eval_encoding_from_distinct_tokens_matches_the_per_position_build(dims)
         want = _per_position_hidden(encoder, batch, vocab).values
         assert got.shape == want.shape
         assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("dims", ["criterion-6", "paper"])
+def test_permuting_an_eval_batch_permutes_its_states_and_emissions_bit_for_bit(dims):
+    # a standing guard for every change that packs, shares or reorders rows
+    # across a batch: no utterance's result may depend on its neighbours'
+    # order. Batch, permutation and seeds were fixed before the first run
+    corpus, schema = load_corpus(os.path.join(DATA_DIR, "transfer"))
+    vocab = build_vocab(corpus, schema)
+    config = TrainConfig()
+    if dims == "criterion-6":
+        config = TrainConfig(
+            word_dim=24, char_dim=8, char_hidden=8, hidden=24, layers=1,
+            entity_hidden=24, proto_dim=24,
+        )
+    word_matrix = random_embeddings(vocab.n_words, config.word_dim, make_rng(1))
+    model = PclcModel(schema, "bus", vocab, word_matrix, config, make_rng(2))
+    batch = corpus[2::9][:32]
+    perm = make_rng(11).permutation(len(batch))
+    assert len({u.domain for u in batch}) == 4 and len({len(u.tokens) for u in batch}) > 1
+    grids = []
+    for utterances in (batch, [batch[i] for i in perm]):
+        enc = model.encode(utterances, training=False)
+        shape = (enc.t_max, enc.batch_size, -1)
+        emissions, _ = model.emissions(enc)
+        grids.append((enc.hidden.values.reshape(shape), emissions.values.reshape(shape)))
+    (states, emissions), (permuted_states, permuted_emissions) = grids
+    assert np.array_equal(states[:, perm], permuted_states)
+    assert np.array_equal(emissions[:, perm], permuted_emissions)
 
 
 def test_training_encoding_gradients_equal_the_per_position_build():
